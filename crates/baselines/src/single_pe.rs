@@ -6,8 +6,8 @@ use datagen::Tuple;
 use ditto_core::reader::MemoryReaderKernel;
 use ditto_core::{ChannelTotals, DittoApp, ExecutionReport, RunOutcome};
 use hls_sim::{
-    CounterId, Cycle, Engine, Kernel, MemoryModel, Progress, ReceiverId, SimContext, SliceSource,
-    StateId, StreamSource, WakeSet,
+    ChannelBankId, CounterId, Cycle, Engine, Kernel, MemoryModel, Progress, SimContext,
+    SliceSource, StateId, StreamSource, WakeSet,
 };
 
 /// A single deeply pipelined PE, as in RTL sketch accelerators: II = 1
@@ -40,7 +40,8 @@ pub struct SinglePeDesign {
 struct OnePe<A: DittoApp> {
     app: Arc<A>,
     ii: u32,
-    input: ReceiverId<Tuple>,
+    /// The reader's one-member `lane` bank.
+    input: ChannelBankId<Tuple>,
     state: StateId<A::State>,
     processed: CounterId,
     busy_until: Cycle,
@@ -55,13 +56,13 @@ impl<A: DittoApp + 'static> Kernel for OnePe<A> {
         if cy < self.busy_until {
             return Progress::Busy;
         }
-        if let Some(tuple) = ctx.try_recv(cy, self.input) {
+        if let Some(tuple) = ctx.bank_with(self.input, |lane| lane.try_recv(cy, 0)) {
             let routed = self.app.preprocess(tuple, 1);
             self.app.process(ctx.state_mut(self.state), &routed.value);
             ctx.counter_incr(self.processed);
             self.busy_until = cy + Cycle::from(self.ii);
             Progress::Busy
-        } else if ctx.is_empty(self.input) {
+        } else if ctx.bank_is_empty(self.input, 0) {
             Progress::Sleep
         } else {
             Progress::Busy
@@ -69,11 +70,11 @@ impl<A: DittoApp + 'static> Kernel for OnePe<A> {
     }
 
     fn is_idle(&self, ctx: &SimContext) -> bool {
-        ctx.is_empty(self.input)
+        ctx.bank_is_empty(self.input, 0)
     }
 
     fn wake_set(&self) -> WakeSet {
-        WakeSet::new().after_push_on(self.input)
+        WakeSet::new().after_push_on_bank(self.input)
     }
 }
 
@@ -109,16 +110,16 @@ impl SinglePeDesign {
             MemoryModel::new(64, 16),
         ));
         let mut engine = Engine::new();
-        let (lane_tx, lane_rx) = engine.channel::<Tuple>("lane", 8);
+        let lane = engine.channel_bank::<Tuple>("lane", 0, 1, 8);
         let state = engine.state(app.new_state(self.state_entries));
         let processed = engine.counter();
         let issued = engine.counter();
 
-        engine.add_kernel(MemoryReaderKernel::new(source, vec![lane_tx], issued));
+        engine.add_kernel(MemoryReaderKernel::new(source, lane, issued));
         engine.add_kernel(OnePe {
             app: Arc::clone(&app),
             ii: self.ii,
-            input: lane_rx,
+            input: lane,
             state,
             processed,
             busy_until: 0,

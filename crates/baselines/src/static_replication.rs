@@ -6,8 +6,8 @@ use datagen::Tuple;
 use ditto_core::reader::MemoryReaderKernel;
 use ditto_core::{ChannelTotals, DittoApp, ExecutionReport, RunOutcome};
 use hls_sim::{
-    CounterId, Cycle, Engine, Kernel, MemoryModel, Progress, ReceiverId, SimContext, SliceSource,
-    StateId, StreamSource, WakeSet,
+    ChannelBankId, CounterId, Cycle, Engine, Kernel, MemoryModel, Progress, SimContext,
+    SliceSource, StateId, StreamSource, WakeSet,
 };
 
 /// Cycles the host CPU needs per replica entry during final aggregation,
@@ -44,47 +44,64 @@ pub struct StaticReplicationDesign {
     lane_depth: usize,
 }
 
-struct StaticPe<A: DittoApp> {
-    name: String,
+/// The M statically fed PEs, stepped as one bank kernel over the reader's
+/// `lane` bank: PE `i` consumes lane `i` at `ii_pri` cycles per tuple
+/// against its own full replica. Members share nothing, so serving them
+/// in lane order is the schedule of M per-lane kernels.
+struct StaticPeBank<A: DittoApp> {
     app: Arc<A>,
-    input: ReceiverId<Tuple>,
-    state: StateId<A::State>,
-    processed: CounterId,
-    busy_until: Cycle,
+    input: ChannelBankId<Tuple>,
+    states: Vec<StateId<A::State>>,
+    processed: Vec<CounterId>,
+    busy_until: Vec<Cycle>,
+    /// Tuples popped this step, between the one resolution of the lane
+    /// bank and the per-replica updates.
+    staged: Vec<(usize, Tuple)>,
 }
 
-impl<A: DittoApp + 'static> Kernel for StaticPe<A> {
+impl<A: DittoApp + 'static> Kernel for StaticPeBank<A> {
     fn name(&self) -> &str {
-        &self.name
+        "static-pe#bank"
     }
 
     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
-        if cy < self.busy_until {
-            return Progress::Busy;
-        }
-        if let Some(tuple) = ctx.try_recv(cy, self.input) {
+        // Busy if any member would be: waiting out its II, consuming, or
+        // holding an item that is not visible yet.
+        let mut busy = false;
+        let ii = Cycle::from(self.app.ii_pri());
+        let (busy_until, staged) = (&mut self.busy_until, &mut self.staged);
+        ctx.bank_with(self.input, |lanes| {
+            for (i, busy_until) in busy_until.iter_mut().enumerate() {
+                if cy < *busy_until {
+                    busy = true;
+                } else if let Some(tuple) = lanes.try_recv(cy, i) {
+                    staged.push((i, tuple));
+                    *busy_until = cy + ii;
+                    busy = true;
+                } else {
+                    busy |= !lanes.is_empty(i);
+                }
+            }
+        });
+        for (i, tuple) in self.staged.drain(..) {
             // Static dispatch still computes the application update, but
             // against the PE's own full replica: the app is constructed
             // with M = 1 (one logical partition, replicated M times), so
             // the routing dst is trivially 0.
             let routed = self.app.preprocess(tuple, 1);
-            self.app.process(ctx.state_mut(self.state), &routed.value);
-            ctx.counter_incr(self.processed);
-            self.busy_until = cy + Cycle::from(self.app.ii_pri());
-            Progress::Busy
-        } else if ctx.is_empty(self.input) {
-            Progress::Sleep
-        } else {
-            Progress::Busy
+            self.app
+                .process(ctx.state_mut(self.states[i]), &routed.value);
+            ctx.counter_incr(self.processed[i]);
         }
+        Progress::busy_if(busy)
     }
 
     fn is_idle(&self, ctx: &SimContext) -> bool {
-        ctx.is_empty(self.input)
+        (0..self.states.len()).all(|i| ctx.bank_is_empty(self.input, i))
     }
 
     fn wake_set(&self) -> WakeSet {
-        WakeSet::new().after_push_on(self.input)
+        WakeSet::new().after_push_on_bank(self.input)
     }
 }
 
@@ -130,9 +147,7 @@ impl StaticReplicationDesign {
         ));
 
         let mut engine = Engine::new();
-        let lanes: Vec<_> = (0..self.m_pes)
-            .map(|i| engine.channel::<Tuple>(&format!("lane{i}"), self.lane_depth))
-            .collect();
+        let lanes = engine.channel_bank::<Tuple>("lane", 0, self.m_pes as usize, self.lane_depth);
         let states: Vec<StateId<A::State>> = (0..self.m_pes)
             .map(|_| engine.state(app.new_state(self.replica_entries)))
             .collect();
@@ -142,21 +157,15 @@ impl StaticReplicationDesign {
         // Reuse the Ditto memory access engine: its round-robin lane fill
         // is exactly the paper's "assigning the i-th data to the i-th PE"
         // static scheme.
-        engine.add_kernel(MemoryReaderKernel::new(
-            source,
-            lanes.iter().map(|&(tx, _)| tx).collect(),
-            issued,
-        ));
-        for (i, (&(_, lane_rx), &state)) in lanes.iter().zip(&states).enumerate() {
-            engine.add_kernel(StaticPe {
-                name: format!("static-pe#{i}"),
-                app: Arc::clone(&app),
-                input: lane_rx,
-                state,
-                processed: per_pe[i],
-                busy_until: 0,
-            });
-        }
+        engine.add_kernel(MemoryReaderKernel::new(source, lanes, issued));
+        engine.add_kernel(StaticPeBank {
+            app: Arc::clone(&app),
+            input: lanes,
+            states: states.clone(),
+            processed: per_pe.clone(),
+            busy_until: vec![0; self.m_pes as usize],
+            staged: Vec::with_capacity(self.m_pes as usize),
+        });
         let rep = engine.run_until_quiescent(budget);
         assert!(rep.completed, "static pipeline failed to drain");
         let kernel_cycles = engine.cycle();

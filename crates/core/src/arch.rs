@@ -7,16 +7,16 @@ use hls_sim::{ChannelStats, CounterId, Engine, MemoryModel, SliceSource, StateId
 use crate::app::DittoApp;
 use crate::config::ArchConfig;
 use crate::control::{Control, ControlId};
-use crate::mapper::MapperKernel;
+use crate::mapper::MapperBank;
 use crate::mask::MaskTable;
 use crate::merger::MergerKernel;
-use crate::pe::{PeRole, PrePeKernel, ProcPeKernel};
+use crate::pe::{PeRole, PrePeBank, ProcPeBank};
 use crate::phase::PhasePlan;
 use crate::profiler::{ProfilerKernel, ProfilerParams};
 use crate::reader::MemoryReaderKernel;
 use crate::report::{ChannelTotals, ExecutionReport, StatSnapshot};
-use crate::routing::{CombinerKernel, DecoderFilterKernel, WideWord, MAX_DEST_PES};
-use crate::{PeId, SchedulingPlan, Tuple};
+use crate::routing::{CombinerKernel, FilterBank, WideWord, MAX_DEST_PES};
+use crate::{PeId, Routed, SchedulingPlan, Tuple};
 
 /// Result of a pipeline run: the application output plus measurements.
 #[derive(Debug)]
@@ -153,7 +153,9 @@ impl SkewObliviousPipeline {
 
 impl<A: DittoApp + 'static> PersistentPipeline<A> {
     /// Assembles all kernels and channels for one pipeline instance fed by
-    /// `source`.
+    /// `source`: one kernel per module array (nine with SecPEs, six
+    /// without — see the [crate-level diagram](crate)), over one channel
+    /// bank per channel array.
     ///
     /// # Panics
     ///
@@ -175,117 +177,75 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
         let processed = engine.counter();
         let issued = engine.counter();
         let plan = engine.state(SchedulingPlan::empty());
-        let lane_in: Vec<_> = (0..n)
-            .map(|i| engine.channel::<Tuple>(&format!("lane{i}"), config.lane_queue_depth))
-            .collect();
-        let pre_out: Vec<_> = (0..n)
-            .map(|i| {
-                engine
-                    .channel::<crate::Routed<A::Value>>(&format!("pre{i}"), config.lane_queue_depth)
-            })
-            .collect();
-        let map_out: Vec<_> = (0..n)
-            .map(|i| {
-                engine
-                    .channel::<crate::Routed<A::Value>>(&format!("map{i}"), config.lane_queue_depth)
-            })
-            .collect();
+        // Creation order is the `channel_stats()` row order the goldens
+        // pin: array by array along the dataflow, one row per member.
+        let lanes = engine.channel_bank::<Tuple>("lane", 0, n, config.lane_queue_depth);
+        let pre_out = engine.channel_bank::<Routed<A::Value>>("pre", 0, n, config.lane_queue_depth);
+        let map_out = engine.channel_bank::<Routed<A::Value>>("map", 0, n, config.lane_queue_depth);
         // One broadcast group stands in for the M+X wide-word datapath
-        // channels: stored once, per-datapath cursors and statistics. The
-        // relevance mask is the word's destination-PE bitmask, so words
-        // carrying nothing for a parked datapath are auto-advanced inside
-        // the broadcast core without waking the decoder — under skew the
-        // cold datapaths never step.
-        let (word_tx, word_rx) = if config.cold_tap_auto_advance {
-            engine.broadcast_channel_with_relevance::<WideWord<A::Value>>(
-                "word",
-                pes,
-                config.word_queue_depth,
-                |word| word.dest_taps(),
-            )
-        } else {
-            engine.broadcast_channel::<WideWord<A::Value>>("word", pes, config.word_queue_depth)
-        };
-        let pe_in: Vec<_> = (0..pes)
-            .map(|j| engine.channel::<A::Value>(&format!("pein{j}"), config.pe_queue_depth))
-            .collect();
-        let plan_ch: Vec<_> = (0..n)
-            .map(|i| engine.channel::<(PeId, PeId)>(&format!("plan{i}"), config.x_sec as usize + 1))
-            .collect();
-        let feed_ch: Vec<_> = (0..n)
-            .map(|i| engine.channel::<PeId>(&format!("feed{i}"), 4))
-            .collect();
+        // channels: stored once, per-datapath cursors and statistics.
+        let (word_tx, word_rx) =
+            engine.broadcast_channel::<WideWord<A::Value>>("word", pes, config.word_queue_depth);
+        // Two banks, so a push into a PriPE queue does not wake the SecPE
+        // array and vice versa; `pein{j}` numbering continues across them.
+        let pri_in = engine.channel_bank::<A::Value>("pein", 0, m as usize, config.pe_queue_depth);
+        let sec_in = engine.channel_bank::<A::Value>(
+            "pein",
+            m as usize,
+            config.x_sec as usize,
+            config.pe_queue_depth,
+        );
+        let plans = engine.channel_bank::<(PeId, PeId)>("plan", 0, n, config.x_sec as usize + 1);
+        let feeds = engine.channel_bank::<PeId>("feed", 0, n, 4);
 
         let states: Vec<StateId<A::State>> = (0..pes)
             .map(|_| engine.state(app.new_state(config.pe_entries)))
             .collect();
         let per_pe_counters: Vec<CounterId> = (0..pes).map(|_| engine.counter()).collect();
 
-        engine.add_kernel(MemoryReaderKernel::new(
-            source,
-            lane_in.iter().map(|&(tx, _)| tx).collect(),
-            issued,
+        // Registration order is the step order within a cycle, pinned by
+        // the goldens: one kernel per module array, along the dataflow.
+        engine.add_kernel(MemoryReaderKernel::new(source, lanes, issued));
+        engine.add_kernel(PrePeBank::new(Arc::clone(&app), m, lanes, pre_out));
+        engine.add_kernel(MapperBank::new(
+            m,
+            config.x_sec,
+            control,
+            plans,
+            pre_out,
+            map_out,
+            feeds,
         ));
-        for i in 0..n {
-            engine.add_kernel(PrePeKernel::new(
-                i,
-                Arc::clone(&app),
-                m,
-                lane_in[i].1,
-                pre_out[i].0,
-            ));
-        }
-        for i in 0..n {
-            engine.add_kernel(MapperKernel::new(
-                i,
-                m,
-                config.x_sec,
-                control,
-                plan_ch[i].1,
-                pre_out[i].1,
-                map_out[i].0,
-                feed_ch[i].0,
-            ));
-        }
-        engine.add_kernel(CombinerKernel::new(
-            map_out.iter().map(|&(_, rx)| rx).collect(),
-            word_tx,
+        engine.add_kernel(CombinerKernel::new(map_out, word_tx));
+        engine.add_kernel(FilterBank::new(
+            config.n_pre,
+            Arc::clone(&mask),
+            word_rx,
+            pri_in,
+            sec_in,
         ));
-        let mut decoder_kernel_ids = Vec::new();
-        for (j, &word) in word_rx.iter().enumerate() {
-            decoder_kernel_ids.push(engine.add_kernel(DecoderFilterKernel::new(
-                j as PeId,
-                config.n_pre,
-                Arc::clone(&mask),
-                word,
-                pe_in[j].0,
-            )));
-        }
-        let mut pe_kernel_ids = Vec::new();
-        let mut sec_kernel_ids = Vec::new();
-        for (j, &state) in states.iter().enumerate() {
-            let role = if (j as u32) < m {
-                PeRole::Primary
-            } else {
-                PeRole::Secondary(j - m as usize)
-            };
-            let kernel_id = engine.add_kernel(ProcPeKernel::new(
-                j as PeId,
-                role,
+        let (pri_states, sec_states) = states.split_at(m as usize);
+        let (pri_counters, sec_counters) = per_pe_counters.split_at(m as usize);
+        engine.add_kernel(ProcPeBank::new(
+            PeRole::Primary,
+            Arc::clone(&app),
+            pri_in,
+            pri_states.to_vec(),
+            pri_counters.to_vec(),
+            processed,
+            control,
+        ));
+
+        let plans_generated = if config.x_sec > 0 {
+            let secpe_bank_id = engine.add_kernel(ProcPeBank::new(
+                PeRole::Secondary,
                 Arc::clone(&app),
-                pe_in[j].1,
-                state,
-                per_pe_counters[j],
+                sec_in,
+                sec_states.to_vec(),
+                sec_counters.to_vec(),
                 processed,
                 control,
             ));
-            pe_kernel_ids.push(kernel_id);
-            if (j as u32) >= m {
-                sec_kernel_ids.push(kernel_id);
-            }
-        }
-
-        let plans_generated = if config.x_sec > 0 {
             // The profiler and merger are registered next, in this order.
             let merger_kernel_id = engine.kernel_count() as u32 + 1;
             let profiler = ProfilerKernel::new(
@@ -299,14 +259,13 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
                     requeue_overhead_cycles: config.requeue_overhead_cycles,
                     auto_disable_after: config.auto_disable_after,
                 },
-                feed_ch.iter().map(|&(_, rx)| rx).collect(),
-                plan_ch.iter().map(|&(tx, _)| tx).collect(),
+                feeds,
+                plans,
                 processed,
                 plan,
                 control,
             )
-            .with_protocol_wakes(sec_kernel_ids, Some(merger_kernel_id))
-            .with_datapath_kernels(decoder_kernel_ids.clone(), pe_kernel_ids.clone());
+            .with_protocol_wakes(secpe_bank_id, merger_kernel_id);
             let counter = profiler.plans_generated();
             engine.add_kernel(profiler);
             let actual_merger_id = engine.add_kernel(MergerKernel::new(
@@ -330,16 +289,10 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
 
         // Initial phase (boundary zero): route to PriPEs only; every
         // SecPE datapath is cold until the first scheduling plan lands.
-        let initial = PhasePlan::pri_only(m, config.x_sec);
-        let parked = initial
-            .cold_taps()
-            .into_iter()
-            .flat_map(|pe| [decoder_kernel_ids[pe as usize], pe_kernel_ids[pe as usize]])
-            .collect();
         engine
             .context_mut()
             .state_mut(control)
-            .apply_phase_plan(initial.with_parked_kernels(parked));
+            .apply_phase_plan(PhasePlan::pri_only(m, config.x_sec));
 
         PersistentPipeline {
             engine,
@@ -683,8 +636,23 @@ mod tests {
         let data = UniformGenerator::new(1 << 16, 2).take_vec(2_000);
         let cfg = ArchConfig::new(4, 8, 2);
         let out = SkewObliviousPipeline::run_dataset(CountPerKey::new(8), data, &cfg);
-        // 4 lanes + 4 pre + 4 map + 10 word taps + 10 pein + 4 plan + 4 feed.
-        assert_eq!(out.channels.len(), 40);
+        // 4 lanes + 4 pre + 4 map + 10 word taps + 10 pein + 4 plan + 4 feed:
+        // one row per array member, array by array, `pein` numbered
+        // straight through the PriPE and SecPE banks.
+        let names: Vec<&str> = out.channels.iter().map(|s| s.name.as_str()).collect();
+        let expect: Vec<String> = [
+            ("lane", 4),
+            ("pre", 4),
+            ("map", 4),
+            ("word", 10),
+            ("pein", 10),
+            ("plan", 4),
+            ("feed", 4),
+        ]
+        .iter()
+        .flat_map(|&(prefix, n)| (0..n).map(move |i| format!("{prefix}{i}")))
+        .collect();
+        assert_eq!(names, expect);
         let lane0 = out.channels.iter().find(|s| s.name == "lane0").unwrap();
         assert_eq!(lane0.pushes, 500);
         assert!(out.report.channel_totals.pushes > 0);
@@ -692,6 +660,34 @@ mod tests {
             out.report.channel_totals.pushes,
             out.channels.iter().map(|s| s.pushes).sum::<u64>()
         );
+    }
+
+    #[test]
+    fn one_kernel_per_module_array() {
+        let build = |cfg: &ArchConfig| {
+            let source = SliceSource::new(
+                Vec::new(),
+                Tuple::PAPER_WIDTH_BYTES,
+                MemoryModel::new(64, 16),
+            );
+            PersistentPipeline::new(CountPerKey::new(16), Box::new(source), cfg)
+        };
+        assert_eq!(
+            build(&ArchConfig::paper(15)).engine().kernel_names(),
+            [
+                "memory-reader",
+                "prepe#bank",
+                "mapper#bank",
+                "combiner",
+                "filter#bank",
+                "pripe#bank",
+                "secpe#bank",
+                "runtime-profiler",
+                "merger"
+            ]
+        );
+        // Without SecPEs there is nothing to schedule, drain or merge.
+        assert_eq!(build(&ArchConfig::paper(0)).engine().kernel_count(), 6);
     }
 
     #[test]

@@ -44,14 +44,6 @@ pub struct ArchConfig {
     pub requeue_overhead_cycles: u64,
     /// Consecutive too-fast reschedules before auto-disabling.
     pub auto_disable_after: u32,
-    /// When `true` (the default), the wide-word broadcast uses the
-    /// engine's cold-tap auto-advance: words carrying nothing for a
-    /// parked datapath are consumed by bookkeeping instead of waking the
-    /// decoder kernel. `false` reproduces the pre-phase-plan schedule
-    /// (every push wakes every decoder) — same simulated behaviour,
-    /// deterministically more kernel steps; kept as the in-binary
-    /// baseline for the hot-path bench.
-    pub cold_tap_auto_advance: bool,
     /// When `true`, the engine's steady-state fast-forward is enabled:
     /// whenever every awake kernel can prove its next cycles are
     /// observational no-ops, the engine jumps the cycle counter straight
@@ -88,7 +80,6 @@ impl ArchConfig {
             reschedule_threshold: 0.0,
             requeue_overhead_cycles: 200_000,
             auto_disable_after: 3,
-            cold_tap_auto_advance: true,
             steady_state_fast_forward: false,
         }
     }
@@ -128,12 +119,6 @@ impl ArchConfig {
     /// Sets the PE input queue depth.
     pub fn with_pe_queue_depth(mut self, depth: usize) -> Self {
         self.pe_queue_depth = depth;
-        self
-    }
-
-    /// Enables or disables the cold-tap auto-advance (see the field docs).
-    pub fn with_cold_tap_auto_advance(mut self, on: bool) -> Self {
-        self.cold_tap_auto_advance = on;
         self
     }
 

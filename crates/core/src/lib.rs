@@ -1,14 +1,48 @@
 //! # ditto-core — the skew-oblivious data routing architecture
 //!
 //! This crate is the paper's primary contribution (§IV), reproduced as a
-//! cycle-level model on the [`hls_sim`] substrate. Every module of the
-//! paper's Fig. 3 is one simulated kernel:
+//! cycle-level model on the [`hls_sim`] substrate. The paper's Fig. 3 is
+//! built from *arrays* of identical modules; each array is one simulated
+//! kernel over [channel banks](hls_sim::Engine::channel_bank), nine kernels
+//! in all, registered (and therefore stepped) in this order:
 //!
 //! ```text
-//! MemoryReader ─lane 0..N─► PrePE_i ─► Mapper_i ─► Combiner ═wide word═►
-//!    {Decoder+Filter}_j ─► ProcPE_j (PriPE j<M / SecPE j≥M) ─► Merger
-//!    Mapper_i ─PriPE-id feed─► RuntimeProfiler ─plan/reschedule─► Mappers, SecPEs
+//! memory-reader ═lane[N]═► prepe#bank ═pre[N]═► mapper#bank ═map[N]═► combiner
+//!    ─word (broadcast, M+X taps)─► filter#bank ═pein[0..M]═► pripe#bank ─┐
+//!                                              ═pein[M..M+X]═► secpe#bank ─┴► merger
+//!    mapper#bank ═feed[N]═► runtime-profiler ═plan[N]═► mapper#bank
+//!    runtime-profiler ─control block + wakes─► secpe#bank, merger
 //! ```
+//!
+//! `═x[n]═►` is a bank of `n` FIFOs named `x0…`, `─►` a single channel or
+//! side-band signal. A bank kernel serves its members back to back in
+//! index order — the order per-module kernels would be registered in — and
+//! members of one array only meet through their own queues or
+//! [`Control`]'s commutative counters, so the banked schedule is
+//! bit-identical to the per-module one in every simulated count except
+//! `kernel_steps`. The rules that make it so, which the goldens
+//! (`tests/cycle_equivalence.rs`, `tests/fast_forward_equivalence.rs` and
+//! the serving layers' equivalence suites) enforce:
+//!
+//! * banks are registered in the arrays' original order and serve members
+//!   in index order: all decoders, then all PriPEs, then all SecPEs;
+//! * channel banks are created at the per-module channels' arena positions
+//!   with their names (`pein{j}` numbering continues from the PriPE bank
+//!   into the SecPE bank), so `channel_stats()` rows and
+//!   [`ChannelTotals`] are unchanged;
+//! * a bank is `Busy` if any member would have been, idle only if every
+//!   member is (drain completion cycles are pinned), and its `hold_until`
+//!   is the minimum over members — `None` as soon as one member has work
+//!   this cycle or a SecPE is `Draining`;
+//! * a word carrying nothing for a datapath is popped from that tap by
+//!   `filter#bank`, inside [`bcast_recv_taps`](hls_sim::SimContext::bcast_recv_taps),
+//!   in the cycle it becomes visible — when a per-datapath decoder would
+//!   have consumed it;
+//! * `secpe#bank` reads every SecPE's phase once at step start, and the
+//!   profiler's drain/restart wakes target the bank's kernel id;
+//! * `mapper#bank` applies a generation reset at its first step after the
+//!   bump, before that step's pairs and tuples, and at most one plan pair
+//!   per lane per cycle.
 //!
 //! * [`DittoApp`] — the programming interface (the paper's Listing 2): an
 //!   application provides `preprocess` (PrePE logic: compute `⟨dst, value⟩`),

@@ -1,10 +1,11 @@
 //! The mapper module (§IV-C2, Fig. 4): mapping table, counter array and
 //! round-robin workload redirecting.
 
-use hls_sim::{Cycle, Kernel, Progress, ReceiverId, SenderId, SimContext, WakeSet};
+use hls_sim::{hold_past, ChannelBankId, Cycle, Kernel, Progress, SimContext, WakeSet};
 
 use crate::app::Routed;
 use crate::control::ControlId;
+use crate::mask::bits;
 use crate::PeId;
 
 /// The pure mapping-table state machine, separated from the kernel shell so
@@ -40,8 +41,8 @@ use crate::PeId;
 pub struct Mapper {
     pub(crate) m_pri: u32,
     x_sec: u32,
-    /// `M` rows of `X+1` destination PE ids.
-    table: Vec<Vec<PeId>>,
+    /// `M` rows of `X+1` destination PE ids, row-major.
+    table: Vec<PeId>,
     /// Available PEs per row, counted from the left (init 1).
     counter: Vec<u8>,
     /// Round-robin cursor per row.
@@ -60,7 +61,9 @@ impl Mapper {
         Mapper {
             m_pri,
             x_sec,
-            table: (0..m_pri).map(|i| vec![i; x_sec as usize + 1]).collect(),
+            table: (0..m_pri)
+                .flat_map(|i| std::iter::repeat_n(i, x_sec as usize + 1))
+                .collect(),
             counter: vec![1; m_pri as usize],
             cursor: vec![0; m_pri as usize],
         }
@@ -79,13 +82,10 @@ impl Mapper {
             sec >= self.m_pri && sec < self.m_pri + self.x_sec,
             "sec {sec} is not a SecPE id"
         );
-        let row = &mut self.table[pri as usize];
+        let stride = self.stride();
         let c = &mut self.counter[pri as usize];
-        assert!(
-            (*c as usize) < row.len(),
-            "row {pri} already has X+1 entries"
-        );
-        row[*c as usize] = sec;
+        assert!((*c as usize) < stride, "row {pri} already has X+1 entries");
+        self.table[pri as usize * stride + *c as usize] = sec;
         *c += 1;
     }
 
@@ -97,22 +97,32 @@ impl Mapper {
     /// Panics if `dst >= M`.
     pub fn redirect(&mut self, dst: PeId) -> PeId {
         let row = dst as usize;
-        let c = self.counter[row];
         let idx = self.cursor[row];
-        self.cursor[row] = (idx + 1) % c;
-        self.table[row][idx as usize]
+        // The cursor stays below the counter, so wrapping is a compare.
+        self.cursor[row] = if idx + 1 == self.counter[row] {
+            0
+        } else {
+            idx + 1
+        };
+        self.table[row * self.stride() + idx as usize]
+    }
+
+    /// Entries per table row, `X + 1`.
+    fn stride(&self) -> usize {
+        self.x_sec as usize + 1
     }
 
     /// Looks up without advancing the cursor (identity when no SecPE is
     /// attached).
     pub fn peek(&self, dst: PeId) -> PeId {
-        self.table[dst as usize][self.cursor[dst as usize] as usize]
+        self.table[dst as usize * self.stride() + self.cursor[dst as usize] as usize]
     }
 
     /// Resets the table to identity and the counters to one — executed when
     /// the profiler announces a new generation.
     pub fn reset(&mut self) {
-        for (i, row) in self.table.iter_mut().enumerate() {
+        let stride = self.stride();
+        for (i, row) in self.table.chunks_exact_mut(stride).enumerate() {
             row.fill(i as PeId);
         }
         self.counter.fill(1);
@@ -126,69 +136,74 @@ impl Mapper {
     }
 }
 
-/// The mapper kernel: one per PrePE lane (Fig. 3 instantiates mapper
-/// `#0..#N-1`).
+/// All `N` mappers (Fig. 3 instantiates mapper `#0..#N-1`, one per PrePE
+/// lane), stepped as one kernel, `mapper#bank`.
 ///
-/// Per cycle it:
+/// Per cycle every mapper:
 /// 1. applies at most one scheduling-plan pair from the profiler,
 /// 2. pops at most one routed record from its PrePE, redirects the
-///    destination through the mapping table (unless SecPE routing is
-///    suspended) and forwards it to the combiner lane,
+///    destination through its mapping table (unless SecPE routing is
+///    suspended) and forwards it to its combiner lane,
 /// 3. feeds the *original* PriPE id to the profiler while profiling is on.
-pub struct MapperKernel<V> {
-    name: String,
-    mapper: Mapper,
+///
+/// Mappers are served in lane order and meet only through their own queues
+/// and [`Control`](crate::Control)'s per-SecPE in-flight counters, which
+/// commute (see the [crate-level equivalence rules](crate)). A generation
+/// bump resets every table at the bank's first step after it, before any
+/// pair or tuple of that step — for a lane with nothing to forward that is
+/// unobservable, because it forwards nothing in between.
+pub struct MapperBank<V> {
+    mappers: Vec<Mapper>,
     generation: u64,
     control: ControlId,
-    plan_rx: ReceiverId<(PeId, PeId)>,
-    input: ReceiverId<Routed<V>>,
-    output: SenderId<Routed<V>>,
-    profiler_feed: SenderId<PeId>,
+    plans: ChannelBankId<(PeId, PeId)>,
+    input: ChannelBankId<Routed<V>>,
+    output: ChannelBankId<Routed<V>>,
+    profiler_feed: ChannelBankId<PeId>,
+    /// Records popped this step with their lane, between the resolutions
+    /// of the input and output banks. Reused; never reallocates after the
+    /// first full step.
+    staged: Vec<(usize, Routed<V>)>,
 }
 
-impl<V> MapperKernel<V> {
-    /// Creates a mapper kernel for lane `lane`.
-    #[allow(clippy::too_many_arguments)]
+impl<V> MapperBank<V> {
+    /// Creates one mapper per member of `input`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all four banks have the same number of members.
     pub fn new(
-        lane: usize,
         m_pri: u32,
         x_sec: u32,
         control: ControlId,
-        plan_rx: ReceiverId<(PeId, PeId)>,
-        input: ReceiverId<Routed<V>>,
-        output: SenderId<Routed<V>>,
-        profiler_feed: SenderId<PeId>,
+        plans: ChannelBankId<(PeId, PeId)>,
+        input: ChannelBankId<Routed<V>>,
+        output: ChannelBankId<Routed<V>>,
+        profiler_feed: ChannelBankId<PeId>,
     ) -> Self {
-        MapperKernel {
-            name: format!("mapper#{lane}"),
-            mapper: Mapper::new(m_pri, x_sec),
+        let lanes = input.members();
+        assert!(
+            plans.members() == lanes
+                && output.members() == lanes
+                && profiler_feed.members() == lanes,
+            "one plan, output and feed queue per mapper lane"
+        );
+        MapperBank {
+            mappers: vec![Mapper::new(m_pri, x_sec); lanes],
             generation: 0,
             control,
-            plan_rx,
+            plans,
             input,
             output,
             profiler_feed,
+            staged: Vec::with_capacity(lanes),
         }
     }
 }
 
-impl<V: Clone + Send + 'static> MapperKernel<V> {
-    /// `Sleep` is safe exactly when no plan pair is waiting and either there
-    /// is nothing to forward or downstream has no room: a generation bump
-    /// while parked is applied on wake, before any tuple is processed —
-    /// indistinguishable from applying it during the idle cycles.
-    fn parked(&self, ctx: &SimContext) -> Progress {
-        if ctx.is_empty(self.plan_rx) && (ctx.is_empty(self.input) || !ctx.can_send(self.output)) {
-            Progress::Sleep
-        } else {
-            Progress::Busy
-        }
-    }
-}
-
-impl<V: Clone + Send + 'static> Kernel for MapperKernel<V> {
+impl<V: Send + 'static> Kernel for MapperBank<V> {
     fn name(&self) -> &str {
-        &self.name
+        "mapper#bank"
     }
 
     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
@@ -202,46 +217,70 @@ impl<V: Clone + Send + 'static> Kernel for MapperKernel<V> {
 
         // Generation change: reset to identity before anything else.
         if gen != self.generation {
-            self.mapper.reset();
+            self.mappers.iter_mut().for_each(Mapper::reset);
             self.generation = gen;
         }
 
-        // One scheduling-plan pair per cycle.
-        if let Some((sec, pri)) = ctx.try_recv(cy, self.plan_rx) {
-            self.mapper.apply_pair(sec, pri);
+        // One scheduling-plan pair per lane per cycle. A lane may park only
+        // with no pair waiting and nothing it could forward.
+        let mappers = &mut self.mappers;
+        let mut busy = ctx.bank_with(self.plans, |plans| {
+            let mut waiting = false;
+            for (i, mapper) in mappers.iter_mut().enumerate() {
+                if let Some((sec, pri)) = plans.try_recv(cy, i) {
+                    mapper.apply_pair(sec, pri);
+                }
+                waiting |= !plans.is_empty(i);
+            }
+            waiting
+        });
+
+        // One tuple per lane per cycle, gated by downstream space.
+        let room = ctx.bank_with(self.output, |out| out.room_mask());
+        let staged = &mut self.staged;
+        ctx.bank_with(self.input, |input| {
+            for i in bits(room) {
+                match input.try_recv(cy, i) {
+                    Some(routed) => staged.push((i, routed)),
+                    None => busy |= !input.is_empty(i),
+                }
+            }
+        });
+        if staged.is_empty() {
+            return Progress::busy_if(busy);
         }
 
-        // One tuple per cycle, gated by downstream space.
-        if !ctx.can_send(self.output) {
-            return self.parked(ctx);
+        if feed_profiler {
+            // Drop the feed if the profiler queue is full; the hardware
+            // hist port accepts one id per lane per cycle by design.
+            ctx.bank_with(self.profiler_feed, |feed| {
+                for (i, routed) in staged.iter() {
+                    let _ = feed.try_send(cy, *i, routed.dst);
+                }
+            });
         }
-        if let Some(routed) = ctx.try_recv(cy, self.input) {
-            let original = routed.dst;
-            let redirected = if route_to_sec {
-                self.mapper.redirect(original)
-            } else {
-                original
-            };
-            if redirected >= self.mapper.m_pri {
-                // Exact in-flight accounting for the drain protocol.
-                ctx.state_mut(self.control)
-                    .sec_inflight_inc((redirected - self.mapper.m_pri) as usize);
+        if route_to_sec {
+            // Exact in-flight accounting for the drain protocol.
+            let control = ctx.state_mut(self.control);
+            for (i, routed) in staged.iter_mut() {
+                let mapper = &mut self.mappers[*i];
+                routed.dst = mapper.redirect(routed.dst);
+                if routed.dst >= mapper.m_pri {
+                    control.sec_inflight_inc((routed.dst - mapper.m_pri) as usize);
+                }
             }
-            ctx.try_send(cy, self.output, Routed::new(redirected, routed.value))
-                .unwrap_or_else(|_| unreachable!("checked can_send"));
-            if feed_profiler {
-                // Drop the feed if the profiler queue is full; the hardware
-                // hist port accepts one id per lane per cycle by design.
-                let _ = ctx.try_send(cy, self.profiler_feed, original);
-            }
-            Progress::Busy
-        } else {
-            self.parked(ctx)
         }
+        ctx.bank_with(self.output, |out| {
+            for (i, routed) in staged.drain(..) {
+                out.try_send(cy, i, routed)
+                    .unwrap_or_else(|_| unreachable!("checked room"));
+            }
+        });
+        Progress::Busy
     }
 
     fn is_idle(&self, ctx: &SimContext) -> bool {
-        ctx.is_empty(self.input)
+        (0..self.mappers.len()).all(|i| ctx.bank_is_empty(self.input, i))
     }
 
     fn hold_until(&self, cy: Cycle, ctx: &SimContext) -> Option<Cycle> {
@@ -249,28 +288,24 @@ impl<V: Clone + Send + 'static> Kernel for MapperKernel<V> {
             // A pending table reset changes routing: simulate it.
             return None;
         }
-        // The earliest cycle a queued plan pair becomes applicable.
-        let plan_at = match ctx.recv_visible_at(self.plan_rx) {
-            None => Cycle::MAX,
-            Some(t) if t > cy => t,
-            Some(_) => return None, // pair applies this cycle
-        };
-        if !ctx.can_send(self.output) {
-            // Tuples can't move; only a plan arrival or a pop event can.
-            return Some(plan_at);
+        let mut earliest = Cycle::MAX;
+        for i in 0..self.mappers.len() {
+            // The earliest cycle a queued plan pair becomes applicable.
+            earliest = hold_past(earliest, ctx.bank_recv_visible_at(self.plans, i), cy)?;
+            // Without downstream room tuples can't move; only a plan
+            // arrival or a pop event changes anything.
+            if ctx.bank_can_send(self.output, i) {
+                earliest = hold_past(earliest, ctx.bank_recv_visible_at(self.input, i), cy)?;
+            }
         }
-        match ctx.recv_visible_at(self.input) {
-            None => Some(plan_at),
-            Some(t) if t > cy => Some(plan_at.min(t)),
-            Some(_) => None,
-        }
+        Some(earliest)
     }
 
     fn wake_set(&self) -> WakeSet {
         WakeSet::new()
-            .after_push_on(self.plan_rx)
-            .after_push_on(self.input)
-            .after_pop_on(self.output)
+            .after_push_on_bank(self.plans)
+            .after_push_on_bank(self.input)
+            .after_pop_on_bank(self.output)
     }
 }
 
@@ -355,5 +390,80 @@ mod tests {
         assert_eq!(m.peek(0), 0);
         assert_eq!(m.redirect(0), 0);
         assert_eq!(m.peek(0), 2);
+    }
+
+    use crate::control::Control;
+    use hls_sim::Engine;
+
+    /// A two-lane `M = 3, X = 2` mapper bank driven by hand.
+    #[allow(clippy::type_complexity)]
+    fn hand_driven_bank() -> (
+        Engine,
+        MapperBank<u32>,
+        ControlId,
+        ChannelBankId<(PeId, PeId)>,
+        ChannelBankId<Routed<u32>>,
+        ChannelBankId<Routed<u32>>,
+    ) {
+        let mut engine = Engine::new();
+        let control = engine.state(Control::new(2));
+        let plans = engine.channel_bank("plan", 0, 2, 3);
+        let input = engine.channel_bank("pre", 0, 2, 8);
+        let output = engine.channel_bank("map", 0, 2, 8);
+        let feeds = engine.channel_bank("feed", 0, 2, 4);
+        let bank = MapperBank::new(3, 2, control, plans, input, output, feeds);
+        (engine, bank, control, plans, input, output)
+    }
+
+    #[test]
+    fn bank_applies_one_pair_per_lane_per_cycle_and_resets_on_a_new_generation() {
+        let (mut engine, mut bank, control, plans, ..) = hand_driven_bank();
+        let ctx = engine.context_mut();
+        // Both pairs queue on lane 0 only; lane 1 gets nothing.
+        ctx.bank_with(plans, |plans| {
+            plans.try_send(0, 0, (3, 0)).unwrap();
+            plans.try_send(0, 0, (4, 0)).unwrap();
+        });
+        assert_eq!(bank.step(1, ctx), Progress::Busy, "a pair is still queued");
+        assert_eq!(bank.mappers[0].fan_out(0), 2, "one pair per cycle");
+        assert_eq!(bank.step(2, ctx), Progress::Sleep);
+        assert_eq!(bank.mappers[0].fan_out(0), 3);
+        assert_eq!(bank.mappers[1].fan_out(0), 1, "lanes keep their own table");
+
+        // A generation bump resets every lane at the bank's next step, and
+        // the pending reset refuses to be fast-forwarded over.
+        ctx.state_mut(control).bump_generation();
+        assert_eq!(bank.hold_until(3, ctx), None);
+        bank.step(3, ctx);
+        assert_eq!(bank.mappers[0].fan_out(0), 1);
+        assert_eq!(bank.hold_until(4, ctx), Some(Cycle::MAX));
+    }
+
+    #[test]
+    fn bank_redirects_round_robin_and_counts_secpe_tuples_in_flight() {
+        let (mut engine, mut bank, control, plans, input, output) = hand_driven_bank();
+        let ctx = engine.context_mut();
+        ctx.bank_with(plans, |plans| plans.try_send(0, 0, (3, 0)).unwrap());
+        ctx.bank_with(input, |input| {
+            for v in 0..4 {
+                input.try_send(0, 0, Routed::new(0, v)).unwrap();
+            }
+            input.try_send(0, 1, Routed::new(0, 9)).unwrap();
+        });
+        for cy in 1..=4 {
+            assert_eq!(bank.step(cy, ctx), Progress::Busy);
+        }
+        assert_eq!(bank.step(5, ctx), Progress::Sleep);
+        let mut drain = |lane| {
+            std::iter::from_fn(|| ctx.bank_with(output, |out| out.try_recv(9, lane)))
+                .map(|r| (r.dst, r.value))
+                .collect::<Vec<_>>()
+        };
+        // Lane 0 learned the pair before its first tuple and alternates
+        // PriPE 0 / SecPE 3; lane 1 never got a pair and stays on PriPE 0.
+        assert_eq!(drain(0), vec![(0, 0), (3, 1), (0, 2), (3, 3)]);
+        assert_eq!(drain(1), vec![(0, 9)]);
+        assert_eq!(ctx.state(control).sec_inflight(0), 2);
+        assert_eq!(ctx.state(control).sec_inflight(1), 0);
     }
 }

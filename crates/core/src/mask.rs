@@ -91,6 +91,26 @@ impl MaskTable {
     }
 }
 
+/// The low `n` bits set (`n <= 64`).
+pub(crate) fn mask_of(n: usize) -> u64 {
+    if n == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - n)
+    }
+}
+
+/// Iterates the indices of the set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,18 +6,15 @@
 //! together with the workload histogram it was generated from — into a
 //! [`PhasePlan`]: the set of destination PEs the coming phase can route
 //! tuples to, and therefore which datapath taps are predicted zero-mask
-//! ("cold") and which kernels can stay parked for the whole phase.
+//! ("cold") for the whole phase.
 //!
 //! The plan is applied to the shared [`Control`](crate::control::Control)
 //! block at every reschedule boundary (initial build, plan distribution,
 //! drain completion), where serving layers and reports read it. The plan
-//! itself moves no data: the engine's cold-tap auto-advance and idle-set
-//! scheduler *mechanically* realise the predicted schedule, and the plan
-//! is the compiled, queryable description of it — snapshots expose the
-//! predicted active set, and tests assert that predicted-parked kernels
-//! are indeed asleep in steady state.
-
-use hls_sim::KernelId;
+//! itself moves no data: it is the compiled, queryable description of the
+//! phase — snapshots and counts traces expose the predicted active set,
+//! and tests assert that the cold taps it names keep consuming zero-mask
+//! words in step with the hot ones.
 
 use crate::{PeId, SchedulingPlan};
 
@@ -42,9 +39,6 @@ pub struct PhasePlan {
     /// One flag per destination PE (`M + X` entries): can this PE receive
     /// tuples during the phase?
     active: Vec<bool>,
-    /// Kernels expected to stay parked for the whole phase (the cold
-    /// datapaths' decoders and PEs), when known to the compiler.
-    parked_kernels: Vec<KernelId>,
 }
 
 impl PhasePlan {
@@ -53,11 +47,7 @@ impl PhasePlan {
     pub fn pri_only(m_pri: u32, x_sec: u32) -> Self {
         let mut active = vec![true; (m_pri + x_sec) as usize];
         active[m_pri as usize..].fill(false);
-        PhasePlan {
-            phase: 0,
-            active,
-            parked_kernels: Vec::new(),
-        }
+        PhasePlan { phase: 0, active }
     }
 
     /// Compiles a profiler scheduling plan into the phase it starts.
@@ -79,19 +69,7 @@ impl PhasePlan {
         for &(sec, pri) in plan.pairs() {
             active[sec as usize] = active[pri as usize];
         }
-        PhasePlan {
-            phase: 0,
-            active,
-            parked_kernels: Vec::new(),
-        }
-    }
-
-    /// Attaches the kernel ids expected to stay parked this phase — the
-    /// inactive datapaths' decoder and PE kernels, as mapped by the
-    /// caller (the profiler knows the pipeline's kernel registration).
-    pub fn with_parked_kernels(mut self, kernels: Vec<KernelId>) -> Self {
-        self.parked_kernels = kernels;
-        self
+        PhasePlan { phase: 0, active }
     }
 
     /// The phase sequence number (0 = initial build).
@@ -132,11 +110,6 @@ impl PhasePlan {
             .filter(|&(_, &a)| !a)
             .map(|(pe, _)| pe as PeId)
             .collect()
-    }
-
-    /// Kernels expected to stay parked for the whole phase.
-    pub fn parked_kernels(&self) -> &[KernelId] {
-        &self.parked_kernels
     }
 }
 
@@ -179,12 +152,6 @@ mod tests {
         let p = PhasePlan::compile(&workloads, &plan, 2);
         assert_eq!(p.active_pes(), 0);
         assert_eq!(p.cold_taps().len(), 6);
-    }
-
-    #[test]
-    fn parked_kernels_attach() {
-        let p = PhasePlan::pri_only(2, 1).with_parked_kernels(vec![7, 9]);
-        assert_eq!(p.parked_kernels(), &[7, 9]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use std::collections::VecDeque;
 
 use hls_sim::{
-    CounterId, Cycle, Engine, Kernel, KernelId, Progress, ReceiverId, SenderId, SimContext,
-    StateId, ThroughputWindow,
+    ChannelBankId, CounterId, Cycle, Engine, Kernel, KernelId, Progress, SimContext, StateId,
+    ThroughputWindow,
 };
 
 use crate::control::ControlId;
@@ -76,8 +76,8 @@ pub struct ProfilerKernel {
     name: String,
     params: ProfilerParams,
     phase: Phase,
-    feeds: Vec<ReceiverId<PeId>>,
-    plan_txs: Vec<SenderId<(PeId, PeId)>>,
+    feeds: ChannelBankId<PeId>,
+    plan_txs: ChannelBankId<(PeId, PeId)>,
     /// N independent hist instances (one per mapper lane), M bins each.
     hists: Vec<Vec<u64>>,
     current_plan: StateId<SchedulingPlan>,
@@ -89,17 +89,11 @@ pub struct ProfilerKernel {
     /// Consecutive reschedules that re-triggered faster than the requeue
     /// overhead can amortise.
     fast_retriggers: u32,
-    /// SecPE kernel ids woken on drain/restart commands (§IV-B side-band
-    /// signals produce no channel event, so the profiler wakes the sleeping
-    /// kernels explicitly in the cycle it mutates the control block).
-    sec_kernels: Vec<KernelId>,
-    /// Merger kernel id woken on merge requests.
-    merger_kernel: Option<KernelId>,
-    /// Decoder kernel ids, indexed by destination PE — the datapath half
-    /// of a phase plan's parked-kernel set.
-    decoder_kernels: Vec<KernelId>,
-    /// Destination-PE kernel ids, indexed by destination PE.
-    pe_kernels: Vec<KernelId>,
+    /// The `secpe#bank` and merger kernel ids, woken on drain/restart
+    /// commands and merge requests (§IV-B side-band signals produce no
+    /// channel event, so the profiler wakes the sleeping kernels explicitly
+    /// in the cycle it mutates the control block).
+    protocol_wakes: Option<(KernelId, KernelId)>,
 }
 
 impl ProfilerKernel {
@@ -121,8 +115,8 @@ impl ProfilerKernel {
     pub fn new(
         engine: &mut Engine,
         params: ProfilerParams,
-        feeds: Vec<ReceiverId<PeId>>,
-        plan_txs: Vec<SenderId<(PeId, PeId)>>,
+        feeds: ChannelBankId<PeId>,
+        plan_txs: ChannelBankId<(PeId, PeId)>,
         processed: CounterId,
         current_plan: StateId<SchedulingPlan>,
         control: ControlId,
@@ -133,11 +127,11 @@ impl ProfilerKernel {
             "profiling window must be nonzero"
         );
         assert_eq!(
-            feeds.len(),
-            plan_txs.len(),
+            feeds.members(),
+            plan_txs.members(),
             "one plan channel per mapper lane"
         );
-        let lanes = feeds.len();
+        let lanes = feeds.members();
         let plans_generated = engine.counter();
         engine
             .context_mut()
@@ -158,10 +152,7 @@ impl ProfilerKernel {
             params,
             plans_generated,
             fast_retriggers: 0,
-            sec_kernels: Vec::new(),
-            merger_kernel: None,
-            decoder_kernels: Vec::new(),
-            pe_kernels: Vec::new(),
+            protocol_wakes: None,
         }
     }
 
@@ -171,50 +162,17 @@ impl ProfilerKernel {
     }
 
     /// Registers the kernels this profiler must wake when it drives the
-    /// §IV-B protocol through the shared control block: the SecPE kernels
+    /// §IV-B protocol through the shared control block: the SecPE bank
     /// (drain + restart commands) and the merger (merge requests). Without
     /// this, those kernels must stay awake polling the control block.
-    pub fn with_protocol_wakes(
-        mut self,
-        sec_kernels: Vec<KernelId>,
-        merger_kernel: Option<KernelId>,
-    ) -> Self {
-        self.sec_kernels = sec_kernels;
-        self.merger_kernel = merger_kernel;
+    pub fn with_protocol_wakes(mut self, secpe_bank: KernelId, merger: KernelId) -> Self {
+        self.protocol_wakes = Some((secpe_bank, merger));
         self
-    }
-
-    /// Registers the datapath kernel ids (decoder and PE per destination
-    /// PE, in PE order) so compiled phase plans can name the kernels
-    /// expected to stay parked. Without this, phase plans carry only the
-    /// active-PE prediction.
-    pub fn with_datapath_kernels(
-        mut self,
-        decoder_kernels: Vec<KernelId>,
-        pe_kernels: Vec<KernelId>,
-    ) -> Self {
-        self.decoder_kernels = decoder_kernels;
-        self.pe_kernels = pe_kernels;
-        self
-    }
-
-    /// Maps a compiled plan's cold datapaths to their kernel ids.
-    fn parked_kernels_of(&self, plan: &PhasePlan) -> Vec<KernelId> {
-        let mut parked = Vec::new();
-        for pe in plan.cold_taps() {
-            if let Some(&k) = self.decoder_kernels.get(pe as usize) {
-                parked.push(k);
-            }
-            if let Some(&k) = self.pe_kernels.get(pe as usize) {
-                parked.push(k);
-            }
-        }
-        parked
     }
 
     fn wake_secs(&self, ctx: &mut SimContext) {
-        for &k in &self.sec_kernels {
-            ctx.wake_kernel(k);
+        if let Some((secpe_bank, _)) = self.protocol_wakes {
+            ctx.wake_kernel(secpe_bank);
         }
     }
 
@@ -247,11 +205,14 @@ impl Kernel for ProfilerKernel {
         match &mut self.phase {
             Phase::Profiling { remaining } => {
                 // One id per lane per cycle into the lane's hist instance.
-                for (lane, &feed) in self.feeds.iter().enumerate() {
-                    if let Some(pri) = ctx.try_recv(cy, feed) {
-                        self.hists[lane][pri as usize] += 1;
+                let hists = &mut self.hists;
+                ctx.bank_with(self.feeds, |feeds| {
+                    for (lane, hist) in hists.iter_mut().enumerate() {
+                        if let Some(pri) = feeds.try_recv(cy, lane) {
+                            hist[pri as usize] += 1;
+                        }
                     }
-                }
+                });
                 *remaining -= 1;
                 if *remaining == 0 {
                     ctx.state_mut(self.control).set_feed_profiler(false);
@@ -262,9 +223,7 @@ impl Kernel for ProfilerKernel {
                     // into the coming phase's execution plan and apply it
                     // at this reschedule boundary.
                     let compiled = PhasePlan::compile(&workloads, &plan, self.params.x_sec);
-                    let parked = self.parked_kernels_of(&compiled);
-                    ctx.state_mut(self.control)
-                        .apply_phase_plan(compiled.with_parked_kernels(parked));
+                    ctx.state_mut(self.control).apply_phase_plan(compiled);
                     let queue: VecDeque<_> = plan.pairs().to_vec().into();
                     *ctx.state_mut(self.current_plan) = plan;
                     ctx.counter_incr(self.plans_generated);
@@ -275,12 +234,18 @@ impl Kernel for ProfilerKernel {
                 // One pair per cycle to every mapper (each mapper applies
                 // one pair per cycle, §IV-C2).
                 if let Some(&pair) = queue.front() {
-                    let all_ok = self.plan_txs.iter().all(|&tx| ctx.can_send(tx));
-                    if all_ok {
-                        for &tx in &self.plan_txs {
-                            ctx.try_send(cy, tx, pair)
-                                .unwrap_or_else(|_| unreachable!("checked"));
+                    let sent = ctx.bank_with(self.plan_txs, |plans| {
+                        let all_ok = (0..plans.members()).all(|i| plans.can_send(i));
+                        if all_ok {
+                            for i in 0..plans.members() {
+                                plans
+                                    .try_send(cy, i, pair)
+                                    .unwrap_or_else(|_| unreachable!("checked"));
+                            }
                         }
+                        all_ok
+                    });
+                    if sent {
                         queue.pop_front();
                     }
                 }
@@ -331,13 +296,14 @@ impl Kernel for ProfilerKernel {
                     // Drain boundary: every SecPE has exited and nothing
                     // is in flight to them — the phase until the next
                     // plan distribution routes to PriPEs only.
-                    let pri_only = PhasePlan::pri_only(self.params.m_pri, self.params.x_sec);
-                    let parked = self.parked_kernels_of(&pri_only);
-                    ctx.state_mut(self.control)
-                        .apply_phase_plan(pri_only.with_parked_kernels(parked));
-                    ctx.state_mut(self.control).request_merge();
-                    if let Some(k) = self.merger_kernel {
-                        ctx.wake_kernel(k);
+                    let control = ctx.state_mut(self.control);
+                    control.apply_phase_plan(PhasePlan::pri_only(
+                        self.params.m_pri,
+                        self.params.x_sec,
+                    ));
+                    control.request_merge();
+                    if let Some((_, merger)) = self.protocol_wakes {
+                        ctx.wake_kernel(merger);
                     }
                     self.phase = Phase::AwaitMerge;
                 }
@@ -375,7 +341,9 @@ impl Kernel for ProfilerKernel {
 
     fn is_idle(&self, ctx: &SimContext) -> bool {
         match &self.phase {
-            Phase::Profiling { .. } => self.feeds.iter().all(|&f| ctx.is_empty(f)),
+            Phase::Profiling { .. } => {
+                (0..self.feeds.members()).all(|i| ctx.bank_is_empty(self.feeds, i))
+            }
             Phase::Distributing { queue } => queue.is_empty(),
             Phase::Monitoring { .. } | Phase::Disabled => true,
             // Mid-protocol states must complete before the engine may stop.
@@ -414,6 +382,17 @@ mod tests {
     use crate::control::Control;
     use crate::SecPhase;
 
+    /// A mapper's feed of PriPE id `pri` on `lane`, from outside any kernel.
+    fn feed(
+        ctx: &mut SimContext,
+        feeds: ChannelBankId<PeId>,
+        cy: Cycle,
+        lane: usize,
+        pri: PeId,
+    ) -> Result<(), hls_sim::SendError<PeId>> {
+        ctx.bank_with(feeds, |feeds| feeds.try_send(cy, lane, pri))
+    }
+
     fn params(x: u32) -> ProfilerParams {
         ProfilerParams {
             m_pri: 4,
@@ -429,23 +408,23 @@ mod tests {
     #[test]
     fn profiles_then_distributes_plan() {
         let mut engine = Engine::new();
-        let (feed_tx, feed_rx) = engine.channel::<u32>("feed", 64);
-        let (plan_tx, plan_rx) = engine.channel::<(u32, u32)>("plan", 8);
+        let feeds = engine.channel_bank::<u32>("feed", 0, 1, 64);
+        let plans = engine.channel_bank::<(u32, u32)>("plan", 0, 1, 8);
         let control = engine.state(Control::new(2));
         let plan = engine.state(SchedulingPlan::empty());
         let processed = engine.counter();
         let mut prof = ProfilerKernel::new(
             &mut engine,
             params(2),
-            vec![feed_rx],
-            vec![plan_tx],
+            feeds,
+            plans,
             processed,
             plan,
             control,
         );
         // All workload on PriPE 3.
         for _ in 0..10 {
-            engine.context_mut().try_send(0, feed_tx, 3u32).unwrap();
+            feed(engine.context_mut(), feeds, 0, 0, 3).unwrap();
         }
         let ctx = engine.context_mut();
         for cy in 1..64 {
@@ -453,8 +432,9 @@ mod tests {
         }
         assert_eq!(ctx.state(plan).pairs(), &[(4, 3), (5, 3)]);
         // Mapper received both pairs.
-        assert_eq!(ctx.try_recv(100, plan_rx), Some((4, 3)));
-        assert_eq!(ctx.try_recv(100, plan_rx), Some((5, 3)));
+        let mut next_pair = || ctx.bank_with(plans, |plans| plans.try_recv(100, 0));
+        assert_eq!(next_pair(), Some((4, 3)));
+        assert_eq!(next_pair(), Some((5, 3)));
         assert!(
             !ctx.state(control).feed_profiler(),
             "feed stops after profiling window"
@@ -465,20 +445,16 @@ mod tests {
     #[test]
     fn hists_are_per_lane_and_merged() {
         let mut engine = Engine::new();
-        let feeds: Vec<_> = (0..2)
-            .map(|i| engine.channel::<u32>(&format!("f{i}"), 64))
-            .collect();
-        let plans: Vec<_> = (0..2)
-            .map(|i| engine.channel::<(u32, u32)>(&format!("p{i}"), 8))
-            .collect();
+        let feeds = engine.channel_bank::<u32>("f", 0, 2, 64);
+        let plans = engine.channel_bank::<(u32, u32)>("p", 0, 2, 8);
         let control = engine.state(Control::new(1));
         let plan = engine.state(SchedulingPlan::empty());
         let processed = engine.counter();
         let mut prof = ProfilerKernel::new(
             &mut engine,
             params(1),
-            feeds.iter().map(|&(_, rx)| rx).collect(),
-            plans.iter().map(|&(tx, _)| tx).collect(),
+            feeds,
+            plans,
             processed,
             plan,
             control,
@@ -486,10 +462,10 @@ mod tests {
         // Lane 0 votes PriPE 1, lane 1 votes PriPE 2 — but lane 1 votes more.
         let ctx = engine.context_mut();
         for i in 0..6 {
-            ctx.try_send(i, feeds[0].0, 1u32).unwrap();
+            feed(ctx, feeds, i, 0, 1).unwrap();
         }
         for i in 0..12 {
-            ctx.try_send(i, feeds[1].0, 2u32).unwrap();
+            feed(ctx, feeds, i, 1, 2).unwrap();
         }
         for cy in 1..40 {
             prof.step(cy, ctx);
@@ -500,16 +476,16 @@ mod tests {
     #[test]
     fn threshold_zero_never_reschedules() {
         let mut engine = Engine::new();
-        let (_feed_tx, feed_rx) = engine.channel::<u32>("feed", 64);
-        let (plan_tx, _plan_rx) = engine.channel::<(u32, u32)>("plan", 8);
+        let feeds = engine.channel_bank::<u32>("feed", 0, 1, 64);
+        let plans = engine.channel_bank::<(u32, u32)>("plan", 0, 1, 8);
         let control = engine.state(Control::new(1));
         let plan = engine.state(SchedulingPlan::empty());
         let processed = engine.counter();
         let mut prof = ProfilerKernel::new(
             &mut engine,
             params(1),
-            vec![feed_rx],
-            vec![plan_tx],
+            feeds,
+            plans,
             processed,
             plan,
             control,
@@ -529,24 +505,16 @@ mod tests {
         // steps drive the reschedule protocol: while profiling (and in every
         // other boundary phase) the profiler opts out of fast-forward.
         let mut engine = Engine::new();
-        let (feed_tx, feed_rx) = engine.channel::<u32>("feed", 64);
-        let (plan_tx, _plan_rx) = engine.channel::<(u32, u32)>("plan", 8);
+        let feeds = engine.channel_bank::<u32>("feed", 0, 1, 64);
+        let plans = engine.channel_bank::<(u32, u32)>("plan", 0, 1, 8);
         let control = engine.state(Control::new(1));
         let plan = engine.state(SchedulingPlan::empty());
         let processed = engine.counter();
         let mut p = params(1);
         p.reschedule_threshold = 0.5;
-        let mut prof = ProfilerKernel::new(
-            &mut engine,
-            p,
-            vec![feed_rx],
-            vec![plan_tx],
-            processed,
-            plan,
-            control,
-        );
+        let mut prof = ProfilerKernel::new(&mut engine, p, feeds, plans, processed, plan, control);
         let ctx = engine.context_mut();
-        ctx.try_send(0, feed_tx, 0u32).unwrap();
+        feed(ctx, feeds, 0, 0, 0).unwrap();
         // Profiling: every cycle counts ids and ticks the window countdown.
         assert_eq!(prof.hold_until(1, ctx), None, "profiling must step");
         let mut cy = 1;
@@ -567,28 +535,20 @@ mod tests {
     #[test]
     fn reschedule_protocol_completes() {
         let mut engine = Engine::new();
-        let (feed_tx, feed_rx) = engine.channel::<u32>("feed", 256);
-        let (plan_tx, _plan_rx) = engine.channel::<(u32, u32)>("plan", 8);
+        let feeds = engine.channel_bank::<u32>("feed", 0, 1, 256);
+        let plans = engine.channel_bank::<(u32, u32)>("plan", 0, 1, 8);
         let control = engine.state(Control::new(1));
         let plan = engine.state(SchedulingPlan::empty());
         let processed = engine.counter();
         let mut p = params(1);
         p.reschedule_threshold = 0.5;
         p.requeue_overhead_cycles = 50;
-        let mut prof = ProfilerKernel::new(
-            &mut engine,
-            p,
-            vec![feed_rx],
-            vec![plan_tx],
-            processed,
-            plan,
-            control,
-        );
+        let mut prof = ProfilerKernel::new(&mut engine, p, feeds, plans, processed, plan, control);
         // Phase 1: profile (16 cycles), distribute, then healthy rate.
         let ctx = engine.context_mut();
         let mut cy = 1;
         for _ in 0..16 {
-            ctx.try_send(cy, feed_tx, 0u32).ok();
+            feed(ctx, feeds, cy, 0, 0).ok();
             prof.step(cy, ctx);
             cy += 1;
         }

@@ -1,11 +1,11 @@
 //! The memory access engine (§IV-C4): streams tuples into the PrePE lanes.
 
-use hls_sim::{CounterId, Cycle, Kernel, Progress, SenderId, SimContext, StreamSource};
+use hls_sim::{ChannelBankId, CounterId, Cycle, Kernel, Progress, SimContext, StreamSource};
 
 use crate::Tuple;
 
-/// Streams tuples from a [`StreamSource`] into the N PrePE lane channels,
-/// round-robin, respecting the source's bandwidth budget and the lanes'
+/// Streams tuples from a [`StreamSource`] into the N PrePE lanes (the
+/// `lane` channel bank), round-robin, respecting the source's bandwidth budget and the lanes'
 /// backpressure.
 ///
 /// Models the paper's memory access engine, which "coalesces memory
@@ -17,7 +17,7 @@ use crate::Tuple;
 pub struct MemoryReaderKernel {
     name: String,
     source: Box<dyn StreamSource<Tuple>>,
-    lanes: Vec<SenderId<Tuple>>,
+    lanes: ChannelBankId<Tuple>,
     /// Staging buffer: `staging[staged..]` are the queued tuples. The
     /// source appends at the tail; the lane distributor consumes from
     /// `staged`, and the vector is reset once fully drained — FIFO
@@ -34,10 +34,10 @@ impl MemoryReaderKernel {
     /// the pipeline (used by the run report).
     pub fn new(
         source: Box<dyn StreamSource<Tuple>>,
-        lanes: Vec<SenderId<Tuple>>,
+        lanes: ChannelBankId<Tuple>,
         issued: CounterId,
     ) -> Self {
-        let staging_cap = lanes.len() * 4;
+        let staging_cap = lanes.members() * 4;
         MemoryReaderKernel {
             name: "memory-reader".to_owned(),
             source,
@@ -85,20 +85,23 @@ impl Kernel for MemoryReaderKernel {
 
         // Distribute round-robin: at most one tuple per lane per cycle
         // (each PrePE reads one tuple per cycle at best).
-        let lanes = self.lanes.len();
-        for _ in 0..lanes {
-            let Some(&tuple) = self.staging.get(self.staged) else {
-                break;
-            };
-            let lane = self.next_lane;
-            if ctx.try_send(cy, self.lanes[lane], tuple).is_ok() {
-                self.staged += 1;
-                ctx.counter_incr(self.issued);
+        let before = self.staged;
+        let (staging, staged, next_lane) = (&self.staging, &mut self.staged, &mut self.next_lane);
+        ctx.bank_with(self.lanes, |lanes| {
+            for _ in 0..lanes.members() {
+                let Some(&tuple) = staging.get(*staged) else {
+                    break;
+                };
+                if lanes.try_send(cy, *next_lane, tuple).is_ok() {
+                    *staged += 1;
+                }
+                // Advance even when the lane stalls: hardware lane FIFOs
+                // fill independently and a single busy lane must not starve
+                // the rest.
+                *next_lane = (*next_lane + 1) % lanes.members();
             }
-            // Advance even when the lane stalls: hardware lane FIFOs fill
-            // independently and a single busy lane must not starve the rest.
-            self.next_lane = (self.next_lane + 1) % lanes;
-        }
+        });
+        ctx.counter_add(self.issued, (self.staged - before) as u64);
 
         // The reader only parks once the source is exhausted and staging is
         // drained — a permanent condition, so no wake subscription is
@@ -146,13 +149,11 @@ mod tests {
     fn distributes_all_tuples_round_robin() {
         let n = 4;
         let mut engine = Engine::new();
-        let senders = (0..n)
-            .map(|i| engine.channel::<Tuple>(&format!("lane{i}"), 64).0)
-            .collect();
+        let lanes = engine.channel_bank::<Tuple>("lane", 0, n, 64);
         let data: Vec<Tuple> = (0..100).map(Tuple::from_key).collect();
         let src = SliceSource::new(data, 8, MemoryModel::new(32, 0)); // 4/cycle
         let issued = engine.counter();
-        engine.add_kernel(MemoryReaderKernel::new(Box::new(src), senders, issued));
+        engine.add_kernel(MemoryReaderKernel::new(Box::new(src), lanes, issued));
         engine.run_cycles(200);
         assert_eq!(engine.context().counter(issued), 100);
         let per_lane: Vec<u64> = engine.channel_stats().iter().map(|s| s.pushes).collect();
@@ -162,11 +163,11 @@ mod tests {
     #[test]
     fn backpressure_stops_pulling() {
         let mut engine = Engine::new();
-        let (lane_tx, _lane_rx) = engine.channel::<Tuple>("lane", 4);
+        let lane = engine.channel_bank::<Tuple>("lane", 0, 1, 4);
         let data: Vec<Tuple> = (0..1000).map(Tuple::from_key).collect();
         let src = SliceSource::new(data, 8, MemoryModel::new(64, 0));
         let issued = engine.counter();
-        let mut reader = MemoryReaderKernel::new(Box::new(src), vec![lane_tx], issued);
+        let mut reader = MemoryReaderKernel::new(Box::new(src), lane, issued);
         let ctx = engine.context_mut();
         for cy in 0..100 {
             reader.step(cy, ctx);

@@ -10,12 +10,12 @@
 use std::sync::Arc;
 
 use hls_sim::{
-    BcastReceiverId, BcastSenderId, Cycle, Kernel, Progress, ReceiverId, SenderId, SimContext,
-    TapRecv, WakeSet,
+    hold_past, BcastGroupId, BcastReceiverId, BcastSenderId, ChannelBankId, Cycle, Kernel,
+    Progress, SendError, SimContext, WakeSet,
 };
 
 use crate::app::Routed;
-use crate::mask::MaskTable;
+use crate::mask::{bits, mask_of, MaskTable};
 use crate::PeId;
 
 /// Widest wide-word the routing fabric supports: one slot per PrePE lane,
@@ -36,7 +36,7 @@ pub const MAX_DEST_PES: usize = 64;
 /// that: one `u8` destination per slot. [`mask_for`](Self::mask_for) derives
 /// a decoder's slot mask with a single pass over the (at most
 /// [`MAX_WORD_SLOTS`]-byte) id lane, cheap-rejected by the `dest_taps`
-/// relevance bitmask — so the per-word broadcast copy moves N + 9 bytes of
+/// destination bitmask — so the per-word broadcast copy moves N + 9 bytes of
 /// routing metadata instead of a materialised `M + X`-row mask table, while
 /// the common cold-datapath lookup stays O(1).
 #[derive(Debug, Clone)]
@@ -46,9 +46,9 @@ pub struct WideWord<V> {
     values: [V; MAX_WORD_SLOTS],
     /// Slot destination PE ids (the key lane), parallel to `values`.
     dsts: [u8; MAX_WORD_SLOTS],
-    /// Bit `p` set ⇔ some slot targets destination PE `p` — the word's tap
-    /// relevance mask, maintained while gathering so the broadcast core
-    /// classifies the word for all M+X datapaths in one load.
+    /// Bit `p` set ⇔ some slot targets destination PE `p`, maintained
+    /// while gathering so [`mask_for`](Self::mask_for) rejects the (common)
+    /// datapaths a word carries nothing for in one load.
     dest_taps: u64,
 }
 
@@ -122,12 +122,6 @@ impl<V: Default> WideWord<V> {
         mask
     }
 
-    /// The destination-PE bitmask (bit `p` set ⇔ some slot targets PE
-    /// `p`) — the word's relevance mask for the broadcast datapaths.
-    pub fn dest_taps(&self) -> u64 {
-        self.dest_taps
-    }
-
     /// The payload in `slot`.
     ///
     /// # Panics
@@ -151,8 +145,7 @@ impl<V: Default> WideWord<V> {
 /// channel has space. This is the stall point through which one overloaded
 /// PE back-pressures the whole pipeline — the mechanism behind Fig. 2b.
 pub struct CombinerKernel<V> {
-    name: String,
-    inputs: Vec<ReceiverId<Routed<V>>>,
+    inputs: ChannelBankId<Routed<V>>,
     output: BcastSenderId<WideWord<V>>,
 }
 
@@ -163,22 +156,18 @@ impl<V> CombinerKernel<V> {
     /// # Panics
     ///
     /// Panics if there are more input lanes than [`MAX_WORD_SLOTS`].
-    pub fn new(inputs: Vec<ReceiverId<Routed<V>>>, output: BcastSenderId<WideWord<V>>) -> Self {
+    pub fn new(inputs: ChannelBankId<Routed<V>>, output: BcastSenderId<WideWord<V>>) -> Self {
         assert!(
-            inputs.len() <= MAX_WORD_SLOTS,
+            inputs.members() <= MAX_WORD_SLOTS,
             "combiner gathers at most {MAX_WORD_SLOTS} lanes per word"
         );
-        CombinerKernel {
-            name: "combiner".to_owned(),
-            inputs,
-            output,
-        }
+        CombinerKernel { inputs, output }
     }
 }
 
 impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
     fn name(&self) -> &str {
-        &self.name
+        "combiner"
     }
 
     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
@@ -188,19 +177,19 @@ impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
             return Progress::Sleep;
         }
         let mut word = WideWord::new();
-        for &rx in &self.inputs {
-            if let Some(routed) = ctx.try_recv(cy, rx) {
-                word.push(routed);
+        let mut in_flight = false;
+        ctx.bank_with(self.inputs, |lanes| {
+            for i in 0..lanes.members() {
+                match lanes.try_recv(cy, i) {
+                    Some(routed) => word.push(routed),
+                    None => in_flight |= !lanes.is_empty(i),
+                }
             }
-        }
+        });
         if word.is_empty() {
             // Park only when the lanes are structurally empty; in-flight
             // items (pushed, not yet visible) arrive without a new event.
-            return if self.inputs.iter().all(|&rx| ctx.is_empty(rx)) {
-                Progress::Sleep
-            } else {
-                Progress::Busy
-            };
+            return Progress::busy_if(in_flight);
         }
         ctx.bcast_try_send(cy, self.output, word)
             .unwrap_or_else(|_| unreachable!("checked"));
@@ -208,7 +197,7 @@ impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
     }
 
     fn is_idle(&self, ctx: &SimContext) -> bool {
-        self.inputs.iter().all(|&rx| ctx.is_empty(rx))
+        (0..self.inputs.members()).all(|i| ctx.bank_is_empty(self.inputs, i))
     }
 
     fn hold_until(&self, cy: Cycle, ctx: &SimContext) -> Option<Cycle> {
@@ -216,60 +205,75 @@ impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
             // Stalled broadcast: only a datapath pop event unblocks it.
             return Some(Cycle::MAX);
         }
-        let mut earliest = Cycle::MAX;
-        for &rx in &self.inputs {
-            match ctx.recv_visible_at(rx) {
-                None => {}
-                Some(t) if t > cy => earliest = earliest.min(t),
-                Some(_) => return None, // a lane has work this cycle
-            }
-        }
-        Some(earliest)
+        (0..self.inputs.members()).try_fold(Cycle::MAX, |earliest, i| {
+            hold_past(earliest, ctx.bank_recv_visible_at(self.inputs, i), cy)
+        })
     }
 
     fn wake_set(&self) -> WakeSet {
-        let mut ws = WakeSet::new().after_pop_on_bcast(self.output);
-        for &rx in &self.inputs {
-            ws = ws.after_push_on(rx);
-        }
-        ws
+        WakeSet::new()
+            .after_pop_on_bcast(self.output)
+            .after_push_on_bank(self.inputs)
     }
 }
 
-/// One decoder + filter pair (one per destination PE datapath).
+/// One datapath's decoded records, not yet forwarded to its PE. Reused
+/// across words — no per-word allocation.
+struct Datapath<V> {
+    records: [Option<V>; MAX_WORD_SLOTS],
+    len: u8,
+    next: u8,
+}
+
+/// All `M + X` decoder + filter datapaths (one per destination PE),
+/// stepped as one kernel, `filter#bank`.
 ///
-/// The decoder compares the word's destination ids against this PE's id and
-/// looks the resulting mask up in the preset [`MaskTable`]; the filter then
+/// Each decoder compares a word's destination ids against its PE's id and
+/// looks the resulting mask up in the preset [`MaskTable`]; its filter then
 /// forwards the selected records to the PE's input queue, one per cycle —
 /// this serialisation is why a PE that attracts many records per word
 /// becomes the bottleneck under skew.
-pub struct DecoderFilterKernel<V> {
-    name: String,
-    pe_id: PeId,
+///
+/// Per cycle, every datapath whose records are all forwarded takes the
+/// next visible word from its tap — all of them in one
+/// [`bcast_recv_taps`](SimContext::bcast_recv_taps) call, in PE order — and
+/// then every datapath holding records forwards one, again in PE order.
+/// Datapaths share only the broadcast word (see the [crate-level
+/// equivalence rules](crate)). A word that carries nothing for a datapath
+/// (a zero mask — the common case under skew) is popped from its tap in
+/// that same call, at the cycle it becomes visible. The bank may sleep only
+/// when *every* datapath could: no records pending anywhere **at step
+/// start** (a datapath that forwarded this cycle is busy, even if that was
+/// its last record) and no tap buffering a word.
+pub struct FilterBank<V> {
     table: Arc<MaskTable>,
-    input: BcastReceiverId<WideWord<V>>,
-    output: SenderId<V>,
-    /// Records decoded from the current word, not yet forwarded. Reused
-    /// across words — no per-word allocation.
-    pending: [Option<V>; MAX_WORD_SLOTS],
-    pending_len: u8,
-    pending_next: u8,
+    group: BcastGroupId<WideWord<V>>,
+    taps: Vec<BcastReceiverId<WideWord<V>>>,
+    /// PE input queues of datapaths `0..M`.
+    pri_out: ChannelBankId<V>,
+    /// PE input queues of datapaths `M..M+X`.
+    sec_out: ChannelBankId<V>,
+    paths: Vec<Datapath<V>>,
+    /// Bit `j` set ⇔ datapath `j` holds records not yet forwarded.
+    pending: u64,
 }
 
-impl<V: Clone> DecoderFilterKernel<V> {
-    /// Creates the datapath for destination PE `pe_id`, decoding
-    /// `word_width`-slot words.
+impl<V> FilterBank<V> {
+    /// Creates the datapaths for `taps` (tap `j` feeds destination PE `j`),
+    /// decoding `word_width`-slot words into `pri_out` (PEs `0..M`) and
+    /// `sec_out` (PEs `M..M+X`).
     ///
     /// # Panics
     ///
     /// Panics if `word_width` exceeds the preset table's lane count — a
-    /// silent mask overflow in hardware — or [`MAX_WORD_SLOTS`].
+    /// silent mask overflow in hardware — or [`MAX_WORD_SLOTS`], or if the
+    /// output banks do not have exactly one queue per tap.
     pub fn new(
-        pe_id: PeId,
         word_width: u32,
         table: Arc<MaskTable>,
-        input: BcastReceiverId<WideWord<V>>,
-        output: SenderId<V>,
+        taps: Vec<BcastReceiverId<WideWord<V>>>,
+        pri_out: ChannelBankId<V>,
+        sec_out: ChannelBankId<V>,
     ) -> Self {
         assert!(
             word_width as usize <= MAX_WORD_SLOTS,
@@ -280,81 +284,101 @@ impl<V: Clone> DecoderFilterKernel<V> {
             "word width {word_width} exceeds the {}-lane mask table — masks would overflow",
             table.lanes()
         );
-        DecoderFilterKernel {
-            name: format!("filter#{pe_id}"),
-            pe_id,
+        assert!(
+            taps.len() <= MAX_DEST_PES,
+            "a filter bank serves at most {MAX_DEST_PES} datapaths"
+        );
+        assert_eq!(
+            taps.len(),
+            pri_out.members() + sec_out.members(),
+            "one PE input queue per datapath"
+        );
+        FilterBank {
             table,
-            input,
-            output,
-            pending: [const { None }; MAX_WORD_SLOTS],
-            pending_len: 0,
-            pending_next: 0,
+            group: taps.first().expect("at least one datapath").group(),
+            paths: (0..taps.len())
+                .map(|_| Datapath {
+                    records: [const { None }; MAX_WORD_SLOTS],
+                    len: 0,
+                    next: 0,
+                })
+                .collect(),
+            taps,
+            pri_out,
+            sec_out,
+            pending: 0,
         }
     }
 }
 
-impl<V: Clone + Default + Send + 'static> Kernel for DecoderFilterKernel<V> {
+impl<V: Send + 'static> FilterBank<V> {
+    /// Forwards one record from every pending datapath feeding `out`
+    /// (datapaths `first..first + out.members()`). A failed send keeps the
+    /// record and counts a full stall, every cycle it is retried.
+    fn forward(&mut self, cy: Cycle, ctx: &mut SimContext, out: ChannelBankId<V>, first: usize) {
+        let todo = self.pending & (mask_of(out.members()) << first);
+        if todo == 0 {
+            return;
+        }
+        let (paths, pending) = (&mut self.paths, &mut self.pending);
+        ctx.bank_with(out, |out| {
+            for j in bits(todo) {
+                let path = &mut paths[j];
+                let slot = usize::from(path.next);
+                let record = path.records[slot].take().expect("decoded");
+                match out.try_send(cy, j - first, record) {
+                    Ok(()) => {
+                        path.next += 1;
+                        if path.next == path.len {
+                            *pending &= !(1 << j);
+                        }
+                    }
+                    Err(SendError(record)) => path.records[slot] = Some(record),
+                }
+            }
+        });
+    }
+}
+
+impl<V: Clone + Default + Send + 'static> Kernel for FilterBank<V> {
     fn name(&self) -> &str {
-        &self.name
+        "filter#bank"
     }
 
     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
-        // Pending drained: decode the next word. Decode overlaps with the
-        // first forward (the hardware decoder+filter is pipelined), so a
-        // word with k matches occupies this datapath for max(k, 1) cycles.
-        if self.pending_next >= self.pending_len {
-            let pe_id = self.pe_id;
-            let table = &self.table;
-            let pending = &mut self.pending;
-            let mut len = 0u8;
-            let decoded = ctx.bcast_recv_or_empty(cy, self.input, |word| {
-                // Look the word's destination mask up in the preset table,
-                // exactly like the hardware decoder (§IV-C1), and copy the
-                // matching values into the reusable pending buffer.
-                debug_assert!(word.len() as u32 <= table.lanes());
-                let (count, positions) = table.decode(u32::from(word.mask_for(pe_id)));
-                for (i, &pos) in positions[..usize::from(count)].iter().enumerate() {
-                    pending[i] = Some(word.value(usize::from(pos)).clone());
-                }
-                len = count;
-            });
-            match decoded {
-                TapRecv::Got {
-                    out: (),
-                    tap_now_empty,
-                } => {
-                    self.pending_len = len;
-                    self.pending_next = 0;
-                    if len == 0 {
-                        // Nothing for this PE in that word: park right away
-                        // when the tap drained, saving a wake-up lap for
-                        // the (majority) cold datapaths under skew. The
-                        // parked tap auto-advances past further zero-mask
-                        // words without stepping this kernel at all.
-                        return if tap_now_empty {
-                            ctx.bcast_park(self.input);
-                            Progress::Sleep
-                        } else {
-                            Progress::Busy
-                        };
-                    }
-                }
-                TapRecv::NotVisible => return Progress::Busy,
-                TapRecv::Empty => {
-                    ctx.bcast_park(self.input);
-                    return Progress::Sleep;
-                }
+        // Decode overlaps with the first forward (the hardware
+        // decoder+filter is pipelined), so a word with k matches occupies
+        // its datapath for max(k, 1) cycles.
+        let want = mask_of(self.taps.len()) & !self.pending;
+        let (table, paths, pending) = (&self.table, &mut self.paths, &mut self.pending);
+        let (_, buffered) = ctx.bcast_recv_taps(cy, self.group, want, |j, word| {
+            // Look the word's destination mask up in the preset table,
+            // exactly like the hardware decoder (§IV-C1), and copy the
+            // matching values into the datapath's reusable buffer.
+            debug_assert!(word.len() as u32 <= table.lanes());
+            let mask = word.mask_for(j as PeId);
+            if mask == 0 {
+                // Nothing for this PE in that word — the common case.
+                return;
             }
-        }
-        // Forward one record per cycle.
-        if self.pending_next < self.pending_len {
-            let slot = usize::from(self.pending_next);
-            let v = self.pending[slot].as_ref().expect("decoded").clone();
-            if ctx.try_send(cy, self.output, v).is_ok() {
-                self.pending[slot] = None;
-                self.pending_next += 1;
+            let (count, positions) = table.decode(u32::from(mask));
+            let path = &mut paths[j];
+            for (record, &pos) in path
+                .records
+                .iter_mut()
+                .zip(&positions[..usize::from(count)])
+            {
+                *record = Some(word.value(usize::from(pos)).clone());
             }
+            path.len = count;
+            path.next = 0;
+            *pending |= 1 << j;
+        });
+        if self.pending == 0 {
+            return Progress::busy_if(buffered != 0);
         }
+        self.forward(cy, ctx, self.pri_out, 0);
+        self.forward(cy, ctx, self.sec_out, self.pri_out.members());
         // Backpressured or freshly decoded either way: retry every cycle
         // while anything is pending — failed sends count as full stalls,
         // exactly like the original engine.
@@ -362,24 +386,22 @@ impl<V: Clone + Default + Send + 'static> Kernel for DecoderFilterKernel<V> {
     }
 
     fn is_idle(&self, ctx: &SimContext) -> bool {
-        ctx.bcast_is_empty(self.input) && self.pending_next >= self.pending_len
+        self.pending == 0 && self.taps.iter().all(|&tap| ctx.bcast_is_empty(tap))
     }
 
     fn hold_until(&self, cy: Cycle, ctx: &SimContext) -> Option<Cycle> {
-        if self.pending_next < self.pending_len {
+        if self.pending != 0 {
             // Forwarding retries every cycle (counting stalls when
             // backpressured): never skippable.
             return None;
         }
-        match ctx.bcast_recv_visible_at(self.input) {
-            None => Some(Cycle::MAX), // tap empty: wait for a push event
-            Some(t) if t > cy => Some(t),
-            Some(_) => None, // word decodable this cycle
-        }
+        self.taps.iter().try_fold(Cycle::MAX, |earliest, &tap| {
+            hold_past(earliest, ctx.bcast_recv_visible_at(tap), cy)
+        })
     }
 
     fn wake_set(&self) -> WakeSet {
-        WakeSet::new().after_push_on_bcast(self.input)
+        WakeSet::new().after_push_on_bcast(self.taps[0])
     }
 }
 
@@ -420,18 +442,13 @@ mod tests {
     #[test]
     fn combiner_gathers_and_broadcasts() {
         let mut engine = Engine::new();
-        let (in_a_tx, in_a) = engine.channel("a", 8);
-        let (in_b_tx, in_b) = engine.channel("b", 8);
+        let lanes = engine.channel_bank("in", 0, 2, 8);
         let (word_tx, word_rx) = engine.broadcast_channel::<WideWord<u32>>("w", 2, 8);
-        engine
-            .context_mut()
-            .try_send(0, in_a_tx, Routed::new(0u32, 1u32))
-            .unwrap();
-        engine
-            .context_mut()
-            .try_send(0, in_b_tx, Routed::new(1u32, 2u32))
-            .unwrap();
-        engine.add_kernel(CombinerKernel::new(vec![in_a, in_b], word_tx));
+        engine.context_mut().bank_with(lanes, |lanes| {
+            lanes.try_send(0, 0, Routed::new(0u32, 1u32)).unwrap();
+            lanes.try_send(0, 1, Routed::new(1u32, 2u32)).unwrap();
+        });
+        engine.add_kernel(CombinerKernel::new(lanes, word_tx));
         engine.run_cycles(3);
         let ctx = engine.context_mut();
         let wx = ctx.bcast_recv_map(5, word_rx[0], |w| (w.len(), w.mask_for(0), w.mask_for(1)));
@@ -441,9 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn combiner_stalls_when_any_output_full() {
+    fn combiner_stalls_atomically_when_any_output_full() {
         let mut engine = Engine::new();
-        let (in_tx, in_rx) = engine.channel("in", 8);
+        let lanes = engine.channel_bank("in", 0, 1, 8);
         let (word_tx, word_rx) = engine.broadcast_channel::<WideWord<u32>>("w", 2, 1);
         // Pre-fill: reader 1 never drains, so the group is at capacity.
         engine
@@ -456,78 +473,155 @@ mod tests {
             .unwrap();
         engine
             .context_mut()
-            .try_send(0, in_tx, Routed::new(0u32, 5u32))
+            .bank_with(lanes, |lanes| lanes.try_send(0, 0, Routed::new(0u32, 5u32)))
             .unwrap();
-        engine.add_kernel(CombinerKernel::new(vec![in_rx], word_tx));
+        engine.add_kernel(CombinerKernel::new(lanes, word_tx));
         engine.run_cycles(5);
         let stats = engine.channel_stats();
         let w0 = stats.iter().find(|s| s.name == "w0").unwrap();
         assert_eq!(w0.pushes, 1, "stalled broadcast must be atomic");
-        let input = stats.iter().find(|s| s.name == "in").unwrap();
+        assert_eq!(w0.full_stalls, 0, "a stalled combiner attempts nothing");
+        let input = stats.iter().find(|s| s.name == "in0").unwrap();
         assert_eq!(input.pops, 0, "input not consumed while stalled");
     }
 
-    #[test]
-    fn filter_extracts_only_matching_slots() {
-        let table = Arc::new(MaskTable::new(4));
+    /// A filter bank over `pri + sec` datapaths of `width`-slot words, with
+    /// `depth`-deep PE queues; returns the engine, the bank's kernel id, the
+    /// word sender and the two PE-queue banks.
+    #[allow(clippy::type_complexity)]
+    fn filter_bank(
+        width: u32,
+        pri: usize,
+        sec: usize,
+        depth: usize,
+    ) -> (
+        Engine,
+        hls_sim::KernelId,
+        BcastSenderId<WideWord<u32>>,
+        ChannelBankId<u32>,
+        ChannelBankId<u32>,
+    ) {
         let mut engine = Engine::new();
-        let (word_tx, word_rx) = engine.broadcast_channel::<WideWord<u32>>("w", 1, 8);
-        let (out_tx, out_rx) = engine.channel("out", 8);
+        let (word_tx, taps) = engine.broadcast_channel::<WideWord<u32>>("w", pri + sec, 8);
+        let pri_out = engine.channel_bank("pein", 0, pri, depth);
+        let sec_out = engine.channel_bank("pein", pri, sec, depth);
+        let table = Arc::new(MaskTable::new(width));
+        let bank = engine.add_kernel(FilterBank::new(width, table, taps, pri_out, sec_out));
+        (engine, bank, word_tx, pri_out, sec_out)
+    }
+
+    fn pushes(engine: &Engine, name: &str) -> u64 {
+        let stats = engine.channel_stats();
+        stats.iter().find(|s| s.name == name).expect(name).pushes
+    }
+
+    #[test]
+    fn filter_bank_extracts_only_matching_slots_per_datapath() {
+        let (mut engine, _, word_tx, pri_out, sec_out) = filter_bank(4, 3, 1, 8);
         engine
             .context_mut()
             .bcast_try_send(0, word_tx, word(&[2, 1, 2, 3]))
             .unwrap();
-        engine.add_kernel(DecoderFilterKernel::new(2, 4, table, word_rx[0], out_tx));
         engine.run_cycles(6);
         let ctx = engine.context_mut();
-        assert_eq!(ctx.try_recv(10, out_rx), Some(20));
-        assert_eq!(ctx.try_recv(10, out_rx), Some(20));
-        assert_eq!(ctx.try_recv(10, out_rx), None);
-    }
-
-    #[test]
-    fn filter_serialises_one_record_per_cycle() {
-        let table = Arc::new(MaskTable::new(4));
-        let mut engine = Engine::new();
-        let (word_tx, word_rx) = engine.broadcast_channel::<WideWord<u32>>("w", 1, 8);
-        let (out_tx, _out_rx) = engine.channel::<u32>("out", 16);
-        engine
-            .context_mut()
-            .bcast_try_send(0, word_tx, word(&[7, 7, 7, 7]))
-            .unwrap();
-        engine.add_kernel(DecoderFilterKernel::new(7, 4, table, word_rx[0], out_tx));
-        // cycle 1: decode + first push (pipelined); cycles 2..=4: one each.
-        engine.run_cycles(4); // cycles 0..=3
-        let pushes = |e: &Engine| {
-            e.channel_stats()
-                .iter()
-                .find(|s| s.name == "out")
-                .unwrap()
-                .pushes
+        let mut drain = |bank, i| {
+            std::iter::from_fn(|| ctx.bank_with(bank, |b| b.try_recv(10, i))).collect::<Vec<_>>()
         };
-        assert_eq!(pushes(&engine), 3);
-        engine.run_cycles(3);
-        assert_eq!(pushes(&engine), 4);
+        assert_eq!(drain(pri_out, 0), vec![]);
+        assert_eq!(drain(pri_out, 1), vec![10]);
+        assert_eq!(drain(pri_out, 2), vec![20, 20]);
+        assert_eq!(drain(sec_out, 0), vec![30], "datapath 3 feeds `pein3`");
+        let taps = engine.channel_stats();
+        assert!(
+            taps.iter()
+                .filter(|s| s.name.starts_with('w'))
+                .all(|s| s.pops == 1),
+            "every tap consumed the word, zero-mask ones included"
+        );
     }
 
     #[test]
-    fn filter_respects_downstream_backpressure() {
-        let table = Arc::new(MaskTable::new(2));
-        let mut engine = Engine::new();
-        let (word_tx, word_rx) = engine.broadcast_channel::<WideWord<u32>>("w", 1, 8);
-        let (out_tx, _out_rx) = engine.channel::<u32>("out", 1);
+    fn filter_bank_serialises_one_record_per_cycle_per_datapath() {
+        let (mut engine, _, word_tx, ..) = filter_bank(4, 2, 0, 16);
         engine
             .context_mut()
-            .bcast_try_send(0, word_tx, word(&[5, 5]))
+            .bcast_try_send(0, word_tx, word(&[1, 1, 1, 0]))
             .unwrap();
-        engine.add_kernel(DecoderFilterKernel::new(5, 2, table, word_rx[0], out_tx));
+        // cycle 1: decode + first push (pipelined); then one per cycle —
+        // on each datapath independently.
+        engine.run_cycles(3); // cycles 0..=2
+        assert_eq!(pushes(&engine, "pein1"), 2);
+        assert_eq!(pushes(&engine, "pein0"), 1);
+        engine.run_cycles(3);
+        assert_eq!(pushes(&engine, "pein1"), 3);
+    }
+
+    #[test]
+    fn filter_bank_counts_a_stall_per_backpressured_retry() {
+        let (mut engine, bank, word_tx, ..) = filter_bank(2, 2, 0, 1);
+        engine
+            .context_mut()
+            .bcast_try_send(0, word_tx, word(&[1, 1]))
+            .unwrap();
         engine.run_cycles(20);
         // Only one record fits downstream; the second stays pending, and
         // every retry counts a stall like the original engine.
         let stats = engine.channel_stats();
-        let out = stats.iter().find(|s| s.name == "out").unwrap();
+        let out = stats.iter().find(|s| s.name == "pein1").unwrap();
         assert_eq!(out.pushes, 1);
         assert!(out.full_stalls > 10, "stalls {}", out.full_stalls);
+        assert!(engine.kernel_awake(bank), "a pending record keeps it hot");
+    }
+
+    /// A two-datapath bank driven by hand, to read its per-step answers.
+    fn hand_driven_bank() -> (Engine, FilterBank<u32>, BcastSenderId<WideWord<u32>>) {
+        let mut engine = Engine::new();
+        let (word_tx, taps) = engine.broadcast_channel::<WideWord<u32>>("w", 2, 8);
+        let pri_out = engine.channel_bank("pein", 0, 2, 8);
+        let sec_out = engine.channel_bank("pein", 2, 0, 8);
+        let table = Arc::new(MaskTable::new(2));
+        let bank = FilterBank::new(2, table, taps, pri_out, sec_out);
+        (engine, bank, word_tx)
+    }
+
+    /// The trap the first banked prototype fell into: the bank may sleep
+    /// only when *every* datapath would have. Here datapath 1 forwards its
+    /// last pending record in a step in which its tap still buffers the
+    /// next word while every other tap is empty — a per-datapath kernel
+    /// returns `Busy` after any forward, so the bank must too, or the
+    /// buffered word is never decoded (no further push will wake it).
+    #[test]
+    fn filter_bank_stays_busy_after_a_last_forward_with_a_word_still_buffered() {
+        let (mut engine, mut bank, word_tx) = hand_driven_bank();
+        let ctx = engine.context_mut();
+        ctx.bcast_try_send(0, word_tx, word(&[1, 1])).unwrap();
+        ctx.bcast_try_send(0, word_tx, word(&[1])).unwrap();
+        // Cycle 1: both taps take word A; datapath 1 decodes two records
+        // and forwards the first. Datapath 0 is done with A.
+        assert_eq!(bank.step(1, ctx), Progress::Busy);
+        // Cycle 2: datapath 0 pops word B (nothing for it) and its tap is
+        // now empty; datapath 1 forwards its *last* record of A while its
+        // tap still buffers B. After the step no record is pending
+        // anywhere — only that tap says the bank is not done.
+        assert_eq!(bank.step(2, ctx), Progress::Busy);
+        assert!(!bank.is_idle(ctx), "word B still buffered for datapath 1");
+        // Cycle 3: datapath 1 decodes B and forwards it; cycle 4: all done.
+        assert_eq!(bank.step(3, ctx), Progress::Busy);
+        assert_eq!(bank.step(4, ctx), Progress::Sleep);
+        assert!(bank.is_idle(ctx));
+        assert_eq!(pushes(&engine, "pein1"), 3);
+    }
+
+    #[test]
+    fn filter_bank_holds_until_the_next_word_and_never_while_forwarding() {
+        let (mut engine, mut bank, word_tx) = hand_driven_bank();
+        let ctx = engine.context_mut();
+        assert_eq!(bank.hold_until(5, ctx), Some(Cycle::MAX), "all taps empty");
+        ctx.bcast_try_send(5, word_tx, word(&[0, 0])).unwrap();
+        assert_eq!(bank.hold_until(5, ctx), Some(6), "word visible at 6");
+        assert_eq!(bank.hold_until(6, ctx), None, "decodable this cycle");
+        assert_eq!(bank.step(6, ctx), Progress::Busy);
+        assert_eq!(bank.hold_until(7, ctx), None, "a record is pending");
     }
 
     #[test]
@@ -535,8 +629,9 @@ mod tests {
     fn decoder_rejects_word_wider_than_table() {
         let table = Arc::new(MaskTable::new(4));
         let mut engine = Engine::new();
-        let (_word_tx, word_rx) = engine.broadcast_channel::<WideWord<u32>>("w", 1, 8);
-        let (out_tx, _out_rx) = engine.channel::<u32>("out", 1);
-        let _ = DecoderFilterKernel::new(0, 8, table, word_rx[0], out_tx);
+        let (_word_tx, taps) = engine.broadcast_channel::<WideWord<u32>>("w", 1, 8);
+        let pri_out = engine.channel_bank::<u32>("pein", 0, 1, 1);
+        let sec_out = engine.channel_bank::<u32>("pein", 1, 0, 1);
+        let _ = FilterBank::new(8, table, taps, pri_out, sec_out);
     }
 }

@@ -22,6 +22,15 @@
 //! to receive identical atomic pushes — which is precisely the combiner's
 //! wide-word duplication in the paper's Fig. 3 — but stores each value once
 //! instead of `R` times.
+//!
+//! A *channel bank* ([`ChannelBankId`]) is the opposite grouping: `len`
+//! fully independent plain FIFOs that sit behind **one** arena slot because
+//! one kernel serves all of them (the paper's module arrays: N lanes, M+X PE
+//! input queues). The kernel resolves the slot once per step
+//! ([`SimContext::bank_with`](crate::SimContext::bank_with)) and works on
+//! the members through a [`BankView`]; statistics still report one row per
+//! member, named and positioned exactly like `len` plain channels created
+//! in a row.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -78,6 +87,25 @@ pub struct BcastReceiverId<T> {
     pub(crate) _marker: PhantomData<fn() -> T>,
 }
 
+/// The whole reader-tap group of a broadcast channel — what a kernel that
+/// serves every tap ([`SimContext::bcast_recv_taps`](crate::SimContext::bcast_recv_taps))
+/// holds instead of one handle per tap. Obtained from any tap via
+/// [`BcastReceiverId::group`].
+pub struct BcastGroupId<T> {
+    pub(crate) idx: u32,
+    pub(crate) _marker: PhantomData<fn() -> T>,
+}
+
+/// Handle of a channel bank: `len` plain FIFOs behind one arena slot,
+/// created by [`Engine::channel_bank`](crate::Engine::channel_bank). Both
+/// the producing and the consuming kernel hold the same handle and address
+/// members by index.
+pub struct ChannelBankId<T> {
+    pub(crate) idx: u32,
+    pub(crate) len: u32,
+    pub(crate) _marker: PhantomData<fn(T) -> T>,
+}
+
 macro_rules! impl_id_traits {
     ($name:ident) => {
         impl<T> Clone for $name<T> {
@@ -98,6 +126,8 @@ impl_id_traits!(SenderId);
 impl_id_traits!(ReceiverId);
 impl_id_traits!(BcastSenderId);
 impl_id_traits!(BcastReceiverId);
+impl_id_traits!(BcastGroupId);
+impl_id_traits!(ChannelBankId);
 
 impl<T> SenderId<T> {
     /// The raw arena index (for wake subscriptions).
@@ -121,14 +151,19 @@ impl<T> BcastSenderId<T> {
 }
 
 impl<T> BcastReceiverId<T> {
-    /// The raw arena index (for wake subscriptions).
-    pub fn raw(&self) -> RawChannelId {
-        self.idx
+    /// The broadcast group this tap belongs to.
+    pub fn group(&self) -> BcastGroupId<T> {
+        BcastGroupId {
+            idx: self.idx,
+            _marker: PhantomData,
+        }
     }
+}
 
-    /// This tap's reader index within the broadcast group.
-    pub fn reader(&self) -> u32 {
-        self.reader
+impl<T> ChannelBankId<T> {
+    /// Number of member FIFOs.
+    pub fn members(&self) -> usize {
+        self.len as usize
     }
 }
 
@@ -190,26 +225,6 @@ pub(crate) struct QueueSlot<T> {
     pub(crate) visible_at: Cycle,
 }
 
-/// Outcome of one broadcast-tap receive attempt (see
-/// [`SimContext::bcast_recv_or_empty`](crate::SimContext::bcast_recv_or_empty)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TapRecv<R> {
-    /// A visible item was consumed; `R` is the closure's result, and
-    /// `tap_now_empty` says whether this tap has anything left buffered —
-    /// letting a consumer park immediately after draining its last item.
-    Got {
-        /// The closure's result.
-        out: R,
-        /// `true` when the tap holds no further items after this pop.
-        tap_now_empty: bool,
-    },
-    /// Items are buffered for this tap but none is visible yet at this
-    /// cycle.
-    NotVisible,
-    /// The tap holds no items at all.
-    Empty,
-}
-
 /// Storage of one plain single-reader channel.
 pub(crate) struct ChannelCore<T> {
     pub(crate) name: String,
@@ -237,9 +252,15 @@ impl<T> ChannelCore<T> {
         }
     }
 
+    /// `true` when the FIFO can accept one more item.
+    #[inline]
+    pub(crate) fn has_room(&self) -> bool {
+        self.queue.len() < self.capacity
+    }
+
     #[inline]
     pub(crate) fn try_send(&mut self, cy: Cycle, value: T) -> Result<(), SendError<T>> {
-        if self.queue.len() >= self.capacity {
+        if !self.has_room() {
             self.full_stalls += 1;
             return Err(SendError(value));
         }
@@ -301,37 +322,12 @@ impl<T> ChannelCore<T> {
     }
 }
 
-/// Relevance function of a broadcast channel: returns the bitmask of
-/// reader taps (bit `r` = tap `r`) the item is *relevant* to. Taps outside
-/// the mask see the item as a no-op (a zero destination mask in the
-/// wide-word case) and may be *auto-advanced* past when parked — cursor
-/// and statistics bookkeeping inside the core, without ever waking the
-/// tap's consumer kernel. One function call classifies the item for every
-/// tap at once. See
-/// [`Engine::broadcast_channel_with_relevance`](crate::Engine::broadcast_channel_with_relevance).
-pub type TapRelevance<T> = fn(&T) -> u64;
-
 /// Storage of one broadcast channel: a single queue with `R` reader cursors.
 ///
 /// Sequence numbers are absolute: the front of `queue` holds sequence
 /// `base_seq`, and reader `r` will next consume sequence `cursors[r]`. An
 /// item is dropped once every cursor has moved past it, so each value is
 /// stored exactly once regardless of the fan-out.
-///
-/// # Cold taps
-///
-/// A consumer that parks on an empty tap
-/// ([`SimContext::bcast_park`](crate::SimContext::bcast_park)) marks the tap
-/// *cold*. While a tap is cold, pushed items that the channel's
-/// [`TapRelevance`] predicate declares irrelevant to it do **not** fire the
-/// tap's push wakes; instead the engine auto-advances the cursor (with full
-/// pop/occupancy bookkeeping) at the end of the cycle in which the item
-/// becomes visible — exactly when the parked consumer would have consumed
-/// the no-op item had it been woken. A relevant push clears the cold flag
-/// and wakes the tap normally, and any direct receive on a cold tap also
-/// clears it (the consumer has taken over). Invariant: while a tap is cold,
-/// every item buffered for it is irrelevant, because the flag is only set on
-/// an empty tap and cleared by the first relevant push.
 pub(crate) struct BroadcastCore<T> {
     pub(crate) name_prefix: String,
     pub(crate) capacity: usize,
@@ -345,20 +341,6 @@ pub(crate) struct BroadcastCore<T> {
     pub(crate) pops: Vec<u64>,
     pub(crate) full_stalls: u64,
     pub(crate) max_occupancy: Vec<usize>,
-    /// Per-item relevance-mask function for the cold-tap auto-advance;
-    /// `None` disables auto-advance (parked taps are then woken by every
-    /// push).
-    pub(crate) relevance: Option<TapRelevance<T>>,
-    /// Bit `r` set ⇔ tap `r` is cold: its consumer is parked and every
-    /// item buffered for it is irrelevant (see the type-level docs).
-    pub(crate) cold_mask: u64,
-    /// Visibility boundary maintained by [`catch_up`](Self::catch_up):
-    /// sequence number of the first item not yet visible at the last
-    /// catch-up cycle. Items are queued in push order with monotonically
-    /// increasing visibility, so every sequence below the boundary is
-    /// consumable and a cold tap batch-advances to it in O(1) — no
-    /// per-item queue probing.
-    visible_seq: u64,
 }
 
 impl<T> BroadcastCore<T> {
@@ -383,26 +365,7 @@ impl<T> BroadcastCore<T> {
             pops: vec![0; readers],
             full_stalls: 0,
             max_occupancy: vec![0; readers],
-            relevance: None,
-            cold_mask: 0,
-            visible_seq: 0,
         }
-    }
-
-    /// Installs the relevance-mask function enabling cold-tap auto-advance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel has more than 64 reader taps — the cold set
-    /// and relevance masks are single words.
-    pub(crate) fn with_relevance(mut self, relevance: TapRelevance<T>) -> Self {
-        assert!(
-            self.cursors.len() <= 64,
-            "{}: auto-advance supports at most 64 reader taps",
-            self.name_prefix
-        );
-        self.relevance = Some(relevance);
-        self
     }
 
     #[inline]
@@ -447,31 +410,8 @@ impl<T> BroadcastCore<T> {
         Ok(())
     }
 
-    /// Like [`recv_map`](Self::recv_map) but also distinguishes "tap
-    /// completely empty" from "item buffered but not yet visible", in one
-    /// resolution of the arena slot.
-    #[inline]
-    pub(crate) fn recv_or_empty<R>(
-        &mut self,
-        cy: Cycle,
-        r: usize,
-        f: impl FnOnce(&T) -> R,
-    ) -> TapRecv<R> {
-        if self.occupancy(r) == 0 {
-            return TapRecv::Empty;
-        }
-        match self.recv_map(cy, r, f) {
-            Some(out) => TapRecv::Got {
-                out,
-                tap_now_empty: self.occupancy(r) == 0,
-            },
-            None => TapRecv::NotVisible,
-        }
-    }
-
     /// Applies `f` to the item at reader `r`'s cursor if it is visible at
-    /// `cy`, advancing the cursor. A successful receive on a cold tap also
-    /// clears the cold flag — the consumer has visibly taken over.
+    /// `cy`, advancing the cursor.
     #[inline]
     pub(crate) fn recv_map<R>(
         &mut self,
@@ -486,14 +426,70 @@ impl<T> BroadcastCore<T> {
             return None;
         }
         let out = f(&slot.value);
-        self.unpark(r);
         self.advance_cursor(r);
         Some(out)
     }
 
+    /// Serves every tap in `want` (bit `r` = tap `r`) in index order: a tap
+    /// whose next item is visible at `cy` has `f(r, &item)` applied and its
+    /// cursor advanced, exactly as one [`recv_map`](Self::recv_map) per
+    /// tap would. Returns `(popped, buffered)`: the taps that consumed an
+    /// item, and the taps (of the whole group, wanted or not) that still
+    /// hold items — visible or not — afterwards.
+    ///
+    /// Taps mostly move in lockstep, so the queue slot is looked up once
+    /// per distinct cursor, and the front is released once, after the last
+    /// tap: `release_front` recomputes the front from the cursors, so one
+    /// deferred release lands where per-tap releases would.
+    #[inline]
+    pub(crate) fn recv_taps(
+        &mut self,
+        cy: Cycle,
+        want: u64,
+        mut f: impl FnMut(usize, &T),
+    ) -> (u64, u64) {
+        let base = self.base_seq;
+        let mut popped = 0u64;
+        let mut left_front = 0u32;
+        let mut at: Option<(u64, &QueueSlot<T>)> = None;
+        let mut rest = want;
+        while rest != 0 {
+            let r = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let cursor = self.cursors[r];
+            let slot = match at {
+                Some((seq, slot)) if seq == cursor => slot,
+                _ => match self.queue.get((cursor - base) as usize) {
+                    Some(slot) => {
+                        at = Some((cursor, slot));
+                        slot
+                    }
+                    None => continue,
+                },
+            };
+            if slot.visible_at > cy {
+                continue;
+            }
+            f(r, &slot.value);
+            self.cursors[r] = cursor + 1;
+            self.pops[r] += 1;
+            left_front += u32::from(cursor == base);
+            popped |= 1 << r;
+        }
+        self.front_waiters -= left_front;
+        if self.front_waiters == 0 {
+            self.release_front();
+        }
+        let head = self.head_seq();
+        let mut buffered = 0u64;
+        for (r, &c) in self.cursors.iter().enumerate() {
+            buffered |= u64::from(c < head) << r;
+        }
+        (popped, buffered)
+    }
+
     /// Pop bookkeeping for reader `r`'s cursor: cursor, pop count and
-    /// front-release accounting — shared by kernel receives and the
-    /// cold-tap auto-advance.
+    /// front-release accounting.
     #[inline]
     fn advance_cursor(&mut self, r: usize) {
         let cursor = self.cursors[r];
@@ -505,89 +501,6 @@ impl<T> BroadcastCore<T> {
                 self.release_front();
             }
         }
-    }
-
-    /// Marks tap `r` cold: its consumer parked on it while it was empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the tap still buffers items — the cold
-    /// invariant requires an empty tap at park time.
-    pub(crate) fn park(&mut self, r: usize) {
-        debug_assert_eq!(
-            self.occupancy(r),
-            0,
-            "{}{r}: a tap may only be parked while empty",
-            self.name_prefix
-        );
-        if r < 64 {
-            self.cold_mask |= 1 << r;
-        }
-    }
-
-    /// Clears tap `r`'s cold flag (relevant push or direct receive).
-    #[inline]
-    pub(crate) fn unpark(&mut self, r: usize) {
-        if r < 64 {
-            self.cold_mask &= !(1u64 << r);
-        }
-    }
-
-    /// The relevance mask of the just-pushed item (the queue's back) —
-    /// without a relevance function every item is relevant to every tap.
-    #[inline]
-    pub(crate) fn newest_relevance(&self) -> u64 {
-        match (self.relevance, self.queue.back()) {
-            (Some(f), Some(slot)) => f(&slot.value),
-            _ => u64::MAX,
-        }
-    }
-
-    /// Auto-advances every cold tap past its visible irrelevant items,
-    /// returning the number of pops applied. Called by the engine at the
-    /// end of each cycle `cy`, which is observationally the moment the
-    /// parked consumer would have popped the no-op item itself (consumers
-    /// step after the producer within a cycle and drain one item per
-    /// cycle; successive pushes have strictly increasing visibility times).
-    pub(crate) fn catch_up(&mut self, cy: Cycle) -> u64 {
-        // Readers may have popped (and the front released) past a stale
-        // boundary during the cycle; everything below `base_seq` was
-        // visible, so the boundary resumes there.
-        if self.visible_seq < self.base_seq {
-            self.visible_seq = self.base_seq;
-        }
-        // Advance the visibility boundary (amortised O(1): at most one
-        // push lands per producer per cycle).
-        loop {
-            let offset = (self.visible_seq - self.base_seq) as usize;
-            match self.queue.get(offset) {
-                Some(slot) if slot.visible_at <= cy => self.visible_seq += 1,
-                _ => break,
-            }
-        }
-        let target = self.visible_seq;
-        let mut applied = 0;
-        let mut cold = self.cold_mask;
-        while cold != 0 {
-            let r = cold.trailing_zeros() as usize;
-            cold &= cold - 1;
-            let cursor = self.cursors[r];
-            if cursor < target {
-                // Batch pop bookkeeping: every sequence in
-                // `cursor..target` is visible and (cold invariant)
-                // irrelevant to this tap.
-                self.cursors[r] = target;
-                self.pops[r] += target - cursor;
-                applied += target - cursor;
-                if cursor == self.base_seq {
-                    self.front_waiters -= 1;
-                    if self.front_waiters == 0 {
-                        self.release_front();
-                    }
-                }
-            }
-        }
-        applied
     }
 
     #[inline]
@@ -602,21 +515,6 @@ impl<T> BroadcastCore<T> {
     #[inline]
     pub(crate) fn tap_front_visible_at(&self, r: usize) -> Option<Cycle> {
         let offset = (self.cursors[r] - self.base_seq) as usize;
-        self.queue.get(offset).map(|slot| slot.visible_at)
-    }
-
-    /// Earliest cycle at which [`catch_up`](Self::catch_up) could apply
-    /// pops: the visibility time of the item at the boundary, while any tap
-    /// is cold. Conservative — the returned cycle's catch-up may turn out
-    /// to apply nothing (e.g. every cold cursor is already past the
-    /// boundary) — but never *later* than a catch-up that pops, which is
-    /// what the fast-forward jump must not skip over.
-    pub(crate) fn next_cold_event(&self) -> Option<Cycle> {
-        if self.cold_mask == 0 {
-            return None;
-        }
-        let boundary = self.visible_seq.max(self.base_seq);
-        let offset = (boundary - self.base_seq) as usize;
         self.queue.get(offset).map(|slot| slot.visible_at)
     }
 
@@ -655,22 +553,79 @@ impl<T> BroadcastCore<T> {
     }
 }
 
-/// Type-erased arena slot: the concrete `ChannelCore<T>`/`BroadcastCore<T>`
-/// behind a plain `dyn Any` (one `TypeId` compare per access, no extra
-/// virtual hop), plus a monomorphised stats reporter and — for broadcast
-/// channels with a relevance predicate — a monomorphised cold-tap
-/// catch-up hook the engine calls at the end of each cycle.
+/// The members of one channel bank, borrowed for the duration of a
+/// [`SimContext::bank_with`](crate::SimContext::bank_with) closure: the
+/// arena slot is resolved once, every member operation inside is a plain
+/// indexed access, and the bank's wake subscribers fire once after the
+/// closure returns (a push anywhere in the bank is one push event, a pop
+/// anywhere one pop event).
+///
+/// Members are addressed by their index within the bank (`0..members()`),
+/// not by the number in their name.
+pub struct BankView<'a, T> {
+    pub(crate) members: &'a mut [ChannelCore<T>],
+    pub(crate) pushed: bool,
+    pub(crate) popped: bool,
+}
+
+impl<T> BankView<'_, T> {
+    /// Number of member FIFOs.
+    pub fn members(&self) -> usize {
+        self.members.len()
+    }
+
+    /// [`SimContext::try_send`](crate::SimContext::try_send) on member `i`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SendError`] holding the value when member `i` is at
+    /// capacity; the attempt is counted as a full stall of that member.
+    #[inline]
+    pub fn try_send(&mut self, cy: Cycle, i: usize, value: T) -> Result<(), SendError<T>> {
+        let result = self.members[i].try_send(cy, value);
+        self.pushed |= result.is_ok();
+        result
+    }
+
+    /// [`SimContext::try_recv`](crate::SimContext::try_recv) on member `i`.
+    #[inline]
+    pub fn try_recv(&mut self, cy: Cycle, i: usize) -> Option<T> {
+        let result = self.members[i].try_recv(cy);
+        self.popped |= result.is_some();
+        result
+    }
+
+    /// `true` when member `i` holds no items at all (visible or not).
+    #[inline]
+    pub fn is_empty(&self, i: usize) -> bool {
+        self.members[i].queue.is_empty()
+    }
+
+    /// `true` when member `i` can accept one more item.
+    #[inline]
+    pub fn can_send(&self, i: usize) -> bool {
+        self.members[i].has_room()
+    }
+
+    /// Bit `i` set ⇔ member `i` can accept one more item — the whole
+    /// bank's backpressure state in one word.
+    #[inline]
+    pub fn room_mask(&self) -> u64 {
+        self.members
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (i, ch)| mask | u64::from(ch.has_room()) << i)
+    }
+}
+
+/// Type-erased arena slot: the concrete `ChannelCore<T>`,
+/// `Vec<ChannelCore<T>>` (a bank) or `BroadcastCore<T>` behind a plain
+/// `dyn Any` (one `TypeId` compare per access, no extra virtual hop), plus
+/// monomorphised statistics reporters.
 pub(crate) struct ArenaSlot {
     pub(crate) core: Box<dyn Any + Send>,
     stats_fn: fn(&dyn Any, &mut Vec<ChannelStats>),
     totals_fn: fn(&dyn Any, &mut ChannelAggregate),
-    /// `Some` only for auto-advancing broadcast slots.
-    pub(crate) advance_fn: Option<fn(&mut dyn Any, Cycle) -> u64>,
-    /// Earliest upcoming cold-tap catch-up event of an auto-advancing
-    /// broadcast slot (`Some` exactly when `advance_fn` is) — consulted by
-    /// the fast-forward detector so a jump never skips a cycle whose
-    /// end-of-cycle catch-up would pop (and possibly fire wakes).
-    pub(crate) next_event_fn: Option<fn(&dyn Any) -> Option<Cycle>>,
 }
 
 impl ArenaSlot {
@@ -687,8 +642,28 @@ impl ArenaSlot {
             core: Box::new(core),
             stats_fn: report::<T>,
             totals_fn: totals::<T>,
-            advance_fn: None,
-            next_event_fn: None,
+        }
+    }
+
+    /// A channel bank: reports one row per member, in member order — the
+    /// rows `members.len()` plain channels created in a row would.
+    pub(crate) fn bank<T: Send + 'static>(members: Vec<ChannelCore<T>>) -> Self {
+        fn report<T: Send + 'static>(any: &dyn Any, out: &mut Vec<ChannelStats>) {
+            let members = any
+                .downcast_ref::<Vec<ChannelCore<T>>>()
+                .expect("slot type");
+            out.extend(members.iter().map(ChannelCore::stats));
+        }
+        fn totals<T: Send + 'static>(any: &dyn Any, agg: &mut ChannelAggregate) {
+            let members = any
+                .downcast_ref::<Vec<ChannelCore<T>>>()
+                .expect("slot type");
+            members.iter().for_each(|core| core.accumulate(agg));
+        }
+        ArenaSlot {
+            core: Box::new(members),
+            stats_fn: report::<T>,
+            totals_fn: totals::<T>,
         }
     }
 
@@ -699,25 +674,14 @@ impl ArenaSlot {
                 out.push(core.reader_stats(r));
             }
         }
-        fn advance<T: Send + 'static>(any: &mut dyn Any, cy: Cycle) -> u64 {
-            let core = any.downcast_mut::<BroadcastCore<T>>().expect("slot type");
-            core.catch_up(cy)
-        }
-        fn next_event<T: Send + 'static>(any: &dyn Any) -> Option<Cycle> {
-            let core = any.downcast_ref::<BroadcastCore<T>>().expect("slot type");
-            core.next_cold_event()
-        }
         fn totals<T: Send + 'static>(any: &dyn Any, agg: &mut ChannelAggregate) {
             let core = any.downcast_ref::<BroadcastCore<T>>().expect("slot type");
             core.accumulate(agg);
         }
-        let auto = core.relevance.is_some();
         ArenaSlot {
             core: Box::new(core),
             stats_fn: report::<T>,
             totals_fn: totals::<T>,
-            advance_fn: auto.then_some(advance::<T> as _),
-            next_event_fn: auto.then_some(next_event::<T> as _),
         }
     }
 

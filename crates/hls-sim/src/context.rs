@@ -4,8 +4,8 @@
 use crate::channel::{ArenaSlot, BroadcastCore, ChannelCore};
 use crate::state::StateArena;
 use crate::{
-    BcastReceiverId, BcastSenderId, ChannelAggregate, ChannelStats, CounterId, Cycle, RawChannelId,
-    ReceiverId, SendError, SenderId, StateId,
+    BankView, BcastGroupId, BcastReceiverId, BcastSenderId, ChannelAggregate, ChannelBankId,
+    ChannelStats, CounterId, Cycle, RawChannelId, ReceiverId, SendError, SenderId, StateId,
 };
 
 /// Wake subscribers of one channel event, compact in the (overwhelmingly
@@ -44,13 +44,6 @@ pub struct SimContext {
     on_push: Vec<Subscribers>,
     /// Kernels to wake when a value is popped from channel `c`.
     on_pop: Vec<Subscribers>,
-    /// Per-tap push subscribers of broadcast channel `c` (empty for plain
-    /// channels): a broadcast push wakes tap `r`'s subscribers only when
-    /// the item is relevant to `r` or the tap is not parked.
-    on_push_tap: Vec<Vec<Subscribers>>,
-    /// Union of all tap subscribers per channel — the push fast path when
-    /// no tap is parked (one subscriber walk, like a plain channel).
-    on_push_tap_merged: Vec<Subscribers>,
     /// Per-kernel wake flags (`true` = the kernel is awake). The byte
     /// store/load here is the measured-fastest event path at pipeline
     /// sizes of tens of kernels; the dense active *set* is maintained as
@@ -68,9 +61,6 @@ pub struct SimContext {
     /// the scan only raise `awake_count` (they step next cycle) — exactly
     /// the wake-flag-scan semantics.
     pub(crate) scan_ahead: u32,
-    /// Broadcast channels with a relevance predicate — the engine runs
-    /// their cold-tap catch-up at the end of every cycle.
-    auto_channels: Vec<RawChannelId>,
     /// Kernel currently stepping (wakes targeting it are deferred to the
     /// sleep decision instead of the flag array).
     pub(crate) current_kernel: u32,
@@ -85,30 +75,20 @@ impl SimContext {
             arena: StateArena::default(),
             on_push: Vec::new(),
             on_pop: Vec::new(),
-            on_push_tap: Vec::new(),
-            on_push_tap_merged: Vec::new(),
             wake: Vec::new(),
             awake_count: 0,
             scan_ahead: 0,
-            auto_channels: Vec::new(),
             current_kernel: u32::MAX,
             self_woken: false,
         }
     }
 
-    /// Registers a channel slot with `readers` broadcast taps (zero for
-    /// plain channels); auto-advancing slots join the end-of-cycle
-    /// catch-up list.
-    pub(crate) fn add_channel(&mut self, ch: ArenaSlot, readers: usize) -> RawChannelId {
+    /// Registers a channel slot (plain channel, bank or broadcast group).
+    pub(crate) fn add_channel(&mut self, ch: ArenaSlot) -> RawChannelId {
         let id = self.channels.len() as RawChannelId;
-        if ch.advance_fn.is_some() {
-            self.auto_channels.push(id);
-        }
         self.channels.push(ch);
         self.on_push.push(Subscribers::None);
         self.on_pop.push(Subscribers::None);
-        self.on_push_tap.push(vec![Subscribers::None; readers]);
-        self.on_push_tap_merged.push(Subscribers::None);
         id
     }
 
@@ -118,19 +98,6 @@ impl SimContext {
             "wake subscription references unknown channel {ch}"
         );
         self.on_push[ch as usize].add(kernel);
-    }
-
-    pub(crate) fn subscribe_push_tap(&mut self, ch: RawChannelId, reader: u32, kernel: u32) {
-        let taps = self
-            .on_push_tap
-            .get_mut(ch as usize)
-            .unwrap_or_else(|| panic!("wake subscription references unknown channel {ch}"));
-        assert!(
-            (reader as usize) < taps.len(),
-            "wake subscription references unknown tap {reader} of channel {ch}"
-        );
-        taps[reader as usize].add(kernel);
-        self.on_push_tap_merged[ch as usize].add(kernel);
     }
 
     pub(crate) fn subscribe_pop(&mut self, ch: RawChannelId, kernel: u32) {
@@ -171,6 +138,14 @@ impl SimContext {
             .core
             .downcast_mut::<BroadcastCore<T>>()
             .expect("broadcast id used with mismatched payload type")
+    }
+
+    #[inline]
+    fn bank<T: Send + 'static>(&self, idx: u32) -> &[ChannelCore<T>] {
+        self.channels[idx as usize]
+            .core
+            .downcast_ref::<Vec<ChannelCore<T>>>()
+            .expect("bank id used with mismatched payload type")
     }
 
     /// Wakes kernel `k`: sets its flag and maintains the active-set size.
@@ -219,6 +194,32 @@ impl SimContext {
         }
     }
 
+    /// Fires the push subscribers of channel slot `ch`.
+    #[inline]
+    fn fire_push(&mut self, ch: u32) {
+        Self::fire(
+            &self.on_push[ch as usize],
+            &mut self.wake,
+            &mut self.awake_count,
+            &mut self.scan_ahead,
+            self.current_kernel,
+            &mut self.self_woken,
+        );
+    }
+
+    /// Fires the pop subscribers of channel slot `ch`.
+    #[inline]
+    fn fire_pop(&mut self, ch: u32) {
+        Self::fire(
+            &self.on_pop[ch as usize],
+            &mut self.wake,
+            &mut self.awake_count,
+            &mut self.scan_ahead,
+            self.current_kernel,
+            &mut self.self_woken,
+        );
+    }
+
     // ---- plain channels -------------------------------------------------
 
     /// Attempts to push `value` at cycle `cy`.
@@ -238,14 +239,7 @@ impl SimContext {
     ) -> Result<(), SendError<T>> {
         let result = self.chan_mut::<T>(tx.idx).try_send(cy, value);
         if result.is_ok() {
-            Self::fire(
-                &self.on_push[tx.idx as usize],
-                &mut self.wake,
-                &mut self.awake_count,
-                &mut self.scan_ahead,
-                self.current_kernel,
-                &mut self.self_woken,
-            );
+            self.fire_push(tx.idx);
         }
         result
     }
@@ -258,14 +252,7 @@ impl SimContext {
     pub fn try_recv<T: Send + 'static>(&mut self, cy: Cycle, rx: ReceiverId<T>) -> Option<T> {
         let result = self.chan_mut::<T>(rx.idx).try_recv(cy);
         if result.is_some() {
-            Self::fire(
-                &self.on_pop[rx.idx as usize],
-                &mut self.wake,
-                &mut self.awake_count,
-                &mut self.scan_ahead,
-                self.current_kernel,
-                &mut self.self_woken,
-            );
+            self.fire_pop(rx.idx);
         }
         result
     }
@@ -273,8 +260,7 @@ impl SimContext {
     /// Returns `true` when at least one item can be pushed through `tx`.
     #[inline]
     pub fn can_send<T: Send + 'static>(&self, tx: SenderId<T>) -> bool {
-        let ch = self.chan::<T>(tx.idx);
-        ch.queue.len() < ch.capacity
+        self.chan::<T>(tx.idx).has_room()
     }
 
     /// How many more items the FIFO behind `tx` can accept right now.
@@ -327,11 +313,6 @@ impl SimContext {
     /// (mirroring the combiner's all-datapaths gate), and the value is
     /// stored once regardless of fan-out.
     ///
-    /// Push wakes are tap-scoped: each tap's subscribers fire unless the
-    /// tap is [parked](Self::bcast_park) *and* the channel's relevance
-    /// predicate declares the value a no-op for it — those taps are
-    /// auto-advanced by the engine instead of being woken.
-    ///
     /// # Errors
     ///
     /// Returns [`SendError`] holding the value when some tap is at capacity;
@@ -343,61 +324,9 @@ impl SimContext {
         tx: BcastSenderId<T>,
         value: T,
     ) -> Result<(), SendError<T>> {
-        let idx = tx.idx as usize;
-        let core = self.channels[idx]
-            .core
-            .downcast_mut::<BroadcastCore<T>>()
-            .expect("broadcast id used with mismatched payload type");
-        let result = core.try_send(cy, value);
+        let result = self.bcast_mut::<T>(tx.idx).try_send(cy, value);
         if result.is_ok() {
-            if core.cold_mask == 0 {
-                // Fast path: no tap is parked, every tap wakes — one walk
-                // of the merged subscriber list, exactly a plain push.
-                Self::fire(
-                    &self.on_push_tap_merged[idx],
-                    &mut self.wake,
-                    &mut self.awake_count,
-                    &mut self.scan_ahead,
-                    self.current_kernel,
-                    &mut self.self_woken,
-                );
-            } else if self.on_push_tap[idx].len() > 64 {
-                // Parked taps exist but the channel is too wide for the
-                // cold machinery (only possible without a relevance
-                // function): clear and fall back to waking everyone.
-                core.cold_mask = 0;
-                Self::fire(
-                    &self.on_push_tap_merged[idx],
-                    &mut self.wake,
-                    &mut self.awake_count,
-                    &mut self.scan_ahead,
-                    self.current_kernel,
-                    &mut self.self_woken,
-                );
-            } else {
-                // One relevance call classifies the item for every tap.
-                // Cold taps the item is relevant to re-activate and wake;
-                // cold taps it is irrelevant to are left for the
-                // end-of-cycle auto-advance without waking anyone.
-                let readers = self.on_push_tap[idx].len() as u32;
-                let all = u64::MAX >> (64 - readers);
-                let relevant = core.newest_relevance();
-                core.cold_mask &= !relevant;
-                let mut wake_taps = all & !core.cold_mask;
-                let taps = &self.on_push_tap[idx];
-                while wake_taps != 0 {
-                    let r = wake_taps.trailing_zeros() as usize;
-                    wake_taps &= wake_taps - 1;
-                    Self::fire(
-                        &taps[r],
-                        &mut self.wake,
-                        &mut self.awake_count,
-                        &mut self.scan_ahead,
-                        self.current_kernel,
-                        &mut self.self_woken,
-                    );
-                }
-            }
+            self.fire_push(tx.idx);
         }
         result
     }
@@ -424,86 +353,35 @@ impl SimContext {
             .bcast_mut::<T>(rx.idx)
             .recv_map(cy, rx.reader as usize, f);
         if result.is_some() {
-            Self::fire(
-                &self.on_pop[rx.idx as usize],
-                &mut self.wake,
-                &mut self.awake_count,
-                &mut self.scan_ahead,
-                self.current_kernel,
-                &mut self.self_woken,
-            );
+            self.fire_pop(rx.idx);
         }
         result
     }
 
-    /// Combined receive: consumes and maps the tap's next visible item like
-    /// [`bcast_recv_map`](Self::bcast_recv_map), additionally reporting
-    /// whether the tap is completely empty when nothing was visible — one
-    /// arena resolution instead of two for the common consume-or-park
-    /// kernel pattern.
+    /// Batched tap receive: serves every tap of `group` named in `want`
+    /// (bit `r` = tap `r`) in index order, in one resolution of the arena
+    /// slot. A tap whose next item is visible at `cy` has `f(r, &item)`
+    /// applied and the item consumed for that tap — observationally one
+    /// [`bcast_recv_map`](Self::bcast_recv_map) per wanted tap, except that
+    /// the group's pop subscribers fire once, after the last tap.
+    ///
+    /// Returns `(popped, buffered)`: the taps that consumed an item, and
+    /// the taps of the whole group — wanted or not — that still buffer
+    /// items (visible or not) afterwards; a kernel serving every tap may
+    /// sleep on the group only when `buffered` is zero.
     #[inline]
-    pub fn bcast_recv_or_empty<T: Send + 'static, R>(
+    pub fn bcast_recv_taps<T: Send + 'static>(
         &mut self,
         cy: Cycle,
-        rx: BcastReceiverId<T>,
-        f: impl FnOnce(&T) -> R,
-    ) -> crate::TapRecv<R> {
-        let result = self
-            .bcast_mut::<T>(rx.idx)
-            .recv_or_empty(cy, rx.reader as usize, f);
-        if matches!(result, crate::TapRecv::Got { .. }) {
-            Self::fire(
-                &self.on_pop[rx.idx as usize],
-                &mut self.wake,
-                &mut self.awake_count,
-                &mut self.scan_ahead,
-                self.current_kernel,
-                &mut self.self_woken,
-            );
+        group: BcastGroupId<T>,
+        want: u64,
+        f: impl FnMut(usize, &T),
+    ) -> (u64, u64) {
+        let result = self.bcast_mut::<T>(group.idx).recv_taps(cy, want, f);
+        if result.0 != 0 {
+            self.fire_pop(group.idx);
         }
         result
-    }
-
-    /// Parks this broadcast tap: the caller (its consumer kernel) is about
-    /// to [`Sleep`](crate::Progress::Sleep) on the empty tap. On channels
-    /// created with a relevance predicate
-    /// ([`Engine::broadcast_channel_with_relevance`](crate::Engine::broadcast_channel_with_relevance)),
-    /// items irrelevant to a parked tap are consumed by the engine's
-    /// end-of-cycle auto-advance — full cursor and statistics bookkeeping,
-    /// no kernel wake-up — until a relevant item arrives and wakes the tap
-    /// normally. On channels without a predicate parking is harmless:
-    /// every push still wakes the tap.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the tap still buffers items.
-    #[inline]
-    pub fn bcast_park<T: Send + 'static>(&mut self, rx: BcastReceiverId<T>) {
-        self.bcast_mut::<T>(rx.idx).park(rx.reader as usize);
-    }
-
-    /// Runs the cold-tap catch-up of every auto-advancing broadcast
-    /// channel for cycle `cy`, firing pop wakes (backpressure release) for
-    /// any cursor that moved. Called by the engine at the end of each
-    /// cycle — the moment the parked consumers would have consumed the
-    /// no-op items themselves.
-    pub(crate) fn advance_cold_taps(&mut self, cy: Cycle) {
-        for i in 0..self.auto_channels.len() {
-            let idx = self.auto_channels[i] as usize;
-            let slot = &mut self.channels[idx];
-            let advance = slot.advance_fn.expect("auto channel has advance hook");
-            let pops = advance(&mut *slot.core, cy);
-            if pops > 0 {
-                Self::fire(
-                    &self.on_pop[idx],
-                    &mut self.wake,
-                    &mut self.awake_count,
-                    &mut self.scan_ahead,
-                    self.current_kernel,
-                    &mut self.self_woken,
-                );
-            }
-        }
     }
 
     /// Returns `true` if this tap has a visible item at cycle `cy`.
@@ -537,21 +415,61 @@ impl SimContext {
             .tap_front_visible_at(rx.reader as usize)
     }
 
-    /// Earliest upcoming cycle at which some auto-advancing broadcast
-    /// channel's end-of-cycle cold-tap catch-up could pop (and fire pop
-    /// wakes), or `None` when no such event is pending. The fast-forward
-    /// detector never jumps past this — those pops are observable (stats,
-    /// backpressure release, wakes).
-    pub(crate) fn next_cold_tap_event(&self) -> Option<Cycle> {
-        let mut earliest: Option<Cycle> = None;
-        for &id in &self.auto_channels {
-            let slot = &self.channels[id as usize];
-            let next_event = slot.next_event_fn.expect("auto channel has event hook");
-            if let Some(ev) = next_event(&*slot.core) {
-                earliest = Some(earliest.map_or(ev, |e| e.min(ev)));
-            }
+    // ---- channel banks -------------------------------------------------
+
+    /// Resolves bank `id` once and runs `f` over a [`BankView`] of its
+    /// members; the bank's push subscribers fire once afterwards if any
+    /// member was pushed into, its pop subscribers once if any was popped
+    /// from. Within one kernel step that is indistinguishable from firing
+    /// per operation: wakes only mark *other* kernels (or the self-wake
+    /// flag), which are not consulted before the step returns.
+    #[inline]
+    pub fn bank_with<T: Send + 'static, R>(
+        &mut self,
+        id: ChannelBankId<T>,
+        f: impl FnOnce(&mut BankView<'_, T>) -> R,
+    ) -> R {
+        let members = self.channels[id.idx as usize]
+            .core
+            .downcast_mut::<Vec<ChannelCore<T>>>()
+            .expect("bank id used with mismatched payload type");
+        let mut view = BankView {
+            members,
+            pushed: false,
+            popped: false,
+        };
+        let out = f(&mut view);
+        let (pushed, popped) = (view.pushed, view.popped);
+        if pushed {
+            self.fire_push(id.idx);
         }
-        earliest
+        if popped {
+            self.fire_pop(id.idx);
+        }
+        out
+    }
+
+    /// `true` when member `i` of bank `id` holds no items at all.
+    #[inline]
+    pub fn bank_is_empty<T: Send + 'static>(&self, id: ChannelBankId<T>, i: usize) -> bool {
+        self.bank::<T>(id.idx)[i].queue.is_empty()
+    }
+
+    /// `true` when member `i` of bank `id` can accept one more item.
+    #[inline]
+    pub fn bank_can_send<T: Send + 'static>(&self, id: ChannelBankId<T>, i: usize) -> bool {
+        self.bank::<T>(id.idx)[i].has_room()
+    }
+
+    /// Visibility time of member `i`'s head item, or `None` when empty —
+    /// [`recv_visible_at`](Self::recv_visible_at) for a bank member.
+    #[inline]
+    pub fn bank_recv_visible_at<T: Send + 'static>(
+        &self,
+        id: ChannelBankId<T>,
+        i: usize,
+    ) -> Option<Cycle> {
+        self.bank::<T>(id.idx)[i].front_visible_at()
     }
 
     // ---- explicit wakes -------------------------------------------------

@@ -2,8 +2,8 @@
 
 use crate::channel::{ArenaSlot, BroadcastCore, ChannelCore};
 use crate::{
-    BcastReceiverId, BcastSenderId, ChannelStats, CounterId, Cycle, Kernel, KernelId, Progress,
-    ReceiverId, SenderId, SimContext, StateId, DEFAULT_LATENCY,
+    BcastReceiverId, BcastSenderId, ChannelBankId, ChannelStats, CounterId, Cycle, Kernel,
+    KernelId, Progress, ReceiverId, SenderId, SimContext, StateId, DEFAULT_LATENCY,
 };
 use std::marker::PhantomData;
 
@@ -150,10 +150,9 @@ impl Engine {
         capacity: usize,
         latency: u64,
     ) -> (SenderId<T>, ReceiverId<T>) {
-        let idx = self.ctx.add_channel(
-            ArenaSlot::plain(ChannelCore::<T>::new(name, capacity, latency)),
-            0,
-        );
+        let idx = self.ctx.add_channel(ArenaSlot::plain(ChannelCore::<T>::new(
+            name, capacity, latency,
+        )));
         (
             SenderId {
                 idx,
@@ -164,6 +163,41 @@ impl Engine {
                 _marker: PhantomData,
             },
         )
+    }
+
+    /// Creates a **channel bank**: `len` independent plain FIFOs of
+    /// `capacity` each (default latency) behind one arena slot, for module
+    /// arrays one kernel serves as a unit. Member `i` is named
+    /// `{prefix}{first + i}`, and the bank reports its `len` statistics
+    /// rows at this creation position — so `channel_stats()` and
+    /// `channel_aggregate()` read exactly as if `len` plain channels had
+    /// been created here in a row. Kernels reach the members through
+    /// [`SimContext::bank_with`]; wake subscriptions are bank-level (a
+    /// push into any member is one push event of the bank).
+    ///
+    /// A bank may be empty (`len == 0`): it reports no rows and has no
+    /// member to address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or `len` exceeds 64 (member masks are
+    /// single words).
+    pub fn channel_bank<T: Send + 'static>(
+        &mut self,
+        prefix: &str,
+        first: usize,
+        len: usize,
+        capacity: usize,
+    ) -> ChannelBankId<T> {
+        assert!(len <= 64, "bank {prefix:?} supports at most 64 members");
+        let members = (first..first + len)
+            .map(|i| ChannelCore::<T>::new(&format!("{prefix}{i}"), capacity, DEFAULT_LATENCY))
+            .collect();
+        ChannelBankId {
+            idx: self.ctx.add_channel(ArenaSlot::bank::<T>(members)),
+            len: len as u32,
+            _marker: PhantomData,
+        }
     }
 
     /// Creates a broadcast channel fanning each pushed value out to
@@ -203,44 +237,12 @@ impl Engine {
         ))
     }
 
-    /// [`broadcast_channel`](Self::broadcast_channel) with a relevance
-    /// function enabling the **cold-tap auto-advance**: `relevance(item)`
-    /// returns the bitmask of reader taps the item matters to (one call
-    /// classifies the item for every tap — the wide-word case keeps this
-    /// mask up to date while gathering records). Taps outside the mask see
-    /// a no-op item: it never wakes a tap whose consumer parked via
-    /// [`SimContext::bcast_park`] — the engine advances the tap's cursor
-    /// with full pop/occupancy bookkeeping at the end of the cycle the
-    /// item becomes visible, which is precisely when the consumer would
-    /// have consumed the no-op item had it been woken.
-    ///
-    /// The schedule equivalence assumes the producer pushes at most one
-    /// item per cycle and steps before the tap consumers within a cycle
-    /// (both true for pipelines built in registration order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `readers` is zero, or if `readers` exceeds
-    /// 64 (the relevance masks are single words).
-    pub fn broadcast_channel_with_relevance<T: Send + 'static>(
-        &mut self,
-        name_prefix: &str,
-        readers: usize,
-        capacity: usize,
-        relevance: crate::TapRelevance<T>,
-    ) -> (BcastSenderId<T>, Vec<BcastReceiverId<T>>) {
-        self.register_broadcast(
-            BroadcastCore::<T>::new(name_prefix, readers, capacity, DEFAULT_LATENCY)
-                .with_relevance(relevance),
-        )
-    }
-
     fn register_broadcast<T: Send + 'static>(
         &mut self,
         core: BroadcastCore<T>,
     ) -> (BcastSenderId<T>, Vec<BcastReceiverId<T>>) {
         let readers = core.cursors.len();
-        let idx = self.ctx.add_channel(ArenaSlot::broadcast(core), readers);
+        let idx = self.ctx.add_channel(ArenaSlot::broadcast(core));
         let tx = BcastSenderId {
             idx,
             _marker: PhantomData,
@@ -292,9 +294,6 @@ impl Engine {
         let ws = kernel.wake_set();
         for ch in ws.on_push {
             self.ctx.subscribe_push(ch, idx);
-        }
-        for (ch, reader) in ws.on_push_bcast {
-            self.ctx.subscribe_push_tap(ch, reader, idx);
         }
         for ch in ws.on_pop {
             self.ctx.subscribe_pop(ch, idx);
@@ -411,8 +410,7 @@ impl Engine {
     /// kernels: per-event list/bitset maintenance costs more than the
     /// predictable flag reads it saves, and an order-ignoring swap-remove
     /// list would break the registration-order stepping contract the
-    /// cycle-equivalence goldens pin. After the last kernel, cold
-    /// broadcast taps are auto-advanced past the cycle's no-op items.
+    /// cycle-equivalence goldens pin.
     pub fn step(&mut self) {
         let cy = self.cycle;
         let Engine {
@@ -446,7 +444,6 @@ impl Engine {
             i += 1;
         }
         self.ctx.current_kernel = u32::MAX;
-        self.ctx.advance_cold_taps(cy);
         self.cycle += 1;
     }
 
@@ -454,12 +451,10 @@ impl Engine {
     /// cycles, returning the number of cycles skipped (zero when no jump
     /// was possible).
     ///
-    /// The event horizon is the earliest of: every awake kernel's
+    /// The event horizon is the earliest of every awake kernel's
     /// [`Kernel::hold_until`] claim (any awake kernel declining with `None`
-    /// aborts the jump), the next cold-tap catch-up event of an
-    /// auto-advancing broadcast channel (those end-of-cycle pops are
-    /// observable — statistics, backpressure release, wakes), and
-    /// `current cycle + budget`. Skipped cycles are provably no-ops: no
+    /// aborts the jump) and `current cycle + budget`. Skipped cycles are
+    /// provably no-ops: no
     /// kernel steps, no channel moves, no wake fires, so only the clock —
     /// and the jump telemetry — advances. Sleeping kernels need no proof:
     /// they are not stepped until a wake event, and no wake can fire inside
@@ -482,14 +477,6 @@ impl Engine {
                     _ => return 0,
                 }
             }
-        }
-        if let Some(ev) = self.ctx.next_cold_tap_event() {
-            if ev <= cy {
-                // This very cycle's end-of-cycle catch-up may pop:
-                // simulate it.
-                return 0;
-            }
-            horizon = horizon.min(ev);
         }
         let skipped = horizon - cy;
         if skipped > 0 {

@@ -1,7 +1,8 @@
 //! The [`Kernel`] trait: one hardware module, stepped once per cycle.
 
 use crate::{
-    BcastReceiverId, BcastSenderId, Cycle, RawChannelId, ReceiverId, SenderId, SimContext,
+    BcastReceiverId, BcastSenderId, ChannelBankId, Cycle, RawChannelId, ReceiverId, SenderId,
+    SimContext,
 };
 
 /// What a kernel reports back to the engine's idle-set scheduler after one
@@ -25,6 +26,18 @@ pub enum Progress {
     Sleep,
 }
 
+impl Progress {
+    /// `Busy` when `busy`, else `Sleep` — for kernels that fold "does any
+    /// part of me still have work" into one flag.
+    pub fn busy_if(busy: bool) -> Self {
+        if busy {
+            Progress::Busy
+        } else {
+            Progress::Sleep
+        }
+    }
+}
+
 /// Wake subscriptions of a kernel: which channel events pull it out of
 /// [`Progress::Sleep`].
 ///
@@ -38,10 +51,6 @@ pub enum Progress {
 pub struct WakeSet {
     pub(crate) on_push: Vec<RawChannelId>,
     pub(crate) on_pop: Vec<RawChannelId>,
-    /// Broadcast push subscriptions carry the reader tap, so a push can
-    /// wake exactly the taps it is relevant to (the cold-tap auto-advance
-    /// never wakes a parked tap for a zero-mask item).
-    pub(crate) on_push_bcast: Vec<(RawChannelId, u32)>,
 }
 
 impl WakeSet {
@@ -57,14 +66,20 @@ impl WakeSet {
     }
 
     /// Wake after a push into the broadcast group read through `rx`.
-    ///
-    /// The subscription is tap-scoped: on channels created with a
-    /// [relevance predicate](crate::Engine::broadcast_channel_with_relevance),
-    /// a push that is irrelevant to a [parked](crate::SimContext::bcast_park)
-    /// tap does not fire this wake — the engine auto-advances the tap's
-    /// cursor instead.
     pub fn after_push_on_bcast<T>(mut self, rx: BcastReceiverId<T>) -> Self {
-        self.on_push_bcast.push((rx.raw(), rx.reader()));
+        self.on_push.push(rx.idx);
+        self
+    }
+
+    /// Wake after a push into any member of `bank`.
+    pub fn after_push_on_bank<T>(mut self, bank: ChannelBankId<T>) -> Self {
+        self.on_push.push(bank.idx);
+        self
+    }
+
+    /// Wake after a pop from any member of `bank`.
+    pub fn after_pop_on_bank<T>(mut self, bank: ChannelBankId<T>) -> Self {
+        self.on_pop.push(bank.idx);
         self
     }
 
@@ -162,6 +177,23 @@ pub trait Kernel: Send {
     }
 }
 
+/// Folds one input FIFO into a [`Kernel::hold_until`] horizon.
+///
+/// `visible_at` is the visibility time of the FIFO's head item
+/// ([`SimContext::recv_visible_at`] and friends): an empty FIFO leaves
+/// `earliest` unchanged (only a push event can change it), an item still in
+/// flight at `cy` bounds the horizon at its visibility time, and an item
+/// consumable this cycle yields `None` — the kernel has work now, so
+/// `hold_until` propagates it with `?`.
+#[inline]
+pub fn hold_past(earliest: Cycle, visible_at: Option<Cycle>, cy: Cycle) -> Option<Cycle> {
+    match visible_at {
+        None => Some(earliest),
+        Some(t) if t > cy => Some(earliest.min(t)),
+        Some(_) => None,
+    }
+}
+
 impl<K: Kernel + ?Sized> Kernel for Box<K> {
     fn name(&self) -> &str {
         (**self).name()
@@ -204,6 +236,14 @@ mod tests {
         fn is_idle(&self, _ctx: &SimContext) -> bool {
             true
         }
+    }
+
+    #[test]
+    fn hold_past_folds_one_fifo() {
+        assert_eq!(hold_past(40, None, 10), Some(40), "empty: unchanged");
+        assert_eq!(hold_past(40, Some(12), 10), Some(12), "in flight: bound");
+        assert_eq!(hold_past(11, Some(12), 10), Some(11), "keeps the minimum");
+        assert_eq!(hold_past(40, Some(10), 10), None, "work this cycle");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! connected by bounded *channels* (`cl_channel`). Every hardware module in
 //! the paper (PrePE, mapper, combiner, decoder/filter, PriPE/SecPE, runtime
 //! profiler, merger) becomes a [`Kernel`] stepped once per clock cycle by the
-//! [`Engine`]; every arrow in the paper's Fig. 3 becomes a channel in the
-//! engine's arena.
+//! [`Engine`] — an *array* of identical modules as one kernel over
+//! [channel banks](Engine::channel_bank) — and every arrow in the paper's
+//! Fig. 3 becomes a channel in the engine's arena.
 //!
 //! The simulator is deliberately simple and fully deterministic:
 //!
@@ -39,13 +40,28 @@
 //!   [`Engine::step`] for why a materialized active list was rejected);
 //! * a [broadcast channel](Engine::broadcast_channel) fans one value out to
 //!   `R` reader taps while storing it once — the combiner's wide-word
-//!   duplication without `R` copies. With a [relevance
-//!   predicate](Engine::broadcast_channel_with_relevance), items that are
-//!   no-ops for a [parked](SimContext::bcast_park) tap (zero destination
-//!   mask) are **auto-advanced** inside the core — cursor and statistics
-//!   bookkeeping at exactly the cycle the consumer would have consumed
-//!   them, without ever waking it — so under skew the cold datapaths cost
-//!   nothing per word;
+//!   duplication without `R` copies. A kernel that serves *every* tap
+//!   receives for all of them in one resolution of the arena slot
+//!   ([`SimContext::bcast_recv_taps`]): taps in index order, one pop wake;
+//! * a [channel bank](Engine::channel_bank) is `len` independent plain
+//!   FIFOs behind one arena slot, for the *arrays* of identical modules
+//!   real designs are built from (N lanes, M+X PE queues). One kernel
+//!   serves the whole array: it resolves the bank once per step
+//!   ([`SimContext::bank_with`]) and works on members by index through a
+//!   [`BankView`]. Statistics still report one row per member, named and
+//!   positioned like `len` plain channels created in a row, and wake
+//!   subscriptions are bank-level. Stepping an array's members back to
+//!   back in index order inside one kernel is the schedule of `len`
+//!   kernels registered in that order — the members only meet through
+//!   their own channels — so a banked pipeline differs from a per-module
+//!   one in `kernel_steps` and nothing else:
+//!
+//!   ```text
+//!   per module:  k0 k1 k2 … kN   (N boxed kernels, N×c arena slots, N wakes)
+//!                │  │  │    │
+//!   banked:     [k0 k1 k2 … kN]  (1 kernel, c bank slots, 1 wake per event)
+//!   ```
+//!
 //! * there is no randomness anywhere in the engine.
 //!
 //! Throughput numbers are measured in items per cycle and converted to wall
@@ -113,12 +129,12 @@ mod state;
 mod stats;
 
 pub use channel::{
-    BcastReceiverId, BcastSenderId, ChannelAggregate, ChannelStats, RawChannelId, ReceiverId,
-    SendError, SenderId, TapRecv, TapRelevance, DEFAULT_LATENCY,
+    BankView, BcastGroupId, BcastReceiverId, BcastSenderId, ChannelAggregate, ChannelBankId,
+    ChannelStats, RawChannelId, ReceiverId, SendError, SenderId, DEFAULT_LATENCY,
 };
 pub use context::SimContext;
 pub use engine::{Engine, RunReport};
-pub use kernel::{Kernel, Progress, WakeSet};
+pub use kernel::{hold_past, Kernel, Progress, WakeSet};
 pub use memory::{MemoryModel, PacedSource, RateLimiter, SliceSource, StreamSource};
 pub use state::{CounterId, StateId};
 pub use stats::ThroughputWindow;

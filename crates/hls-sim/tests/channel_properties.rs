@@ -3,7 +3,7 @@
 //! offline build has no proptest). Channels are driven directly through the
 //! engine's [`SimContext`], outside any kernel.
 
-use hls_sim::Engine;
+use hls_sim::{Cycle, Engine, Kernel, Progress, SimContext, WakeSet};
 
 /// Deterministic 64-bit generator for op-sequence synthesis.
 fn splitmix(state: &mut u64) -> u64 {
@@ -130,163 +130,200 @@ fn broadcast_taps_mirror_plain_channels() {
     }
 }
 
-/// Naive reference model of one auto-advancing broadcast channel: `R`
-/// independent FIFOs fed the same atomic pushes, where a parked tap
-/// auto-pops items outside the relevance mask at the end of the cycle
-/// they become visible, and a relevant push un-parks the tap.
-struct RefModel {
-    capacity: usize,
-    latency: u64,
-    /// Per tap: items as (value, visible_at), front = oldest unconsumed.
-    taps: Vec<std::collections::VecDeque<(u64, u64)>>,
-    parked: Vec<bool>,
-    pushes: u64,
-    pops: Vec<u64>,
-    full_stalls: u64,
-    max_occupancy: Vec<usize>,
-}
+/// A kernel that parks on its first step and stays parked until one of
+/// its subscriptions fires — the probe for "did this operation wake its
+/// subscribers".
+struct Sleeper(WakeSet);
 
-impl RefModel {
-    fn new(readers: usize, capacity: usize, latency: u64) -> Self {
-        RefModel {
-            capacity,
-            latency,
-            taps: vec![std::collections::VecDeque::new(); readers],
-            parked: vec![false; readers],
-            pushes: 0,
-            pops: vec![0; readers],
-            full_stalls: 0,
-            max_occupancy: vec![0; readers],
-        }
+impl Kernel for Sleeper {
+    fn name(&self) -> &str {
+        "sleeper"
     }
-
-    fn try_send(&mut self, cy: u64, value: u64) -> bool {
-        if self.taps.iter().any(|t| t.len() >= self.capacity) {
-            self.full_stalls += 1;
-            return false;
-        }
-        for (r, tap) in self.taps.iter_mut().enumerate() {
-            if self.parked[r] && value & (1 << r) != 0 {
-                self.parked[r] = false;
-            }
-            tap.push_back((value, cy + self.latency));
-            self.max_occupancy[r] = self.max_occupancy[r].max(tap.len());
-        }
-        self.pushes += 1;
-        true
+    fn step(&mut self, _cy: Cycle, _ctx: &mut SimContext) -> Progress {
+        Progress::Sleep
     }
-
-    fn try_recv(&mut self, cy: u64, r: usize) -> Option<u64> {
-        match self.taps[r].front() {
-            Some(&(v, vis)) if vis <= cy => {
-                self.taps[r].pop_front();
-                self.pops[r] += 1;
-                self.parked[r] = false;
-                Some(v)
-            }
-            _ => None,
-        }
-    }
-
-    /// End-of-cycle auto-advance: parked taps consume their visible
-    /// (necessarily irrelevant) front items.
-    fn end_cycle(&mut self, cy: u64) {
-        for (r, tap) in self.taps.iter_mut().enumerate() {
-            if !self.parked[r] {
-                continue;
-            }
-            while matches!(tap.front(), Some(&(_, vis)) if vis <= cy) {
-                let (v, _) = tap.pop_front().expect("checked");
-                assert_eq!(v & (1 << r), 0, "parked tap held a relevant item");
-                self.pops[r] += 1;
-            }
-        }
+    fn wake_set(&self) -> WakeSet {
+        self.0.clone()
     }
 }
 
-/// The auto-advance broadcast core must match the naive reference model on
-/// delivered items, cursor positions (observed as per-tap occupancy) and
-/// per-reader statistics, under arbitrary interleavings of pushes with
-/// random zero/nonzero relevance masks, receives and parks.
+/// A channel bank of N members is N plain channels created at the same
+/// arena position: every operation returns what the plain channel's would,
+/// `channel_stats()` reads the same rows (names, order, every counter),
+/// `channel_aggregate()` the same totals, and one `bank_with` closure wakes
+/// the bank's push (pop) subscribers exactly when some member was pushed
+/// into (popped from) — what per-channel subscriptions to all N would do.
 #[test]
-fn auto_advance_broadcast_matches_reference_model() {
-    let mut s = 0xd17704u64;
+fn channel_bank_matches_plain_channels_at_the_same_position() {
+    let mut s = 0xba4cu64;
     for case in 0..96 {
-        let readers = 1 + (splitmix(&mut s) % 6) as usize;
-        let capacity = 1 + (splitmix(&mut s) % 7) as usize;
-        let mut engine = Engine::new();
-        // Relevance mask of an item is simply its low `readers` bits, so
-        // random values exercise zero masks, partial masks and full masks.
-        let (btx, brx) =
-            engine.broadcast_channel_with_relevance::<u64>("w", readers, capacity, |&v| v);
-        let mut model = RefModel::new(readers, capacity, hls_sim::DEFAULT_LATENCY);
-        let mut delivered = vec![Vec::new(); readers];
-        let mut model_delivered = vec![Vec::new(); readers];
-        for _ in 0..160 {
-            let cy = engine.cycle();
-            let ctx = engine.context_mut();
-            // At most one push per cycle (the auto-advance contract).
-            if !splitmix(&mut s).is_multiple_of(4) {
-                let mask_bits = splitmix(&mut s) % (1 << readers);
-                let value = mask_bits; // value == relevance mask
-                let sent = ctx.bcast_try_send(cy, btx, value).is_ok();
-                assert_eq!(sent, model.try_send(cy, value), "case {case} cy {cy}");
-            }
-            // Random receives and parks per tap.
-            for r in 0..readers {
-                match splitmix(&mut s) % 3 {
-                    0 => {
-                        let got = ctx.bcast_recv_map(cy, brx[r], |&v| v);
-                        assert_eq!(got, model.try_recv(cy, r), "case {case} cy {cy} tap {r}");
-                        if let Some(v) = got {
-                            delivered[r].push(v);
-                            model_delivered[r].push(v);
-                        }
-                    }
-                    // Parking requires an empty tap (the kernel contract:
-                    // park only when going to sleep on emptiness).
-                    1 if ctx.bcast_is_empty(brx[r]) => {
-                        ctx.bcast_park(brx[r]);
-                        model.parked[r] = true;
-                    }
-                    _ => {}
-                }
-            }
-            // End of cycle: the engine auto-advances cold taps; the model
-            // mirrors it.
-            engine.step();
-            model.end_cycle(cy);
-            // Cursor positions: per-tap occupancy must agree after every
-            // cycle.
-            let ctx = engine.context();
-            for (r, &rx) in brx.iter().enumerate() {
-                assert_eq!(
-                    ctx.bcast_len(rx),
-                    model.taps[r].len(),
-                    "case {case} cy {cy} tap {r} occupancy"
-                );
-            }
-            // Per-reader statistics.
-            let stats = ctx.channel_stats();
-            for (r, st) in stats.iter().enumerate() {
-                assert_eq!(st.pushes, model.pushes, "case {case} tap {r} pushes");
-                assert_eq!(st.pops, model.pops[r], "case {case} tap {r} pops");
-                assert_eq!(
-                    st.full_stalls, model.full_stalls,
-                    "case {case} tap {r} stalls"
-                );
-                assert_eq!(
-                    st.max_occupancy, model.max_occupancy[r],
-                    "case {case} tap {r} max occupancy"
-                );
-                assert_eq!(
-                    st.occupancy,
-                    model.taps[r].len(),
-                    "case {case} tap {r} occupancy stat"
-                );
-            }
+        let n = 1 + (splitmix(&mut s) % 9) as usize;
+        let first = (splitmix(&mut s) % 20) as usize;
+        let capacity = 1 + (splitmix(&mut s) % 5) as usize;
+
+        let mut banked = Engine::new();
+        let _ = banked.channel::<u64>("head", 2);
+        let bank = banked.channel_bank::<u64>("m", first, n, capacity);
+        let _ = banked.channel::<u64>("tail", 2);
+        assert_eq!(bank.members(), n);
+        let on_push = banked.add_kernel(Sleeper(WakeSet::new().after_push_on_bank(bank)));
+        let on_pop = banked.add_kernel(Sleeper(WakeSet::new().after_pop_on_bank(bank)));
+
+        let mut plain = Engine::new();
+        let _ = plain.channel::<u64>("head", 2);
+        let members: Vec<_> = (0..n)
+            .map(|i| plain.channel::<u64>(&format!("m{}", first + i), capacity))
+            .collect();
+        let _ = plain.channel::<u64>("tail", 2);
+        let (mut push_subs, mut pop_subs) = (WakeSet::new(), WakeSet::new());
+        for &(tx, rx) in &members {
+            push_subs = push_subs.after_push_on(rx);
+            pop_subs = pop_subs.after_pop_on(tx);
         }
-        assert_eq!(delivered, model_delivered, "case {case} delivered items");
+        let plain_on_push = plain.add_kernel(Sleeper(push_subs));
+        let plain_on_pop = plain.add_kernel(Sleeper(pop_subs));
+
+        for round in 0..80 {
+            // One engine cycle parks every sleeper again.
+            banked.step();
+            plain.step();
+            let cy = banked.cycle();
+            // One closure = a random batch of member operations.
+            let ops: Vec<(bool, usize, u64)> = (0..splitmix(&mut s) % 6)
+                .map(|_| {
+                    let roll = splitmix(&mut s);
+                    (roll.is_multiple_of(2), (roll / 2) as usize % n, roll >> 32)
+                })
+                .collect();
+            let banked_results = banked.context_mut().bank_with(bank, |view| {
+                assert_eq!(view.members(), n);
+                let results: Vec<Option<u64>> = ops
+                    .iter()
+                    .map(|&(send, i, v)| {
+                        if send {
+                            assert_eq!(view.can_send(i), view.room_mask() >> i & 1 == 1);
+                            view.try_send(cy, i, v).err().map(|e| e.0)
+                        } else {
+                            view.try_recv(cy, i)
+                        }
+                    })
+                    .collect();
+                results
+            });
+            let ctx = plain.context_mut();
+            let plain_results: Vec<Option<u64>> = ops
+                .iter()
+                .map(|&(send, i, v)| {
+                    if send {
+                        ctx.try_send(cy, members[i].0, v).err().map(|e| e.0)
+                    } else {
+                        ctx.try_recv(cy, members[i].1)
+                    }
+                })
+                .collect();
+            let at = format!("case {case} round {round}");
+            assert_eq!(banked_results, plain_results, "{at}");
+            assert_eq!(banked.channel_stats(), plain.channel_stats(), "{at}");
+            assert_eq!(
+                banked.context().channel_aggregate(),
+                plain.context().channel_aggregate(),
+                "{at}"
+            );
+            for (i, &(tx, rx)) in members.iter().enumerate() {
+                let (b, p) = (banked.context(), plain.context());
+                assert_eq!(b.bank_is_empty(bank, i), p.is_empty(rx), "{at}");
+                assert_eq!(b.bank_can_send(bank, i), p.can_send(tx), "{at}");
+                assert_eq!(
+                    b.bank_recv_visible_at(bank, i),
+                    p.recv_visible_at(rx),
+                    "{at}"
+                );
+            }
+            assert_eq!(
+                banked.kernel_awake(on_push),
+                plain.kernel_awake(plain_on_push),
+                "{at}: push wake"
+            );
+            assert_eq!(
+                banked.kernel_awake(on_pop),
+                plain.kernel_awake(plain_on_pop),
+                "{at}: pop wake"
+            );
+            // The maintained active-set size agrees with the flags (checked
+            // inside `active_kernels` in debug builds): one wake per event.
+            assert_eq!(banked.active_kernels(), plain.active_kernels(), "{at}");
+        }
+    }
+}
+
+/// `bcast_recv_taps` over an arbitrary `want` mask is the same taps served
+/// by individual `bcast_recv_map` calls in index order: same items to the
+/// same taps, same cursors and per-tap pops, same front release (observed
+/// as producer-side room), and the pop wake fires exactly when a tap
+/// consumed.
+#[test]
+fn batched_tap_receive_matches_individual_receives() {
+    let mut s = 0x7a95u64;
+    for case in 0..96 {
+        let readers = 1 + (splitmix(&mut s) % 9) as usize;
+        let capacity = 1 + (splitmix(&mut s) % 6) as usize;
+        let build = || {
+            let mut engine = Engine::new();
+            let (tx, taps) = engine.broadcast_channel::<u64>("w", readers, capacity);
+            let on_pop = engine.add_kernel(Sleeper(WakeSet::new().after_pop_on_bcast(tx)));
+            (engine, tx, taps, on_pop)
+        };
+        let (mut batched, btx, btaps, b_on_pop) = build();
+        let (mut single, stx, staps, s_on_pop) = build();
+        let group = btaps[0].group();
+        for round in 0..120 {
+            batched.step();
+            single.step();
+            let cy = batched.cycle();
+            let at = format!("case {case} round {round}");
+            for _ in 0..splitmix(&mut s) % 3 {
+                let v = splitmix(&mut s);
+                assert_eq!(
+                    batched.context_mut().bcast_try_send(cy, btx, v).is_ok(),
+                    single.context_mut().bcast_try_send(cy, stx, v).is_ok(),
+                    "{at}"
+                );
+            }
+            let want = splitmix(&mut s) & ((1 << readers) - 1);
+            let mut got = Vec::new();
+            let (popped, buffered) =
+                batched
+                    .context_mut()
+                    .bcast_recv_taps(cy, group, want, |r, &v| got.push((r, v)));
+            let ctx = single.context_mut();
+            let expect: Vec<(usize, u64)> = (0..readers)
+                .filter(|r| want >> r & 1 == 1)
+                .filter_map(|r| ctx.bcast_recv_map(cy, staps[r], |&v| v).map(|v| (r, v)))
+                .collect();
+            assert_eq!(got, expect, "{at}");
+            assert_eq!(
+                popped,
+                expect.iter().fold(0, |m, &(r, _)| m | 1 << r),
+                "{at}: popped mask"
+            );
+            let still: u64 = (0..readers)
+                .filter(|&r| !ctx.bcast_is_empty(staps[r]))
+                .fold(0, |m, r| m | 1 << r);
+            assert_eq!(buffered, still, "{at}: buffered mask");
+            assert_eq!(batched.channel_stats(), single.channel_stats(), "{at}");
+            assert_eq!(
+                batched.context().bcast_can_send(btx),
+                single.context().bcast_can_send(stx),
+                "{at}: front release"
+            );
+            assert_eq!(
+                batched.kernel_awake(b_on_pop),
+                single.kernel_awake(s_on_pop),
+                "{at}: pop wake"
+            );
+            assert_eq!(batched.kernel_awake(b_on_pop), popped != 0, "{at}");
+            assert_eq!(batched.active_kernels(), single.active_kernels(), "{at}");
+        }
     }
 }
 

@@ -64,8 +64,13 @@ impl KernelClass {
     ];
 
     /// Classifies a kernel by its registered name (the `ditto-core` naming
-    /// scheme: `memory-reader`, `prepe#i`, `mapper#i`, `combiner`,
-    /// `filter#j`, `pripe#j`, `secpe#j`, `runtime-profiler`, `merger`).
+    /// scheme: `memory-reader`, `prepe#bank`, `mapper#bank`, `combiner`,
+    /// `filter#bank`, `pripe#bank`, `secpe#bank`, `runtime-profiler`,
+    /// `merger`). Only the prefix before `#` matters: `ditto-core` steps
+    /// each module array as **one bank kernel**, so a class is one kernel
+    /// and [`PhaseCounts::steps_by_class`] counts *bank* steps — one per
+    /// cycle in which any member of the array had work — not member
+    /// activations.
     pub fn classify(name: &str) -> KernelClass {
         let prefix = name.split('#').next().unwrap_or(name);
         match prefix {

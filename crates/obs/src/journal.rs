@@ -25,7 +25,7 @@ pub enum SpanStage {
     Shed,
     /// Serve: tuples enqueued onto a shard worker.
     Queue,
-    /// Serve: first engine step-poll that advanced the batch.
+    /// Serve: start of the first engine step-poll after the batch's enqueue.
     Step,
     /// Serve: shard watermark reached, batch drained from the shard.
     Drain,

@@ -146,7 +146,7 @@ struct PendingBatch {
     /// Tuples this sub-batch carried (journal annotation).
     tuples: u64,
     /// Whether a `Step` span event was recorded for this batch yet (the
-    /// first engine poll after its enqueue).
+    /// start of the first engine poll after its enqueue).
     stepped: bool,
 }
 
@@ -230,8 +230,8 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
                 }
             }
             if !self.pending.is_empty() {
-                self.pipeline.step_cycles(self.cycles_per_poll);
                 self.record_first_steps();
+                self.pipeline.step_cycles(self.cycles_per_poll);
                 self.complete_ready();
             }
         };
@@ -279,8 +279,8 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
             }
             ShardCommand::Extract { reply } => {
                 let before = self.pipeline.cycle();
-                self.catch_up();
                 self.record_first_steps();
+                self.catch_up();
                 self.complete_ready();
                 let states = self.pipeline.extract_slots();
                 let _ = reply.send(ShardExtract {
@@ -328,8 +328,10 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
         }
     }
 
-    /// Journals the first engine poll that advanced each batch: every
-    /// pending batch not yet marked gets its `Step` event now.
+    /// Journals the start of the first engine poll that can advance each
+    /// batch: every pending batch not yet marked gets its `Step` event now.
+    /// Called *before* stepping, so the engine time of a sub-batch that
+    /// completes inside one poll is booked as step time, not queue wait.
     fn record_first_steps(&mut self) {
         let cycle = self.pipeline.cycle();
         let shard = self.id as u32;
@@ -431,8 +433,8 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
         let ingress_cycles = (remaining as f64 / self.ingress_rate).ceil() as u64;
         let pe_cycles = remaining * u64::from(self.pipeline.app().ii_pri() + 2);
         let budget = ingress_cycles + pe_cycles + 1_000_000;
-        self.pipeline.expect_drained(budget);
         self.record_first_steps();
+        self.pipeline.expect_drained(budget);
         self.complete_ready();
         assert!(
             self.pending.is_empty(),
