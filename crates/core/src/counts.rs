@@ -17,7 +17,7 @@
 //! per-kernel counters (the engine keeps them `None`), so the disabled
 //! mode is bit-invisible to the cycle-equivalence goldens, and the enabled
 //! overhead is one indexed increment per executed kernel step plus a
-//! per-chunk snapshot (guarded ≤ 2 % of the hotpath wall in BENCH_10).
+//! per-chunk snapshot (budget ≤ 2 %: `bench.tracing_overhead_share` in `benchmark/`).
 
 use ditto_obs::counts::{CountsTrace, KernelClass, PhaseCounts};
 
@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use crate::apps::CountPerKey;
     use crate::ArchConfig;
-    use datagen::{Tuple, UniformGenerator, ZipfGenerator};
+    use datagen::{EvolvingZipfStream, Tuple, UniformGenerator, ZipfGenerator};
     use hls_sim::{MemoryModel, SliceSource};
 
     fn pipeline(data: Vec<Tuple>, cfg: &ArchConfig) -> PersistentPipeline<CountPerKey> {
@@ -226,5 +226,67 @@ mod tests {
             p.snapshot().tuples,
             "second slice counts only its own tuples"
         );
+    }
+
+    /// Steps `make()` for one slice twice — traced, and plainly in the same
+    /// chunks — and returns the common end state.
+    fn traced_and_stepped(
+        make: impl Fn() -> PersistentPipeline<CountPerKey>,
+    ) -> crate::StatSnapshot {
+        let opts = SliceOptions::new(8_192);
+        let (mut traced, mut stepped) = (make(), make());
+        traced.profile_counts(opts);
+        for _ in 0..opts.cycles / opts.chunk {
+            stepped.step_cycles(opts.chunk);
+        }
+        let aggregate =
+            |p: &PersistentPipeline<CountPerKey>| p.engine().context().channel_aggregate();
+        assert_eq!(aggregate(&traced), aggregate(&stepped));
+        assert_eq!(traced.snapshot(), stepped.snapshot());
+        stepped.snapshot()
+    }
+
+    /// Tracing only reads counters: cycles, tuples, per-PE workloads, phase,
+    /// kernel steps and channel totals all equal the untraced run's — on a
+    /// saturated uniform run and across the reschedules of a rotating
+    /// Zipf(3) stream.
+    #[test]
+    fn traced_slice_equals_the_stepped_slice() {
+        let uniform = UniformGenerator::new(1 << 20, 3).take_vec(80_000);
+        let steady = traced_and_stepped(|| pipeline(uniform.clone(), &ArchConfig::new(4, 8, 7)));
+        assert_eq!((steady.cycles, steady.reschedules), (8_192, 0));
+
+        let cfg = ArchConfig::new(4, 8, 7)
+            .with_reschedule(0.5, 200)
+            .with_profile_cycles(64)
+            .with_monitor_window(256);
+        let rotating = traced_and_stepped(|| {
+            let stream = EvolvingZipfStream::new(3.0, 1 << 16, 7, 2_000, 8.0, None);
+            PersistentPipeline::new(CountPerKey::new(8), Box::new(stream), &cfg)
+        });
+        assert!(
+            rotating.reschedules > 0,
+            "the slice must cross a reschedule"
+        );
+    }
+
+    /// The metrics registry is a mirror, not a participant: publishing
+    /// takes the engine by shared reference and reports exactly its counters.
+    #[test]
+    fn published_metrics_mirror_the_engine() {
+        let data = UniformGenerator::new(1 << 16, 3).take_vec(8_000);
+        let mut p = pipeline(data, &ArchConfig::new(4, 8, 0));
+        p.step_cycles(1_000);
+        let mut registry = ditto_obs::MetricsRegistry::new();
+        p.engine().publish_metrics(&mut registry);
+        let (engine, published) = (p.snapshot(), registry.snapshot());
+        let pushes = p.engine().context().channel_aggregate().pushes;
+        for (metric, counter) in [
+            ("ditto_engine_cycles", engine.cycles),
+            ("ditto_engine_kernel_steps", engine.kernel_steps),
+            ("ditto_engine_channel_pushes", pushes),
+        ] {
+            assert_eq!(published.scalar(metric), Some(counter), "{metric}");
+        }
     }
 }

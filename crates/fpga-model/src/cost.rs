@@ -265,53 +265,23 @@ impl Default for ResourceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Table III of the paper (HLL implementations).
-    type PaperRow = (&'static str, u32, u32, u32, f64, u64, u64, u64);
-
-    const TABLE3: &[PaperRow] = &[
-        // label, n, m, x, freq, ram, logic, dsp
-        ("16P", 8, 16, 0, 246.0, 597, 163_934, 403),
-        ("32P", 16, 32, 0, 191.0, 1_868, 230_838, 729),
-        ("16P+1S", 8, 16, 1, 202.0, 908, 184_826, 409),
-        ("16P+2S", 8, 16, 2, 180.0, 1_021, 203_083, 575),
-        ("16P+4S", 8, 16, 4, 192.0, 1_309, 212_856, 587),
-        ("16P+8S", 8, 16, 8, 196.0, 1_374, 281_667, 616),
-        ("16P+15S", 8, 16, 15, 188.0, 2_129, 230_095, 658),
-    ];
+    use crate::{Table3Row, TABLE3};
 
     #[test]
     fn tracks_table3_within_model_error() {
         let model = ResourceModel::arria10();
         let hll = AppCostProfile::hll();
-        for &(label, n, m, x, freq, ram, logic, dsp) in TABLE3 {
-            let est = model.estimate(PipelineShape::new(n, m, x), &hll);
-            assert_eq!(est.label, label);
-            // Tolerances bound the observed calibration error; the worst
-            // cells are the paper's own P&R outliers (16P+2S closes timing
-            // at 180 MHz despite 48% utilisation; 16P+8S uses more logic
-            // than 16P+15S).
-            let rel = |a: f64, b: f64| (a - b).abs() / b;
-            assert!(
-                rel(est.freq_mhz, freq) < 0.32,
-                "{label}: freq {} vs {freq}",
-                est.freq_mhz
-            );
-            assert!(
-                rel(est.ram_blocks as f64, ram as f64) < 0.30,
-                "{label}: ram {} vs {ram}",
-                est.ram_blocks
-            );
-            assert!(
-                rel(est.logic_alms as f64, logic as f64) < 0.25,
-                "{label}: logic {} vs {logic}",
-                est.logic_alms
-            );
-            assert!(
-                rel(est.dsps as f64, dsp as f64) < 0.25,
-                "{label}: dsp {} vs {dsp}",
-                est.dsps
-            );
+        for row in &TABLE3 {
+            let est = model.estimate(row.shape, &hll);
+            let label = &est.label;
+            for (i, delta) in row.deltas(&est).into_iter().enumerate() {
+                assert!(
+                    delta.abs() < Table3Row::TOLERANCE[i],
+                    "{label}: {} is {:+.0}% off the paper",
+                    Table3Row::COLUMNS[i],
+                    delta * 100.0
+                );
+            }
         }
     }
 

@@ -30,8 +30,10 @@ mod cost;
 mod device;
 mod frequency;
 mod profiles;
+mod table3;
 
 pub use cost::{PipelineShape, ResourceEstimate, ResourceModel};
 pub use device::Device;
 pub use frequency::{mteps, mtps, FrequencyModel};
 pub use profiles::AppCostProfile;
+pub use table3::{Table3Row, TABLE3};

@@ -1,11 +1,12 @@
 //! The consolidated `DITTO_*` environment-override catalog.
 //!
-//! Every runtime/bench knob the stack reads from the environment is
-//! registered here with its consumer and default, so there is one place
-//! (plus the README table generated from the same data) to discover them,
-//! and [`log_active`] lets long-running binaries announce at startup which
-//! overrides are in effect — silent env-dependent behaviour is how bench
-//! numbers stop being comparable.
+//! Every knob the stack reads from the environment is registered here
+//! with its consumer and default, so there is one place (plus the README
+//! table generated from the same data) to discover them, and
+//! [`log_active`] lets long-running binaries announce at startup which
+//! overrides are in effect — silent env-dependent behaviour is how numbers
+//! stop being comparable. `tests/env_catalog.rs` holds the catalog to the
+//! source: every name here is read somewhere, and nothing else is read.
 
 /// One documented environment override.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,60 +29,6 @@ pub const KNOWN: &[EnvKnob] = &[
         default: "per-config flag",
         effect: "force steady-state fast-forward on (`1`/`true`) or off (`0`) process-wide, \
                  overriding `ArchConfig`; lets CI re-run goldens under fast-forward",
-    },
-    EnvKnob {
-        name: "DITTO_TUPLES",
-        consumer: "ditto-bench harness",
-        default: "260000 (1 % of paper scale)",
-        effect: "dataset size for harness runs and parallel sweeps",
-    },
-    EnvKnob {
-        name: "DITTO_THREADS",
-        consumer: "ditto-bench harness",
-        default: "available parallelism",
-        effect: "worker thread count for scenario sweeps",
-    },
-    EnvKnob {
-        name: "DITTO_SERVE_TUPLES",
-        consumer: "serve_bench, ha_bench",
-        default: "40000",
-        effect: "tuples per serve-cluster / HA sweep point",
-    },
-    EnvKnob {
-        name: "DITTO_WIRE_TUPLES",
-        consumer: "wire_bench",
-        default: "30000",
-        effect: "tuples per wire front-end sweep point",
-    },
-    EnvKnob {
-        name: "DITTO_HOTPATH_TUPLES",
-        consumer: "hotpath",
-        default: "65536",
-        effect: "tuples per hotpath phase",
-    },
-    EnvKnob {
-        name: "DITTO_HOTPATH_REPS",
-        consumer: "hotpath",
-        default: "5",
-        effect: "interleaved repetitions per hotpath measurement",
-    },
-    EnvKnob {
-        name: "DITTO_GRAPH_SCALE",
-        consumer: "fig8",
-        default: "4",
-        effect: "graph scale-down divisor for the PageRank suite",
-    },
-    EnvKnob {
-        name: "DITTO_REQUEUE_OVERHEAD",
-        consumer: "fig9",
-        default: "20000",
-        effect: "modelled re-queue overhead (cycles) in the skew sweep",
-    },
-    EnvKnob {
-        name: "DITTO_BENCH_ENV",
-        consumer: "ditto-bench (BENCH_*.json)",
-        default: "\"ci\" under CI, else \"local\"",
-        effect: "environment marker stamped into bench artifact host info",
     },
     EnvKnob {
         name: "DITTO_REPLICAS",
@@ -126,10 +73,10 @@ pub const KNOWN: &[EnvKnob] = &[
     },
     EnvKnob {
         name: "DITTO_PLAN_SLICE",
-        consumer: "ditto-plan (planner, plan_bench, plan_deploy)",
+        consumer: "ditto-core `SliceOptions::from_env` (plan_deploy example)",
         default: "20000",
-        effect: "cycles in the bounded counts-tracing profiling slice the planner runs \
-                 before searching configurations",
+        effect: "cycles in the bounded counts-tracing profiling slice taken before the \
+                 planner searches configurations",
     },
     EnvKnob {
         name: "DITTO_PLAN_BUDGET",

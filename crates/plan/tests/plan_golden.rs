@@ -4,13 +4,14 @@
 //! Pins the acceptance bar of the two-pass planner: the predicted
 //! throughput of the chosen configuration is within ±25 % of the
 //! cycle-level simulation, and on uniform data the choice beats the
-//! paper-default `16P+15S` deployment on throughput per ALM.
+//! paper-default `16P+15S` deployment on throughput per ALM — predicted
+//! and simulated.
 
 use datagen::{Tuple, UniformGenerator, ZipfGenerator};
 use ditto_core::apps::{CountPerKey, ModHistogram};
-use ditto_core::{ArchConfig, DittoApp, PersistentPipeline, SliceOptions};
-use ditto_plan::{validate, DeploymentPlan, Planner, PlannerOptions};
-use fpga_model::{AppCostProfile, PipelineShape};
+use ditto_core::{ArchConfig, DittoApp, PersistentPipeline, SkewObliviousPipeline, SliceOptions};
+use ditto_plan::{validate, Candidate, DeploymentPlan, Planner, PlannerOptions};
+use fpga_model::{mtps, AppCostProfile, PipelineShape};
 use hls_sim::{MemoryModel, SliceSource};
 
 /// PriPE count of the profiling pipeline; candidates fold from it.
@@ -66,11 +67,23 @@ where
     (plan, v)
 }
 
-fn paper_default(plan: &DeploymentPlan) -> &ditto_plan::Candidate {
+fn paper_default(plan: &DeploymentPlan) -> &Candidate {
     plan.candidates
         .iter()
         .find(|c| c.shape == PipelineShape::new(8, 16, 15))
         .expect("paper default is in the search space")
+}
+
+/// MT/s per kALM of `candidate`'s shape when count-per-key is *simulated*
+/// on `data`, at the candidate's estimated clock and logic.
+fn simulated_mtps_per_kalm(candidate: &Candidate, data: &[Tuple]) -> f64 {
+    let shape = candidate.shape;
+    let cfg = ArchConfig::new(shape.n_pre, shape.m_pri, shape.x_sec);
+    let app = CountPerKey::new(shape.m_pri);
+    let report = SkewObliviousPipeline::run_dataset(app, data.to_vec(), &cfg).report;
+    assert!(report.completed, "{} must drain", shape.label());
+    let estimate = &candidate.estimate;
+    mtps(report.tuples_per_cycle(), estimate.freq_mhz) / (estimate.logic_alms as f64 / 1e3)
 }
 
 #[test]
@@ -140,6 +153,15 @@ fn planner_golden_two_apps_two_skews() {
         );
         assert!(plan.chosen.mtps >= dflt.mtps * 0.99, "{label}");
     }
+
+    // The payoff is real, not only predicted: both shapes simulated on the
+    // dataset the plan was made for.
+    let chosen = simulated_mtps_per_kalm(&cu_plan.chosen, &uniform);
+    let dflt = simulated_mtps_per_kalm(paper_default(&cu_plan), &uniform);
+    assert!(
+        chosen > dflt,
+        "count/uniform: simulated {chosen:.3} MT/s/kALM must beat the paper default's {dflt:.3}"
+    );
 
     // Skewed data must buy skew-handling capacity and beat the bare shape.
     for (label, plan) in [("count/zipf2.0", &cz_plan), ("histo/zipf2.0", &hz_plan)] {

@@ -32,7 +32,7 @@
 //!   queueing unboundedly.
 //! * [`WireClient`] / [`run_load`] — the in-process client and the
 //!   open-loop qps × skew load generator driving real sockets (the
-//!   `wire_bench` harness and the loopback tests build on them).
+//!   loopback tests build on them).
 //! * [`WireApp`] — lossless output codecs for all five paper apps, so a
 //!   `Finalize` round-trip proves wire-served results equal a
 //!   single-engine [`run_dataset`](ditto_core::SkewObliviousPipeline::run_dataset).

@@ -2,6 +2,7 @@
 //! documentation drift fails the suite instead of shipping.
 
 static README: &str = include_str!("../README.md");
+static REPRO: &str = include_str!("../REPRO.md");
 
 /// The env-override table in the README is the verbatim output of
 /// [`ditto::obs::env::markdown_table`] — edit `obs::env::KNOWN`, then
@@ -49,5 +50,36 @@ fn wire_protocol_docs_cover_metrics_frames() {
             README.contains(needle),
             "README protocol kinds paragraph is missing {needle}"
         );
+    }
+}
+
+/// The README shows the paper's claims, not a copy of them that can rot:
+/// its summary is the tail of the committed `repro all` output, verbatim.
+#[test]
+fn readme_claims_summary_is_repro_md_s() {
+    let at = REPRO.find("| claim | paper | ours | holds |");
+    let summary = &REPRO[at.expect("REPRO.md ends in the claims table")..];
+    assert!(summary.ends_with("claims hold.\n"), "{summary}");
+    assert!(
+        README.contains(summary),
+        "README claims summary is stale; paste the tail of REPRO.md:\n{summary}"
+    );
+}
+
+/// The second perf system is gone; the README must not send anyone to it.
+#[test]
+fn readme_names_nothing_that_was_retired() {
+    let retired = [
+        "BENCH_", // result files; `BENCHMARK.json` has no underscore
+        "_bench", // the four `<layer>_bench` bins
+        "bench_", // the report emitter
+        "-p ditto-bench",
+        "cargo bench",
+        "--bin hotpath",
+        "--bin fig",
+        "--bin table",
+    ];
+    for name in retired {
+        assert!(!README.contains(name), "README still mentions `{name}`");
     }
 }
