@@ -88,13 +88,30 @@ mod tests {
 
     #[test]
     fn known_first_outputs() {
-        // Cross-checked against the reference xoshiro256** with the same
-        // SplitMix64 seeding for seed 0.
+        // The state is the reference SplitMix64 stream from seed 0 with its
+        // first output (0xe220a8397b1dcdaf) skipped: `new` advances `x`
+        // once before `splitmix64`, which advances it again.
         let mut r = Xoshiro256::new(0);
-        let first = r.next_u64();
-        let mut r2 = Xoshiro256::new(0);
-        assert_eq!(first, r2.next_u64());
-        assert_ne!(first, r.next_u64());
+        assert_eq!(
+            r.s,
+            [
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f,
+                0xf88b_b8a8_724c_81ec,
+                0x1b39_896a_51a8_749b,
+            ]
+        );
+        // Outputs of the generator every dataset is drawn from, by value.
+        let first: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0x422e_a740_d097_7210,
+                0xe062_b061_b42e_2928,
+                0x5a07_1fc5_9308_41b6,
+                0x0133_4ef8_ed3c_c2bd,
+            ]
+        );
     }
 
     #[test]

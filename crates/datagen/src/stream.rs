@@ -186,6 +186,13 @@ mod tests {
     }
 
     #[test]
+    fn debug_does_not_dump_the_table() {
+        let s = EvolvingZipfStream::new(3.0, 1 << 22, 1, 80_000, 8.0, None);
+        let text = format!("{s:?}");
+        assert!(text.len() < 512, "{} bytes: {text}", text.len());
+    }
+
+    #[test]
     fn epochs_seen_counts_rotations() {
         let mut s = EvolvingZipfStream::new(2.0, 256, 3, 50, 1.0, None);
         drain(&mut s, 500);

@@ -1,5 +1,33 @@
 //! Zipf-distributed tuple generation (§II, §VI-C of the paper).
+//!
+//! # Sampling in O(1) expected time, exactly
+//!
+//! A rank is drawn by inversion: `u` uniform in `[0, 1)`, rank = 1 + the
+//! first index `i` with `cdf[i] ≥ u`. Searching the whole table costs
+//! ⌈log₂ n⌉ dependent loads — 22 at the 2²² universe of the Fig. 9 stream,
+//! over a 32 MiB table. A **guide table** (Chen & Asau's indexed search,
+//! 1974) cuts that to one load plus a search of a short bracket: with
+//! `G` = [`GUIDE_BUCKETS`] buckets, `guide[j]` is the first index whose
+//! `cdf ≥ j/G`, for `j = 0..=G`, and a draw with `j = ⌊u·G⌋` searches
+//! only `cdf[guide[j]..guide[j + 1]]`, answering `guide[j + 1]` itself when
+//! no entry there reaches `u`.
+//!
+//! The answer is the *same index* the whole-table search returns, not an
+//! approximation of it:
+//!
+//! * `G` is a power of two, so `u·G` and `j/G` are exact in `f64`; hence
+//!   `j/G ≤ u < (j+1)/G` holds exactly, with `j + 1 ≤ G`.
+//! * The CDF is non-decreasing (positive terms summed, then divided by the
+//!   same positive total — both monotone under round-to-nearest), so the
+//!   first index reaching `u` lies between the first reaching `j/G` and
+//!   the first reaching `(j+1)/G`.
+//! * The last entry is `total / total`, exactly `1.0` (asserted at build
+//!   time), so the first index reaching `(j+1)/G ≤ 1` always exists.
+//!
+//! Every sequence is therefore bit-identical to the full search's; the
+//! full search survives only as the oracle of `guide_lookup_is_exact`.
 
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sketches::hash::splitmix64;
@@ -11,6 +39,61 @@ use crate::Tuple;
 /// Maximum universe size for which the exact CDF table is built.
 const MAX_UNIVERSE: usize = 1 << 24;
 
+/// Guide-table buckets `G`: a power of two, so `u·G` and `j/G` are exact.
+const GUIDE_BUCKETS: usize = 1 << 16;
+
+/// An exact inverse-CDF table with its guide (see the module docs).
+struct ZipfTable {
+    /// `cdf[i]` = P(rank ≤ i+1); the last entry is exactly `1.0`.
+    cdf: Box<[f64]>,
+    /// `guide[j]` = first index with `cdf ≥ j/G`, for `j = 0..=G`.
+    guide: Box<[u32]>,
+}
+
+impl ZipfTable {
+    fn build(alpha: f64, universe: u64) -> Self {
+        // Built in its final allocation: `into_boxed_slice` of an exactly
+        // sized `Vec` moves no data.
+        let mut cdf = Vec::with_capacity(universe as usize);
+        let mut acc = 0.0f64;
+        for r in 1..=universe {
+            acc += (r as f64).powf(-alpha);
+            cdf.push(acc);
+        }
+        for v in &mut cdf {
+            *v /= acc;
+        }
+        assert_eq!(cdf.last(), Some(&1.0), "CDF must end at exactly 1.0");
+        let mut guide = Vec::with_capacity(GUIDE_BUCKETS + 1);
+        let mut i = 0;
+        for j in 0..=GUIDE_BUCKETS {
+            let edge = j as f64 / GUIDE_BUCKETS as f64;
+            while cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        ZipfTable {
+            cdf: cdf.into_boxed_slice(),
+            guide: guide.into_boxed_slice(),
+        }
+    }
+
+    /// The first index `i` with `cdf[i] ≥ u`, for `u` in `[0, 1)`. It lies
+    /// in `guide[j]..=guide[j + 1]`, and `cdf[guide[j + 1]] ≥ u` is known,
+    /// so that last entry need not be searched.
+    fn index_of(&self, u: f64) -> usize {
+        let j = (u * GUIDE_BUCKETS as f64) as usize;
+        let lo = self.guide[j] as usize;
+        let hi = self.guide[j + 1] as usize;
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.cdf) + std::mem::size_of_val(&*self.guide)
+    }
+}
+
 /// Process-wide cache of computed CDF tables, keyed by `(α bits, universe)`.
 ///
 /// Building a table costs one `powf` per universe entry (tens of
@@ -19,9 +102,9 @@ const MAX_UNIVERSE: usize = 1 << 24;
 /// The cache makes every construction after the first free while keeping
 /// the tables bit-identical (the values are computed once, so sequences
 /// cannot drift). Bounded to [`CDF_CACHE_CAP_BYTES`] of table storage
-/// (tables are `universe × 8` bytes, up to 128 MiB at the 2²⁴ limit),
-/// evicting the oldest until the new table fits.
-type CdfCache = Mutex<Vec<((u64, u64), Arc<[f64]>)>>;
+/// (`universe × 8` bytes plus a 256 KiB guide, up to 128 MiB at the 2²⁴
+/// limit), evicting the oldest until the new table fits.
+type CdfCache = Mutex<Vec<((u64, u64), Arc<ZipfTable>)>>;
 
 fn cdf_cache() -> &'static CdfCache {
     static CACHE: OnceLock<CdfCache> = OnceLock::new();
@@ -31,7 +114,7 @@ fn cdf_cache() -> &'static CdfCache {
 /// Maximum bytes of cached CDF tables (a 2²⁰-key table is 8 MiB).
 const CDF_CACHE_CAP_BYTES: usize = 256 << 20;
 
-fn cdf_for(alpha: f64, universe: u64) -> Arc<[f64]> {
+fn cdf_for(alpha: f64, universe: u64) -> Arc<ZipfTable> {
     let key = (alpha.to_bits(), universe);
     {
         let cache = cdf_cache().lock().expect("cache lock");
@@ -40,23 +123,12 @@ fn cdf_for(alpha: f64, universe: u64) -> Arc<[f64]> {
         }
     }
     // Build outside the lock: construction is the expensive part.
-    let mut cdf = Vec::with_capacity(universe as usize);
-    let mut acc = 0.0f64;
-    for r in 1..=universe {
-        acc += (r as f64).powf(-alpha);
-        cdf.push(acc);
-    }
-    let norm = acc;
-    for v in &mut cdf {
-        *v /= norm;
-    }
-    let table: Arc<[f64]> = cdf.into();
+    let table = Arc::new(ZipfTable::build(alpha, universe));
     let mut cache = cdf_cache().lock().expect("cache lock");
     if !cache.iter().any(|(k, _)| *k == key) {
-        let bytes = |t: &Arc<[f64]>| t.len() * std::mem::size_of::<f64>();
-        let mut total: usize = cache.iter().map(|(_, t)| bytes(t)).sum::<usize>() + bytes(&table);
+        let mut total: usize = cache.iter().map(|(_, t)| t.bytes()).sum::<usize>() + table.bytes();
         while total > CDF_CACHE_CAP_BYTES && !cache.is_empty() {
-            total -= bytes(&cache.remove(0).1);
+            total -= cache.remove(0).1.bytes();
         }
         cache.push((key, Arc::clone(&table)));
     }
@@ -67,7 +139,8 @@ fn cdf_for(alpha: f64, universe: u64) -> Arc<[f64]> {
 /// over a universe of `n` distinct keys.
 ///
 /// Rank `r` (1-based) is drawn with probability `r^-α / H(n, α)` using an
-/// exact inverse-CDF table, then mapped to a key by a seeded pseudo-random
+/// exact inverse-CDF table searched through a guide table in O(1) expected
+/// time (see the module docs), then mapped to a key by a seeded pseudo-random
 /// permutation of the universe — so the *hot* keys land on different values
 /// (and therefore different PEs) for different seeds, reproducing the
 /// paper's observation that "overloaded PEs vary across datasets" (Fig. 2a).
@@ -87,16 +160,29 @@ fn cdf_for(alpha: f64, universe: u64) -> Arc<[f64]> {
 /// let hot_count = data.iter().filter(|t| t.key == hot).count();
 /// assert!(hot_count > 8_000, "hot key only {hot_count}/10000");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ZipfGenerator {
     alpha: f64,
     universe: u64,
     seed: u64,
     rng: Xoshiro256,
-    /// Inverse-CDF table: `cdf[i]` = P(rank <= i+1). Empty when α = 0.
-    /// Shared through the process-wide cache — sweeps constructing the same
-    /// distribution repeatedly pay the `powf` loop once.
-    cdf: Arc<[f64]>,
+    /// Inverse-CDF table and guide; `None` when α = 0. Shared through the
+    /// process-wide cache — sweeps constructing the same distribution
+    /// repeatedly pay the `powf` loop once.
+    table: Option<Arc<ZipfTable>>,
+}
+
+/// Names the distribution, not its table: formatting a 2²² table would
+/// produce tens of megabytes.
+impl fmt::Debug for ZipfGenerator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ZipfGenerator")
+            .field("alpha", &self.alpha)
+            .field("universe", &self.universe)
+            .field("seed", &self.seed)
+            .field("table_len", &self.table.as_ref().map_or(0, |t| t.cdf.len()))
+            .finish_non_exhaustive()
+    }
 }
 
 impl ZipfGenerator {
@@ -111,21 +197,19 @@ impl ZipfGenerator {
     pub fn new(alpha: f64, universe: u64, seed: u64) -> Self {
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
         assert!(universe > 0, "universe must be nonzero");
-        let cdf: Arc<[f64]> = if alpha == 0.0 {
-            Arc::new([])
-        } else {
+        let table = (alpha > 0.0).then(|| {
             assert!(
                 universe as usize <= MAX_UNIVERSE,
                 "universe {universe} too large for exact Zipf table"
             );
             cdf_for(alpha, universe)
-        };
+        });
         ZipfGenerator {
             alpha,
             universe,
             seed,
             rng: Xoshiro256::new(seed),
-            cdf,
+            table,
         }
     }
 
@@ -149,13 +233,10 @@ impl ZipfGenerator {
     /// Exposed so that stream wrappers (e.g. the evolving-skew stream of
     /// Fig. 9) can re-map ranks to keys with their own epoch-dependent salt.
     pub fn next_rank(&mut self) -> u64 {
-        if self.cdf.is_empty() {
-            return self.rng.range_u64(self.universe) + 1;
+        match &self.table {
+            None => self.rng.range_u64(self.universe) + 1,
+            Some(table) => table.index_of(self.rng.uniform_f64()) as u64 + 1,
         }
-        let u: f64 = self.rng.uniform_f64();
-        // partition_point returns the first index whose cdf >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        (idx as u64 + 1).min(self.universe)
     }
 
     /// Maps a rank to its (seed-dependent) key value.
@@ -270,5 +351,44 @@ mod tests {
     #[should_panic(expected = "alpha must be >= 0")]
     fn negative_alpha_rejected() {
         let _ = ZipfGenerator::new(-1.0, 10, 0);
+    }
+
+    /// The guide lookup returns the index of the whole-table search it
+    /// replaced, on random draws and on every value where an off-by-one
+    /// could hide: the ends of `[0, 1)`, bucket edges and CDF entries.
+    #[test]
+    fn guide_lookup_is_exact() {
+        let g = GUIDE_BUCKETS as f64;
+        for alpha in [0.25, 0.5, 1.0, 1.2, 2.0, 3.0] {
+            for universe in [1u64, 2, 3, 7, 1_000, 65_537, 1 << 18] {
+                let table = ZipfTable::build(alpha, universe);
+                let mut probes = vec![0.0, 1.0f64.next_down()];
+                let mut rng = Xoshiro256::new(universe ^ alpha.to_bits());
+                probes.extend((0..200_000).map(|_| rng.uniform_f64()));
+                for j in (0..GUIDE_BUCKETS).step_by(97).chain([GUIDE_BUCKETS - 1]) {
+                    let edge = j as f64 / g;
+                    probes.extend([edge.next_down(), edge, edge.next_up()]);
+                }
+                if universe <= 65_537 {
+                    for &c in table.cdf.iter() {
+                        probes.extend([c.next_down(), c, c.next_up()]);
+                    }
+                }
+                for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(
+                        table.index_of(u),
+                        table.cdf.partition_point(|&c| c < u),
+                        "α {alpha}, universe {universe}, u {u:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_names_the_distribution_not_the_table() {
+        let s = format!("{:?}", ZipfGenerator::new(3.0, 1 << 22, 1));
+        assert!(s.len() < 256, "{} bytes: {s}", s.len());
+        assert!(s.contains("table_len: 4194304"), "{s}");
     }
 }
