@@ -1,0 +1,472 @@
+//! The engine pinned by value. Seeded scenarios across pipeline shapes,
+//! sources and queue depths, each folded into four hashes of everything the
+//! simulation decides:
+//!
+//! * `channels` — every `channel_stats()` row at the end of the run;
+//! * `slices` — every slice's `StatSnapshot`, except `kernel_steps` (the one
+//!   counter a scheduling change may move);
+//! * `report` — completion cycle, tuples, reschedules, plans, per-PE
+//!   workloads and channel totals;
+//! * `output` — the finalized application output.
+//!
+//! The literals were computed on eb91fe4. A change to how the engine steps,
+//! rather than to what it simulates, must leave every one unmodified; a
+//! mismatch names the scenario, the first differing hash and the line to
+//! paste if the change is a deliberate re-pin.
+
+use ditto::core::apps::ModHistogram;
+use ditto::hls_sim::{MemoryModel, PacedSource, SliceSource, StreamSource};
+use ditto::prelude::*;
+
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Uniform,
+    Zipf(f64),
+    /// Rotating Zipf(3) skew with online rescheduling.
+    Evolving,
+    /// Bursts of Zipf(1.5) tuples with idle gaps in between.
+    Paced,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Scenario {
+    name: &'static str,
+    shape: (u32, u32, u32),
+    source: Source,
+    seed: u64,
+    pe_queue_depth: usize,
+    word_queue_depth: usize,
+    lane_queue_depth: usize,
+    fast_forward: bool,
+}
+
+const UNIVERSE: u64 = 1 << 16;
+const SHAPES: [(u32, u32, u32); 5] = [(2, 4, 3), (4, 8, 3), (8, 16, 0), (8, 16, 15), (16, 32, 31)];
+
+fn scenarios() -> Vec<Scenario> {
+    let base = |name, shape, source, seed| Scenario {
+        name,
+        shape,
+        source,
+        seed,
+        pe_queue_depth: 512,
+        word_queue_depth: 64,
+        lane_queue_depth: 8,
+        fast_forward: false,
+    };
+    let names = [
+        [
+            "2-4-3 uniform",
+            "2-4-3 zipf1",
+            "2-4-3 zipf3 pe2",
+            "2-4-3 evolving",
+        ],
+        [
+            "4-8-3 uniform",
+            "4-8-3 zipf1",
+            "4-8-3 zipf3 pe2",
+            "4-8-3 evolving",
+        ],
+        [
+            "8-16-0 uniform",
+            "8-16-0 zipf1",
+            "8-16-0 zipf3 pe2",
+            "8-16-0 evolving",
+        ],
+        [
+            "8-16-15 uniform",
+            "8-16-15 zipf1",
+            "8-16-15 zipf3 pe2",
+            "8-16-15 evolving",
+        ],
+        [
+            "16-32-31 uniform",
+            "16-32-31 zipf1",
+            "16-32-31 zipf3 pe2",
+            "16-32-31 evolving",
+        ],
+    ];
+    let mut out = Vec::new();
+    for (i, (&shape, names)) in SHAPES.iter().zip(&names).enumerate() {
+        let seed = 101 + 10 * i as u64;
+        out.push(base(names[0], shape, Source::Uniform, seed));
+        out.push(base(names[1], shape, Source::Zipf(1.0), seed + 1));
+        out.push(Scenario {
+            pe_queue_depth: 2,
+            ..base(names[2], shape, Source::Zipf(3.0), seed + 2)
+        });
+        out.push(base(names[3], shape, Source::Evolving, seed + 3));
+    }
+    out.push(Scenario {
+        word_queue_depth: 1,
+        ..base("4-8-3 zipf1 word1", (4, 8, 3), Source::Zipf(1.0), 7)
+    });
+    out.push(Scenario {
+        lane_queue_depth: 1,
+        ..base("8-16-15 zipf1 lane1", (8, 16, 15), Source::Zipf(1.0), 8)
+    });
+    out.push(Scenario {
+        fast_forward: true,
+        ..base("8-16-15 evolving ff", (8, 16, 15), Source::Evolving, 9)
+    });
+    out.push(Scenario {
+        fast_forward: true,
+        ..base("4-8-3 paced ff", (4, 8, 3), Source::Paced, 10)
+    });
+    out
+}
+
+/// One mixing step of the fold (SplitMix64's multiplier after a rotate).
+fn mix(acc: u64, v: u64) -> u64 {
+    (acc.rotate_left(23) ^ v).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+}
+
+fn mix_all(acc: u64, vs: impl IntoIterator<Item = u64>) -> u64 {
+    vs.into_iter().fold(acc, mix)
+}
+
+fn mix_snapshot(acc: u64, s: &StatSnapshot) -> u64 {
+    let acc = mix_all(
+        acc,
+        [
+            s.cycles,
+            s.tuples,
+            s.reschedules,
+            s.plans_generated,
+            s.phase,
+            u64::from(s.phase_active_pes),
+            s.per_pe_processed.len() as u64,
+        ],
+    );
+    mix_all(acc, s.per_pe_processed.iter().copied())
+}
+
+const FIELDS: [&str; 4] = ["channels", "slices", "report", "output"];
+
+fn run(s: &Scenario) -> [u64; 4] {
+    let (n, m, x) = s.shape;
+    let mut cfg = ArchConfig::new(n, m, x)
+        .with_pe_entries(4)
+        .with_pe_queue_depth(s.pe_queue_depth)
+        .with_steady_state_fast_forward(s.fast_forward);
+    cfg.word_queue_depth = s.word_queue_depth;
+    cfg.lane_queue_depth = s.lane_queue_depth;
+    let tuples = 600 * n as usize;
+    let mem = MemoryModel::new(8 * n, 16);
+    let (source, slice, online): (Box<dyn StreamSource<Tuple>>, u64, bool) = match s.source {
+        Source::Uniform => {
+            let data = UniformGenerator::new(UNIVERSE, s.seed).take_vec(tuples);
+            (Box::new(SliceSource::new(data, 8, mem)), 61, false)
+        }
+        Source::Zipf(alpha) => {
+            let data = ZipfGenerator::new(alpha, UNIVERSE, s.seed).take_vec(tuples);
+            (Box::new(SliceSource::new(data, 8, mem)), 97, false)
+        }
+        Source::Evolving => {
+            cfg = cfg
+                .with_reschedule(0.5, 150)
+                .with_profile_cycles(32)
+                .with_monitor_window(128);
+            let rate = f64::from(n) / 2.0;
+            let stream = EvolvingZipfStream::new(3.0, UNIVERSE, s.seed, 900, rate, None);
+            (Box::new(stream), 1_000, true)
+        }
+        Source::Paced => {
+            let data = ZipfGenerator::new(1.5, UNIVERSE, s.seed).take_vec(tuples);
+            (Box::new(PacedSource::new(data, 24, 300, 16)), 211, false)
+        }
+    };
+    let mut p = PersistentPipeline::new(ModHistogram::new(4 * u64::from(m)), source, &cfg);
+    let mut slices = 0;
+    for _ in 0..if online { 6 } else { 4 } {
+        p.step_cycles(slice);
+        slices = mix_snapshot(slices, &p.snapshot());
+    }
+    if !online {
+        p.expect_drained(1_000_000);
+        slices = mix_snapshot(slices, &p.snapshot());
+    }
+    let out = p.finish();
+
+    let channels = out.channels.iter().fold(0, |acc, c| {
+        let acc = mix_all(acc, c.name.bytes().map(u64::from));
+        mix_all(
+            acc,
+            [
+                c.capacity as u64,
+                c.pushes,
+                c.pops,
+                c.full_stalls,
+                c.max_occupancy as u64,
+                c.occupancy as u64,
+            ],
+        )
+    });
+    let r = &out.report;
+    let t = r.channel_totals;
+    let report = mix_all(
+        0,
+        [
+            r.cycles,
+            r.tuples,
+            r.reschedules,
+            r.plans_generated,
+            u64::from(r.completed),
+            t.pushes,
+            t.pops,
+            t.full_stalls,
+            t.max_occupancy_sum,
+        ],
+    );
+    let report = mix_all(report, r.per_pe_processed.iter().copied());
+    let output = mix_all(out.output.len() as u64, out.output.iter().copied());
+    [channels, slices, report, output]
+}
+
+const PINS: &[(&str, [u64; 4])] = &[
+    (
+        "2-4-3 uniform",
+        [
+            0xffccbc8a75207048,
+            0x60e56af84da4c92a,
+            0xc8e993cac03ece8d,
+            0x12779e3de8201698,
+        ],
+    ),
+    (
+        "2-4-3 zipf1",
+        [
+            0x7d9e2a313ff2ee1f,
+            0x8810bab7d924b489,
+            0x3e093b0a28e335c8,
+            0x1fa1bbbbe4280d2e,
+        ],
+    ),
+    (
+        "2-4-3 zipf3 pe2",
+        [
+            0xc42664efaa875417,
+            0x29b4fa7044bb63f8,
+            0x1cad7d8747f58b2c,
+            0x4f93a4020bf8941f,
+        ],
+    ),
+    (
+        "2-4-3 evolving",
+        [
+            0x68d0b8bed0b04390,
+            0x54c54d956300533e,
+            0x8b77f94e51889718,
+            0xb98ce8f45f5a0b96,
+        ],
+    ),
+    (
+        "4-8-3 uniform",
+        [
+            0x839e4a315a590374,
+            0x273d28e7833d9089,
+            0xc83e6c85e5d32a1,
+            0xf5a7c1449e69bbf5,
+        ],
+    ),
+    (
+        "4-8-3 zipf1",
+        [
+            0x672e11378a72d54b,
+            0xbfaf6aa28cf791a0,
+            0x17488fa532464b3e,
+            0xd76eaf7b6d91940a,
+        ],
+    ),
+    (
+        "4-8-3 zipf3 pe2",
+        [
+            0x6b5db45357d932ff,
+            0xa495fb03597e9087,
+            0xbf29e306a441b8a,
+            0xab1e90de654d5c4f,
+        ],
+    ),
+    (
+        "4-8-3 evolving",
+        [
+            0x12c70ea8673156b8,
+            0x31d7f60d702e38e7,
+            0x74176298f3de6332,
+            0x531db49239ae7a5f,
+        ],
+    ),
+    (
+        "8-16-0 uniform",
+        [
+            0x456b078b03404fe4,
+            0x5860289bdc874ad8,
+            0xcb73db835327d363,
+            0xd0bd980234687739,
+        ],
+    ),
+    (
+        "8-16-0 zipf1",
+        [
+            0xc6c9591d5da9b310,
+            0xd8fe677396b94efa,
+            0xd316dfe23b606216,
+            0xc0047efa7a1d663a,
+        ],
+    ),
+    (
+        "8-16-0 zipf3 pe2",
+        [
+            0xb61dabb9f8d9d38,
+            0xce219a406ad86e78,
+            0x4e9225a89a196a10,
+            0x9b30251ff04b0bee,
+        ],
+    ),
+    (
+        "8-16-0 evolving",
+        [
+            0x78ad1a954462f990,
+            0xca7b8735cd14bdf5,
+            0x3443b964cc151e3b,
+            0xeb6e95b4759b80e1,
+        ],
+    ),
+    (
+        "8-16-15 uniform",
+        [
+            0xcf23782cc5b56612,
+            0x1357a63a26e23268,
+            0x260824a20ea17bfd,
+            0x3c0af6624ad5d5c4,
+        ],
+    ),
+    (
+        "8-16-15 zipf1",
+        [
+            0xe19994892fb02b94,
+            0xa8a54e3301fdc901,
+            0x62796a0e07daffb9,
+            0x87b2d7ee13fb02b0,
+        ],
+    ),
+    (
+        "8-16-15 zipf3 pe2",
+        [
+            0xf9f14c3872e40dd0,
+            0xe860e50aba71e3e4,
+            0x8fb174b1e1d01fd2,
+            0x3c6b0dda319be58a,
+        ],
+    ),
+    (
+        "8-16-15 evolving",
+        [
+            0x1df82faacb9b8b5c,
+            0xc5249636eb1267b0,
+            0x1546fbae6d79d92c,
+            0xaa078f2a4524fc01,
+        ],
+    ),
+    (
+        "16-32-31 uniform",
+        [
+            0x4a3b050783407baa,
+            0xa090839ec6f783b6,
+            0x4259b7d90672ff94,
+            0x469fc67a9d8349de,
+        ],
+    ),
+    (
+        "16-32-31 zipf1",
+        [
+            0xd97b4a6709e86ecd,
+            0x840e7b3e08e125fd,
+            0x6bd14645207d9180,
+            0x5eed548750a714e5,
+        ],
+    ),
+    (
+        "16-32-31 zipf3 pe2",
+        [
+            0x7f41570cbbe8756,
+            0xe68eb74fc21deae,
+            0x6ca63e50393bc4b6,
+            0xc9dcc83947119778,
+        ],
+    ),
+    (
+        "16-32-31 evolving",
+        [
+            0xd239ca9e07b13968,
+            0x6164ca04b5525a05,
+            0x6dabc609111e5376,
+            0xda3bc486b97fc664,
+        ],
+    ),
+    (
+        "4-8-3 zipf1 word1",
+        [
+            0x5d7d04ea5adaa406,
+            0xb87cffe9a3b44024,
+            0xde2410fc0c55b333,
+            0xc2f2f1b251a505b9,
+        ],
+    ),
+    (
+        "8-16-15 zipf1 lane1",
+        [
+            0xf75e395a53f8a3a5,
+            0xf65539f5beda5bd7,
+            0x85d014284ed5679d,
+            0x8c96903b28366e87,
+        ],
+    ),
+    (
+        "8-16-15 evolving ff",
+        [
+            0xe3290bbf5a97a054,
+            0x424fdcb66b9dc4b3,
+            0xc3546e93efeb1644,
+            0x649483cf1a6a291c,
+        ],
+    ),
+    (
+        "4-8-3 paced ff",
+        [
+            0xa2ee8001d39f2063,
+            0x60c64fcbf660c981,
+            0xcd791baa70f98a6a,
+            0xd99149aff1d0762c,
+        ],
+    ),
+];
+
+#[test]
+fn engine_is_pinned_by_value() {
+    let scenarios = scenarios();
+    let mut failures = Vec::new();
+    for (k, s) in scenarios.iter().enumerate() {
+        // A scenario without a pin (or out of order) compares against zeros
+        // and so prints its line.
+        let want = PINS
+            .get(k)
+            .filter(|pin| pin.0 == s.name)
+            .map_or([0; 4], |pin| pin.1);
+        let got = run(s);
+        if let Some(i) = (0..4).find(|&i| got[i] != want[i]) {
+            failures.push(format!(
+                "{s:?}\n  first differing field: {} ({:#x} != pinned {:#x})\n  re-pin line: (\"{}\", [{:#x}, {:#x}, {:#x}, {:#x}]),",
+                FIELDS[i], got[i], want[i], s.name, got[0], got[1], got[2], got[3]
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {} scenarios diverged:\n{}",
+        failures.len(),
+        scenarios.len(),
+        failures.join("\n")
+    );
+    assert_eq!(PINS.len(), scenarios.len(), "one pin per scenario");
+}
