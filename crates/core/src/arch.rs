@@ -49,8 +49,8 @@ pub struct SkewObliviousPipeline;
 /// A fully assembled pipeline that can be driven incrementally.
 ///
 /// This is the long-lived form of the architecture: an engine plus the
-/// arena handles (`M + X` PE buffer registers, the scheduling plan, the
-/// control block and the processed-tuple counters) that a serving layer
+/// arena handles (the register of all `M + X` PE buffers, the scheduling
+/// plan, the control block and the processed-tuple counters) that a serving layer
 /// needs to keep one simulated FPGA alive across many requests. Everything
 /// behind those handles lives in the engine's state arena — the pipeline
 /// holds only `Copy` ids and resolves them on demand, so keeping a
@@ -67,7 +67,8 @@ pub struct SkewObliviousPipeline;
 pub struct PersistentPipeline<A: DittoApp> {
     engine: Engine,
     app: Arc<A>,
-    states: Vec<StateId<A::State>>,
+    /// Every destination PE's private buffer, indexed by PE id.
+    states: StateId<Vec<A::State>>,
     per_pe_counters: Vec<CounterId>,
     processed: CounterId,
     plan: StateId<SchedulingPlan>,
@@ -198,9 +199,8 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
         let plans = engine.channel_bank::<(PeId, PeId)>("plan", 0, n, config.x_sec as usize + 1);
         let feeds = engine.channel_bank::<PeId>("feed", 0, n, 4);
 
-        let states: Vec<StateId<A::State>> = (0..pes)
-            .map(|_| engine.state(app.new_state(config.pe_entries)))
-            .collect();
+        let fresh: Vec<A::State> = (0..pes).map(|_| app.new_state(config.pe_entries)).collect();
+        let states = engine.state(fresh);
         let per_pe_counters: Vec<CounterId> = (0..pes).map(|_| engine.counter()).collect();
 
         // Registration order is the step order within a cycle, pinned by
@@ -224,13 +224,13 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
             pri_in,
             sec_in,
         ));
-        let (pri_states, sec_states) = states.split_at(m as usize);
         let (pri_counters, sec_counters) = per_pe_counters.split_at(m as usize);
         engine.add_kernel(ProcPeBank::new(
             PeRole::Primary,
             Arc::clone(&app),
             pri_in,
-            pri_states.to_vec(),
+            states,
+            0,
             pri_counters.to_vec(),
             processed,
             control,
@@ -241,7 +241,8 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
                 PeRole::Secondary,
                 Arc::clone(&app),
                 sec_in,
-                sec_states.to_vec(),
+                states,
+                m as usize,
                 sec_counters.to_vec(),
                 processed,
                 control,
@@ -270,7 +271,7 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
             engine.add_kernel(profiler);
             let actual_merger_id = engine.add_kernel(MergerKernel::new(
                 Arc::clone(&app),
-                states.clone(),
+                states,
                 m,
                 config.pe_entries,
                 plan,
@@ -429,11 +430,9 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
 
         let ctx = self.engine.context_mut();
         let plan = ctx.state(self.plan).clone();
-        crate::merger::fold_sec_states(ctx, &*self.app, &self.states, &plan, self.pe_entries);
-        let pri_states: Vec<A::State> = self.states[..self.m_pri as usize]
-            .iter()
-            .map(|&id| ctx.take_state(id))
-            .collect();
+        let mut pri_states = ctx.take_state(self.states);
+        crate::merger::fold_sec_states(&*self.app, &mut pri_states, &plan, self.pe_entries);
+        pri_states.truncate(self.m_pri as usize);
 
         let report = ExecutionReport {
             label: std::mem::take(&mut self.label),
@@ -480,10 +479,11 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
     pub fn extract_slots(&mut self) -> Vec<A::State> {
         let ctx = self.engine.context_mut();
         let plan = ctx.state(self.plan).clone();
-        crate::merger::fold_sec_states(ctx, &*self.app, &self.states, &plan, self.pe_entries);
-        self.states[..self.m_pri as usize]
-            .iter()
-            .map(|&id| std::mem::replace(ctx.state_mut(id), self.app.new_state(self.pe_entries)))
+        let states = ctx.state_mut(self.states);
+        crate::merger::fold_sec_states(&*self.app, states, &plan, self.pe_entries);
+        states[..self.m_pri as usize]
+            .iter_mut()
+            .map(|state| std::mem::replace(state, self.app.new_state(self.pe_entries)))
             .collect()
     }
 
@@ -505,9 +505,9 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
             self.m_pri,
             states.len()
         );
-        let ctx = self.engine.context_mut();
-        for (&id, incoming) in self.states.iter().zip(&states) {
-            self.app.merge(ctx.state_mut(id), incoming);
+        let pri_states = self.engine.context_mut().state_mut(self.states);
+        for (state, incoming) in pri_states.iter_mut().zip(&states) {
+            self.app.merge(state, incoming);
         }
     }
 

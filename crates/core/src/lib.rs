@@ -34,10 +34,12 @@
 //!   member is (drain completion cycles are pinned), and its `hold_until`
 //!   is the minimum over members — `None` as soon as one member has work
 //!   this cycle or a SecPE is `Draining`;
-//! * a word carrying nothing for a datapath is popped from that tap by
-//!   `filter#bank`, inside [`bcast_recv_taps`](hls_sim::SimContext::bcast_recv_taps),
-//!   in the cycle it becomes visible — when a per-datapath decoder would
-//!   have consumed it;
+//! * a tap the word is not tagged for ([`WideWord::dest_taps`]) pops it
+//!   silently in `filter#bank`'s [`bcast_recv_taps`](hls_sim::SimContext::bcast_recv_taps)
+//!   call, in the cycle it becomes visible — when a per-datapath decoder
+//!   would have consumed it and found a zero mask;
+//! * `pripe#bank`/`secpe#bank` pop, by bitmask, exactly the members that
+//!   are live, past their II and have a visible value;
 //! * `secpe#bank` reads every SecPE's phase once at step start, and the
 //!   profiler's drain/restart wakes target the bank's kernel id;
 //! * `mapper#bank` applies a generation reset at its first step after the

@@ -11,13 +11,14 @@ use crate::SchedulingPlan;
 
 /// The merger kernel.
 ///
-/// Holds the arena handles of every destination PE's private buffer. On a
+/// Holds the arena handle of the destination PEs' private buffers. On a
 /// merge request (raised by the profiler once all SecPEs have drained) it
 /// folds each scheduled SecPE's buffer into its PriPE's via the
 /// application's `merge`, resets the SecPE buffer for its next assignment,
 /// and acknowledges through the control block. All of that goes through the
-/// `SimContext`: the PE buffers are state-arena registers this kernel and
-/// the owning PEs address by the same `Copy` [`StateId`]s.
+/// `SimContext`: the PE buffers are one state-arena register, indexed by PE
+/// id, that this kernel and the PE banks address by the same `Copy`
+/// [`StateId`].
 ///
 /// The same fold ([`fold_sec_states`]) runs once more at end of run before
 /// `finalize` (the paper's offline flow: "the results of PriPEs and SecPEs
@@ -25,7 +26,7 @@ use crate::SchedulingPlan;
 pub struct MergerKernel<A: DittoApp> {
     name: String,
     app: Arc<A>,
-    states: Vec<StateId<A::State>>,
+    states: StateId<Vec<A::State>>,
     m_pri: u32,
     pe_entries: usize,
     plan: StateId<SchedulingPlan>,
@@ -38,13 +39,12 @@ impl<A: DittoApp> MergerKernel<A> {
     /// (`states[0..M]` are PriPEs, the rest SecPEs).
     pub fn new(
         app: Arc<A>,
-        states: Vec<StateId<A::State>>,
+        states: StateId<Vec<A::State>>,
         m_pri: u32,
         pe_entries: usize,
         plan: StateId<SchedulingPlan>,
         control: ControlId,
     ) -> Self {
-        assert!(states.len() >= m_pri as usize, "need at least M states");
         MergerKernel {
             name: "merger".to_owned(),
             app,
@@ -65,7 +65,8 @@ impl<A: DittoApp> MergerKernel<A> {
             .pairs()
             .iter()
             .all(|&(_, pri)| (pri as usize) < self.m_pri as usize));
-        fold_sec_states(ctx, &*self.app, &self.states, &plan, self.pe_entries);
+        let states = ctx.state_mut(self.states);
+        fold_sec_states(&*self.app, states, &plan, self.pe_entries);
         self.merges_done += 1;
     }
 
@@ -99,22 +100,18 @@ impl<A: DittoApp + 'static> Kernel for MergerKernel<A> {
 /// Folds each scheduled SecPE buffer into its PriPE's via the application's
 /// `merge`, resetting the SecPE buffer to a fresh `pe_entries`-sized state —
 /// the one fold used both by mid-run reschedules ([`MergerKernel`]) and the
-/// pipeline's end-of-run pass. The buffers are arena registers, so the fold
-/// is a pair of indexed accesses per plan entry: take the SecPE state out,
+/// pipeline's end-of-run pass. `states` is indexed by PE id, so the fold is
+/// a pair of indexed accesses per plan entry: take the SecPE state out,
 /// merge it into the PriPE's.
 pub fn fold_sec_states<A: DittoApp>(
-    ctx: &mut SimContext,
     app: &A,
-    states: &[StateId<A::State>],
+    states: &mut [A::State],
     plan: &SchedulingPlan,
     pe_entries: usize,
 ) {
     for &(sec, pri) in plan.pairs() {
-        let sec_state = std::mem::replace(
-            ctx.state_mut(states[sec as usize]),
-            app.new_state(pe_entries),
-        );
-        app.merge(ctx.state_mut(states[pri as usize]), &sec_state);
+        let sec_state = std::mem::replace(&mut states[sec as usize], app.new_state(pe_entries));
+        app.merge(&mut states[pri as usize], &sec_state);
     }
 }
 
@@ -130,15 +127,15 @@ mod tests {
     ) -> (
         Engine,
         MergerKernel<CountPerKey>,
-        Vec<StateId<u64>>,
+        StateId<Vec<u64>>,
         ControlId,
     ) {
         let app = Arc::new(CountPerKey::new(2));
         let mut engine = Engine::new();
-        let states: Vec<StateId<u64>> = (0..4u64).map(|i| engine.state(i * 10)).collect();
+        let states = engine.state(vec![0, 10, 20, 30]);
         let plan = engine.state(SchedulingPlan::from_pairs(plan_pairs));
         let control = engine.state(Control::new(2));
-        let merger = MergerKernel::new(app, states.clone(), 2, 1, plan, control);
+        let merger = MergerKernel::new(app, states, 2, 1, plan, control);
         (engine, merger, states, control)
     }
 
@@ -147,11 +144,11 @@ mod tests {
         // PEs 0,1 primary (10*id), PEs 2,3 secondary; plan: 2->0, 3->1.
         let (mut engine, mut merger, states, _) = setup(vec![(2, 0), (3, 1)]);
         merger.merge_now(engine.context_mut());
-        let ctx = engine.context();
-        assert_eq!(*ctx.state(states[0]), 20);
-        assert_eq!(*ctx.state(states[1]), 10 + 30);
-        assert_eq!(*ctx.state(states[2]), 0, "SecPE buffer reset");
-        assert_eq!(*ctx.state(states[3]), 0);
+        assert_eq!(
+            engine.context().state(states),
+            &[20, 40, 0, 0],
+            "SecPEs reset"
+        );
     }
 
     #[test]
@@ -160,7 +157,7 @@ mod tests {
         engine.context_mut().state_mut(control).request_merge();
         merger.step(0, engine.context_mut());
         assert!(engine.context().state(control).merge_done());
-        assert_eq!(*engine.context().state(states[1]), 10 + 20);
+        assert_eq!(engine.context().state(states)[1], 10 + 20);
         // A second step without a request does nothing.
         merger.step(1, engine.context_mut());
         assert_eq!(merger.merges_done(), 1);
@@ -170,8 +167,6 @@ mod tests {
     fn empty_plan_merges_nothing() {
         let (mut engine, mut merger, states, _) = setup(vec![]);
         merger.merge_now(engine.context_mut());
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(*engine.context().state(*s), i as u64 * 10);
-        }
+        assert_eq!(engine.context().state(states), &[0, 10, 20, 30]);
     }
 }

@@ -143,26 +143,29 @@ pub enum PeRole {
 /// values at `ii_pri` cycles per tuple and applies the application's
 /// `process` against its private buffer.
 ///
-/// The private buffers are registers in the engine's **state arena**: this
-/// kernel and the merger hold the same `Copy` [`StateId`]s and resolve them
-/// through the `SimContext` — the in-simulation equivalent of the merger
+/// All `M + X` private buffers are one `Vec` register in the engine's
+/// **state arena**, indexed by PE id, resolved once per step by each PE
+/// bank and by the merger — the in-simulation equivalent of the merger
 /// reading a PE's BRAM after it exits. Processed-tuple accounting goes
 /// through plain arena counters the same way.
 ///
-/// Members are served in index order; they meet only through their own
-/// queues and buffers and [`Control`](crate::Control)'s per-SecPE counters
-/// (see the [crate-level equivalence rules](crate)). The bank is `Busy` if
-/// any member would be, idle only if every member is, and holds until the
-/// earliest member horizon — declining as soon as one member has work this
-/// cycle or a SecPE is `Draining`. A `secpe#bank` reads every member's
-/// phase once at step start: a phase is written only by that member's own
-/// step and by the profiler, which steps later in the cycle and wakes the
-/// bank's kernel id on drain and restart.
+/// Per step the bank pops, by bitmask, exactly the members that are live,
+/// past their II and hold a visible value. Members meet only through their
+/// own queues and buffers and [`Control`](crate::Control)'s per-SecPE
+/// counters (see the [crate-level equivalence rules](crate)). The bank is
+/// `Busy` if any member would be, idle only if every member is, and holds
+/// until the earliest member horizon — declining as soon as one member has
+/// work this cycle or a SecPE is `Draining`. A `secpe#bank` reads every
+/// member's phase once at step start: a phase is written only by that
+/// member's own step and by the profiler, which steps later in the cycle
+/// and wakes the bank's kernel id on drain and restart.
 pub struct ProcPeBank<A: DittoApp> {
     role: PeRole,
     app: Arc<A>,
     input: ChannelBankId<A::Value>,
-    states: Vec<StateId<A::State>>,
+    /// Member `i` owns `states[first + i]`.
+    states: StateId<Vec<A::State>>,
+    first: usize,
     processed: Vec<CounterId>,
     total_processed: CounterId,
     control: ControlId,
@@ -174,30 +177,31 @@ pub struct ProcPeBank<A: DittoApp> {
 }
 
 impl<A: DittoApp> ProcPeBank<A> {
-    /// Creates the bank over `input` (one queue per member), the members'
-    /// private buffers and their per-PE processed-tuple counters.
+    /// Creates the bank over `input` (one queue per member), the PE buffers
+    /// (member `i` owns `states[first + i]`) and the members' counters.
     ///
     /// # Panics
     ///
-    /// Panics unless `input`, `states` and `processed` have one entry per
-    /// member.
+    /// Panics unless `input` and `processed` have one entry per member.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         role: PeRole,
         app: Arc<A>,
         input: ChannelBankId<A::Value>,
-        states: Vec<StateId<A::State>>,
+        states: StateId<Vec<A::State>>,
+        first: usize,
         processed: Vec<CounterId>,
         total_processed: CounterId,
         control: ControlId,
     ) -> Self {
         let members = input.members();
-        assert_eq!(states.len(), members, "one private buffer per member");
         assert_eq!(processed.len(), members, "one counter per member");
         ProcPeBank {
             role,
             app,
             input,
             states,
+            first,
             processed,
             total_processed,
             control,
@@ -250,38 +254,41 @@ impl<A: DittoApp + 'static> Kernel for ProcPeBank<A> {
 
     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
         let live = self.live_members(ctx);
-        // Sleeping is safe for SecPEs too: phase transitions that need a
-        // step (drain command, restart) arrive with an explicit wake from
-        // the profiler, and new tuples wake via the input bank.
-        let mut busy = false;
-        let mut got = 0u64;
+        let idle = self
+            .busy_until
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (i, &until)| mask | u64::from(cy >= until) << i);
         let ii = Cycle::from(self.app.ii_pri());
         let (busy_until, staged) = (&mut self.busy_until, &mut self.staged);
-        ctx.bank_with(self.input, |input| {
-            for i in bits(live) {
-                if cy < busy_until[i] {
-                    busy = true;
-                } else if let Some(value) = input.try_recv(cy, i) {
-                    staged.push((i, value));
-                    busy_until[i] = cy + ii;
-                    got |= 1 << i;
-                } else if !input.is_empty(i) {
-                    busy = true;
-                }
+        let (take, busy) = ctx.bank_with(self.input, |input| {
+            let ready = input.ready_mask(cy);
+            let take = live & idle & ready;
+            for i in bits(take) {
+                staged.push((i, input.try_recv(cy, i).expect("ready")));
+                busy_until[i] = cy + ii;
             }
+            // A live member waiting out its II or for a value in flight
+            // spins; only an empty one parks. Sleeping is safe for SecPEs
+            // too: drain and restart arrive with an explicit profiler wake.
+            let busy = take != 0 || live & (!idle | input.nonempty_mask() & !ready) != 0;
+            (take, busy)
         });
-        if got == 0 {
+        if take == 0 {
             return Progress::busy_if(busy);
         }
-        ctx.counter_add(self.total_processed, self.staged.len() as u64);
+        ctx.counter_add(self.total_processed, u64::from(take.count_ones()));
+        let states = &mut ctx.state_mut(self.states)[self.first..];
         for (i, value) in self.staged.drain(..) {
-            self.app.process(ctx.state_mut(self.states[i]), &value);
+            self.app.process(&mut states[i], &value);
+        }
+        for i in bits(take) {
             ctx.counter_incr(self.processed[i]);
         }
         if self.role == PeRole::Secondary {
             // Exact in-flight accounting for the drain protocol.
             let control = ctx.state_mut(self.control);
-            for idx in bits(got) {
+            for idx in bits(take) {
                 control.sec_inflight_dec(idx);
             }
         }
@@ -378,7 +385,7 @@ mod tests {
     ) -> (
         Engine,
         ProcPeBank<CountPerKey>,
-        Vec<StateId<u64>>,
+        StateId<Vec<u64>>,
         ControlId,
     ) {
         let n = queued.len();
@@ -395,11 +402,11 @@ mod tests {
                 }
             }
         }
-        let states: Vec<_> = (0..n).map(|_| engine.state(0u64)).collect();
+        let states = engine.state(vec![0u64; n]);
         let processed = (0..n).map(|_| engine.counter()).collect();
         let total = engine.counter();
         let app = Arc::new(CountPerKey::new(4));
-        let bank = ProcPeBank::new(role, app, input, states.clone(), processed, total, control);
+        let bank = ProcPeBank::new(role, app, input, states, 0, processed, total, control);
         (engine, bank, states, control)
     }
 
@@ -409,9 +416,9 @@ mod tests {
         engine.add_kernel(bank);
         engine.run_cycles(41);
         // II = 2: about 20 tuples in 41 cycles, on each member alone.
-        let done = *engine.context().state(states[0]);
+        let done = engine.context().state(states)[0];
         assert!((19..=21).contains(&done), "{done}");
-        assert_eq!(*engine.context().state(states[1]), 7);
+        assert_eq!(engine.context().state(states)[1], 7);
     }
 
     #[test]
@@ -435,7 +442,7 @@ mod tests {
             engine.run_cycles(1);
         }
         assert_eq!(engine.cycle(), 11);
-        assert_eq!(*engine.context().state(states[0]), 5, "drained everything");
+        assert_eq!(engine.context().state(states)[0], 5, "drained everything");
         engine.run_cycles(2);
         assert!(!engine.kernel_awake(bank), "all members exited: parked");
 
@@ -444,12 +451,12 @@ mod tests {
         ctx.bank_with(input, |input| input.try_send(20, 0, ()).unwrap());
         ctx.state_mut(control).sec_inflight_inc(0);
         engine.run_cycles(10);
-        assert_eq!(*engine.context().state(states[0]), 5);
+        assert_eq!(engine.context().state(states)[0], 5);
         // ...until the profiler re-enqueues the SecPEs and wakes the bank.
         engine.context_mut().state_mut(control).restart_all_secs();
         engine.context_mut().wake_kernel(bank);
         engine.run_cycles(4);
-        assert_eq!(*engine.context().state(states[0]), 6);
+        assert_eq!(engine.context().state(states)[0], 6);
         assert_eq!(engine.context().state(control).sec_inflight(0), 0);
     }
 

@@ -3,9 +3,9 @@
 //! The hot path is allocation-free: the combiner gathers each cycle's
 //! records into a fixed-width inline [`WideWord`] (no per-word `Rc<Vec>`)
 //! and broadcasts it once through the engine's broadcast channel (stored a
-//! single time regardless of the M+X datapath fan-out); each decoder/filter
-//! looks its destination mask up in the preset [`MaskTable`] and copies only
-//! its matching values into a reusable inline pending buffer.
+//! single time regardless of the M+X datapath fan-out) tagged with the
+//! datapaths it feeds; each of those decoders looks its mask up in the
+//! preset [`MaskTable`] and copies its values into a reusable buffer.
 
 use std::sync::Arc;
 
@@ -35,10 +35,10 @@ pub const MAX_DEST_PES: usize = 64;
 /// every decoder compares all N ids against its own. The word stores exactly
 /// that: one `u8` destination per slot. [`mask_for`](Self::mask_for) derives
 /// a decoder's slot mask with a single pass over the (at most
-/// [`MAX_WORD_SLOTS`]-byte) id lane, cheap-rejected by the `dest_taps`
-/// destination bitmask — so the per-word broadcast copy moves N + 9 bytes of
-/// routing metadata instead of a materialised `M + X`-row mask table, while
-/// the common cold-datapath lookup stays O(1).
+/// [`MAX_WORD_SLOTS`]-byte) id lane, and [`dest_taps`](Self::dest_taps) — the
+/// word's broadcast tag — names the decoders that find a nonzero mask, so
+/// the per-word copy moves N + 9 bytes of routing metadata instead of a
+/// materialised `M + X`-row mask table and cold datapaths never decode.
 #[derive(Debug, Clone)]
 pub struct WideWord<V> {
     len: u8,
@@ -46,9 +46,7 @@ pub struct WideWord<V> {
     values: [V; MAX_WORD_SLOTS],
     /// Slot destination PE ids (the key lane), parallel to `values`.
     dsts: [u8; MAX_WORD_SLOTS],
-    /// Bit `p` set ⇔ some slot targets destination PE `p`, maintained
-    /// while gathering so [`mask_for`](Self::mask_for) rejects the (common)
-    /// datapaths a word carries nothing for in one load.
+    /// Bit `p` set ⇔ some slot targets destination PE `p`.
     dest_taps: u64,
 }
 
@@ -112,9 +110,6 @@ impl<V: Default> WideWord<V> {
             (pe as usize) < MAX_DEST_PES,
             "destination PE {pe} exceeds the wide-word mask range"
         );
-        if self.dest_taps & (1u64 << pe) == 0 {
-            return 0;
-        }
         let mut mask = 0u16;
         for (slot, &d) in self.dsts[..usize::from(self.len)].iter().enumerate() {
             mask |= u16::from(PeId::from(d) == pe) << slot;
@@ -130,6 +125,12 @@ impl<V: Default> WideWord<V> {
     pub fn value(&self, slot: usize) -> &V {
         assert!(slot < usize::from(self.len), "slot {slot} not occupied");
         &self.values[slot]
+    }
+
+    /// Bit `p` set ⇔ some slot targets destination PE `p`, maintained while
+    /// gathering: the datapaths whose decoders find a nonzero mask.
+    pub fn dest_taps(&self) -> u64 {
+        self.dest_taps
     }
 
     /// Iterates the occupied slots' payloads in gather order.
@@ -191,7 +192,7 @@ impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
             // items (pushed, not yet visible) arrive without a new event.
             return Progress::busy_if(in_flight);
         }
-        ctx.bcast_try_send(cy, self.output, word)
+        ctx.bcast_try_send_tagged(cy, self.output, word.dest_taps(), word)
             .unwrap_or_else(|_| unreachable!("checked"));
         Progress::Busy
     }
@@ -220,7 +221,7 @@ impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
 /// One datapath's decoded records, not yet forwarded to its PE. Reused
 /// across words — no per-word allocation.
 struct Datapath<V> {
-    records: [Option<V>; MAX_WORD_SLOTS],
+    records: [V; MAX_WORD_SLOTS],
     len: u8,
     next: u8,
 }
@@ -236,12 +237,12 @@ struct Datapath<V> {
 ///
 /// Per cycle, every datapath whose records are all forwarded takes the
 /// next visible word from its tap — all of them in one
-/// [`bcast_recv_taps`](SimContext::bcast_recv_taps) call, in PE order — and
-/// then every datapath holding records forwards one, again in PE order.
-/// Datapaths share only the broadcast word (see the [crate-level
-/// equivalence rules](crate)). A word that carries nothing for a datapath
-/// (a zero mask — the common case under skew) is popped from its tap in
-/// that same call, at the cycle it becomes visible. The bank may sleep only
+/// [`bcast_recv_taps`](SimContext::bcast_recv_taps) call — and then every
+/// datapath holding records forwards one, in PE order. Datapaths share only
+/// the broadcast word (see the [crate-level equivalence rules](crate)). A
+/// word is decoded only on the datapaths it is tagged for; on the others (a
+/// zero mask — the common case under skew) it is popped silently in that
+/// same call, at the cycle it becomes visible. The bank may sleep only
 /// when *every* datapath could: no records pending anywhere **at step
 /// start** (a datapath that forwarded this cycle is busy, even if that was
 /// its last record) and no tap buffering a word.
@@ -258,7 +259,7 @@ pub struct FilterBank<V> {
     pending: u64,
 }
 
-impl<V> FilterBank<V> {
+impl<V: Default> FilterBank<V> {
     /// Creates the datapaths for `taps` (tap `j` feeds destination PE `j`),
     /// decoding `word_width`-slot words into `pri_out` (PEs `0..M`) and
     /// `sec_out` (PEs `M..M+X`).
@@ -298,7 +299,7 @@ impl<V> FilterBank<V> {
             group: taps.first().expect("at least one datapath").group(),
             paths: (0..taps.len())
                 .map(|_| Datapath {
-                    records: [const { None }; MAX_WORD_SLOTS],
+                    records: std::array::from_fn(|_| V::default()),
                     len: 0,
                     next: 0,
                 })
@@ -311,7 +312,7 @@ impl<V> FilterBank<V> {
     }
 }
 
-impl<V: Send + 'static> FilterBank<V> {
+impl<V: Default + Send + 'static> FilterBank<V> {
     /// Forwards one record from every pending datapath feeding `out`
     /// (datapaths `first..first + out.members()`). A failed send keeps the
     /// record and counts a full stall, every cycle it is retried.
@@ -325,7 +326,7 @@ impl<V: Send + 'static> FilterBank<V> {
             for j in bits(todo) {
                 let path = &mut paths[j];
                 let slot = usize::from(path.next);
-                let record = path.records[slot].take().expect("decoded");
+                let record = std::mem::take(&mut path.records[slot]);
                 match out.try_send(cy, j - first, record) {
                     Ok(()) => {
                         path.next += 1;
@@ -333,7 +334,7 @@ impl<V: Send + 'static> FilterBank<V> {
                             *pending &= !(1 << j);
                         }
                     }
-                    Err(SendError(record)) => path.records[slot] = Some(record),
+                    Err(SendError(record)) => path.records[slot] = record,
                 }
             }
         });
@@ -354,11 +355,11 @@ impl<V: Clone + Default + Send + 'static> Kernel for FilterBank<V> {
         let (_, buffered) = ctx.bcast_recv_taps(cy, self.group, want, |j, word| {
             // Look the word's destination mask up in the preset table,
             // exactly like the hardware decoder (§IV-C1), and copy the
-            // matching values into the datapath's reusable buffer.
+            // matching values into the datapath's reusable buffer. A zero
+            // mask comes only from a producer that tags every tap.
             debug_assert!(word.len() as u32 <= table.lanes());
             let mask = word.mask_for(j as PeId);
             if mask == 0 {
-                // Nothing for this PE in that word — the common case.
                 return;
             }
             let (count, positions) = table.decode(u32::from(mask));
@@ -368,7 +369,7 @@ impl<V: Clone + Default + Send + 'static> Kernel for FilterBank<V> {
                 .iter_mut()
                 .zip(&positions[..usize::from(count)])
             {
-                *record = Some(word.value(usize::from(pos)).clone());
+                *record = word.value(usize::from(pos)).clone();
             }
             path.len = count;
             path.next = 0;
@@ -428,6 +429,7 @@ mod tests {
         assert_eq!(w.mask_for(0), 0);
         assert_eq!(w.value(1), &10);
         assert_eq!(w.iter().count(), 4);
+        assert_eq!(w.dest_taps(), 0b1110);
     }
 
     #[test]

@@ -21,7 +21,13 @@
 //! statistics. It behaves exactly like `R` independent channels that happen
 //! to receive identical atomic pushes — which is precisely the combiner's
 //! wide-word duplication in the paper's Fig. 3 — but stores each value once
-//! instead of `R` times.
+//! instead of `R` times, in a fixed power-of-two ring. Each item carries a
+//! **tag**, the taps that must see its payload: a kernel serving every tap
+//! ([`SimContext::bcast_recv_taps`](crate::SimContext::bcast_recv_taps))
+//! pops on all ready taps in one branch-free pass and is handed the item
+//! only on tagged ones; untagged taps pop it silently, with the same
+//! statistics — like the paper's decoders, which all consume every word
+//! and forward only matching records.
 //!
 //! A *channel bank* ([`ChannelBankId`]) is the opposite grouping: `len`
 //! fully independent plain FIFOs that sit behind **one** arena slot because
@@ -231,6 +237,8 @@ pub(crate) struct ChannelCore<T> {
     pub(crate) capacity: usize,
     pub(crate) latency: u64,
     pub(crate) queue: VecDeque<QueueSlot<T>>,
+    /// Visibility time of the head item; `Cycle::MAX` when empty.
+    front_at: Cycle,
     pub(crate) pushes: u64,
     pub(crate) pops: u64,
     pub(crate) full_stalls: u64,
@@ -245,6 +253,7 @@ impl<T> ChannelCore<T> {
             capacity,
             latency,
             queue: VecDeque::with_capacity(capacity.min(4096)),
+            front_at: Cycle::MAX,
             pushes: 0,
             pops: 0,
             full_stalls: 0,
@@ -264,10 +273,11 @@ impl<T> ChannelCore<T> {
             self.full_stalls += 1;
             return Err(SendError(value));
         }
-        self.queue.push_back(QueueSlot {
-            value,
-            visible_at: cy + self.latency,
-        });
+        let visible_at = cy + self.latency;
+        self.queue.push_back(QueueSlot { value, visible_at });
+        if self.queue.len() == 1 {
+            self.front_at = visible_at;
+        }
         self.pushes += 1;
         if self.queue.len() > self.max_occupancy {
             self.max_occupancy = self.queue.len();
@@ -277,19 +287,19 @@ impl<T> ChannelCore<T> {
 
     #[inline]
     pub(crate) fn try_recv(&mut self, cy: Cycle) -> Option<T> {
-        match self.queue.front() {
-            Some(slot) if slot.visible_at <= cy => {
-                let slot = self.queue.pop_front().expect("nonempty");
-                self.pops += 1;
-                Some(slot.value)
-            }
-            _ => None,
+        if !self.can_recv(cy) {
+            return None;
         }
+        let slot = self.queue.pop_front().expect("nonempty");
+        let next = self.queue.front();
+        self.front_at = next.map_or(Cycle::MAX, |next| next.visible_at);
+        self.pops += 1;
+        Some(slot.value)
     }
 
     #[inline]
     pub(crate) fn can_recv(&self, cy: Cycle) -> bool {
-        matches!(self.queue.front(), Some(slot) if slot.visible_at <= cy)
+        self.front_at <= cy
     }
 
     /// Visibility time of the front item, if any. Items are queued with
@@ -298,7 +308,7 @@ impl<T> ChannelCore<T> {
     /// fast-forward detector's per-channel event.
     #[inline]
     pub(crate) fn front_visible_at(&self) -> Option<Cycle> {
-        self.queue.front().map(|slot| slot.visible_at)
+        (!self.queue.is_empty()).then_some(self.front_at)
     }
 
     pub(crate) fn stats(&self) -> ChannelStats {
@@ -322,25 +332,28 @@ impl<T> ChannelCore<T> {
     }
 }
 
-/// Storage of one broadcast channel: a single queue with `R` reader cursors.
+/// Storage of one broadcast channel: a power-of-two ring of tagged items
+/// read through `R` tap cursors.
 ///
-/// Sequence numbers are absolute: the front of `queue` holds sequence
-/// `base_seq`, and reader `r` will next consume sequence `cursors[r]`. An
-/// item is dropped once every cursor has moved past it, so each value is
-/// stored exactly once regardless of the fan-out.
+/// Sequences are absolute: item `s` lives in slot `s & mask` until a push
+/// overwrites it. Tap `r` next consumes `cursors[r]`, which is also its pop
+/// count; `head` is the push count and `front` the slowest cursor. The
+/// producer has room while `head - front < capacity`, so a push never
+/// overwrites an item some tap still needs.
 pub(crate) struct BroadcastCore<T> {
-    pub(crate) name_prefix: String,
-    pub(crate) capacity: usize,
-    pub(crate) latency: u64,
-    pub(crate) queue: VecDeque<QueueSlot<T>>,
-    pub(crate) base_seq: u64,
-    pub(crate) cursors: Vec<u64>,
-    /// Readers whose cursor still equals `base_seq` (fast front-release).
-    pub(crate) front_waiters: u32,
-    pub(crate) pushes: u64,
-    pub(crate) pops: Vec<u64>,
-    pub(crate) full_stalls: u64,
-    pub(crate) max_occupancy: Vec<usize>,
+    name_prefix: String,
+    capacity: usize,
+    latency: u64,
+    /// Ring slots minus one.
+    mask: u64,
+    values: Box<[Option<T>]>,
+    visible_at: Box<[Cycle]>,
+    tags: Box<[u64]>,
+    head: u64,
+    front: u64,
+    cursors: Vec<u64>,
+    full_stalls: u64,
+    max_occupancy: Vec<usize>,
 }
 
 impl<T> BroadcastCore<T> {
@@ -350,68 +363,96 @@ impl<T> BroadcastCore<T> {
             "broadcast {name_prefix:?} must have nonzero capacity"
         );
         assert!(
-            readers > 0,
-            "broadcast {name_prefix:?} needs at least one reader"
+            (1..=64).contains(&readers),
+            "broadcast {name_prefix:?} needs 1..=64 readers (tap masks are single words)"
         );
+        let slots = capacity.next_power_of_two();
         BroadcastCore {
             name_prefix: name_prefix.to_owned(),
             capacity,
             latency,
-            queue: VecDeque::with_capacity(capacity.min(4096)),
-            base_seq: 0,
+            mask: slots as u64 - 1,
+            values: (0..slots).map(|_| None).collect(),
+            visible_at: vec![0; slots].into_boxed_slice(),
+            tags: vec![0; slots].into_boxed_slice(),
+            head: 0,
+            front: 0,
             cursors: vec![0; readers],
-            front_waiters: readers as u32,
-            pushes: 0,
-            pops: vec![0; readers],
             full_stalls: 0,
             max_occupancy: vec![0; readers],
         }
     }
 
     #[inline]
-    fn head_seq(&self) -> u64 {
-        self.base_seq + self.queue.len() as u64
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     /// Occupancy as seen by reader `r` (items pushed, not yet consumed).
     #[inline]
     pub(crate) fn occupancy(&self, r: usize) -> usize {
-        (self.head_seq() - self.cursors[r]) as usize
+        (self.head - self.cursors[r]) as usize
     }
 
-    /// `true` when every reader tap has room for one more item.
-    ///
-    /// `release_front` keeps `base_seq` equal to the slowest cursor, so the
-    /// fullest tap's occupancy is exactly `queue.len()` — one comparison,
-    /// no cursor scan.
+    /// `true` when every reader tap has room for one more item: the
+    /// slowest tap's occupancy is `head - front`.
     #[inline]
     pub(crate) fn can_send_all(&self) -> bool {
-        self.queue.len() < self.capacity
+        self.head - self.front < self.capacity as u64
     }
 
+    /// Pushes `value` for every tap, tagged for the taps in `tag`.
     #[inline]
-    pub(crate) fn try_send(&mut self, cy: Cycle, value: T) -> Result<(), SendError<T>> {
+    pub(crate) fn try_send(&mut self, cy: Cycle, tag: u64, value: T) -> Result<(), SendError<T>> {
         if !self.can_send_all() {
             self.full_stalls += 1;
             return Err(SendError(value));
         }
-        self.queue.push_back(QueueSlot {
-            value,
-            visible_at: cy + self.latency,
-        });
-        self.pushes += 1;
-        let head = self.head_seq();
-        for (r, &c) in self.cursors.iter().enumerate() {
-            let occ = (head - c) as usize;
-            if occ > self.max_occupancy[r] {
-                self.max_occupancy[r] = occ;
-            }
+        let slot = self.slot(self.head);
+        self.values[slot] = Some(value);
+        self.visible_at[slot] = cy + self.latency;
+        self.tags[slot] = tag;
+        self.head += 1;
+        for (max, &c) in self.max_occupancy.iter_mut().zip(&self.cursors) {
+            *max = (*max).max((self.head - c) as usize);
         }
         Ok(())
     }
 
+    /// One branch-free pass over every cursor: each tap in `want` with an
+    /// item visible at `cy` pops it, and the front moves to the slowest
+    /// cursor. Returns the taps that popped, the taps still holding items,
+    /// and the popped taps whose item was tagged for them.
+    #[inline]
+    fn pop_pass(&mut self, cy: Cycle, want: u64) -> (u64, u64, u64) {
+        let (head, mask) = (self.head, self.mask);
+        let (mut popped, mut buffered, mut tagged, mut front) = (0, 0, 0, u64::MAX);
+        for (r, cursor) in self.cursors.iter_mut().enumerate() {
+            let c = *cursor;
+            let slot = (c & mask) as usize;
+            let pop = (c < head) & (self.visible_at[slot] <= cy) & (want >> r & 1 == 1);
+            let bit = u64::from(pop) << r;
+            popped |= bit;
+            tagged |= bit & self.tags[slot];
+            let next = c + u64::from(pop);
+            *cursor = next;
+            buffered |= u64::from(next < head) << r;
+            front = front.min(next);
+        }
+        self.front = front;
+        (popped, buffered, tagged)
+    }
+
+    /// The item tap `r` popped last.
+    #[inline]
+    fn last_popped(&self, r: usize) -> &T {
+        self.values[self.slot(self.cursors[r] - 1)]
+            .as_ref()
+            .expect("a popped sequence was pushed")
+    }
+
     /// Applies `f` to the item at reader `r`'s cursor if it is visible at
-    /// `cy`, advancing the cursor.
+    /// `cy`, advancing the cursor. Tags are ignored: `f` sees every item.
     #[inline]
     pub(crate) fn recv_map<R>(
         &mut self,
@@ -419,28 +460,17 @@ impl<T> BroadcastCore<T> {
         r: usize,
         f: impl FnOnce(&T) -> R,
     ) -> Option<R> {
-        let cursor = self.cursors[r];
-        let offset = (cursor - self.base_seq) as usize;
-        let slot = self.queue.get(offset)?;
-        if slot.visible_at > cy {
-            return None;
-        }
-        let out = f(&slot.value);
-        self.advance_cursor(r);
-        Some(out)
+        let (popped, _, _) = self.pop_pass(cy, 1 << r);
+        (popped != 0).then(|| f(self.last_popped(r)))
     }
 
-    /// Serves every tap in `want` (bit `r` = tap `r`) in index order: a tap
-    /// whose next item is visible at `cy` has `f(r, &item)` applied and its
-    /// cursor advanced, exactly as one [`recv_map`](Self::recv_map) per
-    /// tap would. Returns `(popped, buffered)`: the taps that consumed an
-    /// item, and the taps (of the whole group, wanted or not) that still
-    /// hold items — visible or not — afterwards.
-    ///
-    /// Taps mostly move in lockstep, so the queue slot is looked up once
-    /// per distinct cursor, and the front is released once, after the last
-    /// tap: `release_front` recomputes the front from the cursors, so one
-    /// deferred release lands where per-tap releases would.
+    /// Serves every tap in `want` (bit `r` = tap `r`) in one pass: a tap
+    /// whose next item is visible at `cy` pops it, exactly as one
+    /// [`recv_map`](Self::recv_map) per tap would, and `f(r, &item)` then
+    /// runs in tap order for each tap that popped an item tagged for it.
+    /// Returns `(popped, buffered)`: the taps that consumed an item, and
+    /// the taps (of the whole group, wanted or not) that still hold items —
+    /// visible or not — afterwards.
     #[inline]
     pub(crate) fn recv_taps(
         &mut self,
@@ -448,65 +478,13 @@ impl<T> BroadcastCore<T> {
         want: u64,
         mut f: impl FnMut(usize, &T),
     ) -> (u64, u64) {
-        let base = self.base_seq;
-        let mut popped = 0u64;
-        let mut left_front = 0u32;
-        let mut at: Option<(u64, &QueueSlot<T>)> = None;
-        let mut rest = want;
-        while rest != 0 {
-            let r = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let cursor = self.cursors[r];
-            let slot = match at {
-                Some((seq, slot)) if seq == cursor => slot,
-                _ => match self.queue.get((cursor - base) as usize) {
-                    Some(slot) => {
-                        at = Some((cursor, slot));
-                        slot
-                    }
-                    None => continue,
-                },
-            };
-            if slot.visible_at > cy {
-                continue;
-            }
-            f(r, &slot.value);
-            self.cursors[r] = cursor + 1;
-            self.pops[r] += 1;
-            left_front += u32::from(cursor == base);
-            popped |= 1 << r;
-        }
-        self.front_waiters -= left_front;
-        if self.front_waiters == 0 {
-            self.release_front();
-        }
-        let head = self.head_seq();
-        let mut buffered = 0u64;
-        for (r, &c) in self.cursors.iter().enumerate() {
-            buffered |= u64::from(c < head) << r;
+        let (popped, buffered, mut tagged) = self.pop_pass(cy, want);
+        while tagged != 0 {
+            let r = tagged.trailing_zeros() as usize;
+            tagged &= tagged - 1;
+            f(r, self.last_popped(r));
         }
         (popped, buffered)
-    }
-
-    /// Pop bookkeeping for reader `r`'s cursor: cursor, pop count and
-    /// front-release accounting.
-    #[inline]
-    fn advance_cursor(&mut self, r: usize) {
-        let cursor = self.cursors[r];
-        self.cursors[r] = cursor + 1;
-        self.pops[r] += 1;
-        if cursor == self.base_seq {
-            self.front_waiters -= 1;
-            if self.front_waiters == 0 {
-                self.release_front();
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn can_recv(&self, cy: Cycle, r: usize) -> bool {
-        let offset = (self.cursors[r] - self.base_seq) as usize;
-        matches!(self.queue.get(offset), Some(slot) if slot.visible_at <= cy)
     }
 
     /// Visibility time of the item at reader `r`'s cursor, if any — the
@@ -514,28 +492,16 @@ impl<T> BroadcastCore<T> {
     /// fast-forward detector's per-tap event).
     #[inline]
     pub(crate) fn tap_front_visible_at(&self, r: usize) -> Option<Cycle> {
-        let offset = (self.cursors[r] - self.base_seq) as usize;
-        self.queue.get(offset).map(|slot| slot.visible_at)
-    }
-
-    /// Drops fully-consumed items from the front of the queue. The slowest
-    /// cursor always lands on the new front, so `front_waiters` ends ≥ 1.
-    fn release_front(&mut self) {
-        let min = *self.cursors.iter().min().expect("readers > 0");
-        debug_assert!(min >= self.base_seq);
-        for _ in 0..(min - self.base_seq) as usize {
-            self.queue.pop_front();
-        }
-        self.base_seq = min;
-        self.front_waiters = self.cursors.iter().filter(|&&c| c == min).count() as u32;
+        let c = self.cursors[r];
+        (c < self.head).then(|| self.visible_at[self.slot(c)])
     }
 
     pub(crate) fn reader_stats(&self, r: usize) -> ChannelStats {
         ChannelStats {
             name: format!("{}{}", self.name_prefix, r),
             capacity: self.capacity,
-            pushes: self.pushes,
-            pops: self.pops[r],
+            pushes: self.head,
+            pops: self.cursors[r],
             full_stalls: self.full_stalls,
             max_occupancy: self.max_occupancy[r],
             occupancy: self.occupancy(r),
@@ -543,9 +509,9 @@ impl<T> BroadcastCore<T> {
     }
 
     pub(crate) fn accumulate(&self, agg: &mut ChannelAggregate) {
-        for r in 0..self.cursors.len() {
-            agg.pushes += self.pushes;
-            agg.pops += self.pops[r];
+        for (r, &pops) in self.cursors.iter().enumerate() {
+            agg.pushes += self.head;
+            agg.pops += pops;
             agg.full_stalls += self.full_stalls;
             agg.max_occupancy = agg.max_occupancy.max(self.max_occupancy[r]);
             agg.channels += 1;
@@ -611,10 +577,29 @@ impl<T> BankView<'_, T> {
     /// bank's backpressure state in one word.
     #[inline]
     pub fn room_mask(&self) -> u64 {
+        self.mask(ChannelCore::has_room)
+    }
+
+    /// Bit `i` set ⇔ member `i` has an item visible at `cy`, i.e.
+    /// [`try_recv(cy, i)`](Self::try_recv) would return it.
+    #[inline]
+    pub fn ready_mask(&self, cy: Cycle) -> u64 {
+        self.mask(|ch| ch.can_recv(cy))
+    }
+
+    /// Bit `i` set ⇔ member `i` holds items (visible or not), i.e.
+    /// [`is_empty(i)`](Self::is_empty) is `false`.
+    #[inline]
+    pub fn nonempty_mask(&self) -> u64 {
+        self.mask(|ch| !ch.queue.is_empty())
+    }
+
+    #[inline]
+    fn mask(&self, bit: impl Fn(&ChannelCore<T>) -> bool) -> u64 {
         self.members
             .iter()
             .enumerate()
-            .fold(0, |mask, (i, ch)| mask | u64::from(ch.has_room()) << i)
+            .fold(0, |mask, (i, ch)| mask | u64::from(bit(ch)) << i)
     }
 }
 
@@ -698,6 +683,9 @@ impl ArenaSlot {
 mod tests {
     use super::*;
 
+    /// A tag naming every tap.
+    const ALL: u64 = u64::MAX;
+
     #[test]
     fn core_fifo_order_is_preserved() {
         let mut ch = ChannelCore::new("t", 8, DEFAULT_LATENCY);
@@ -743,33 +731,37 @@ mod tests {
     #[test]
     fn broadcast_readers_see_every_item_once() {
         let mut b = BroadcastCore::new("w", 3, 4, 1);
-        b.try_send(0, 7u32).unwrap();
-        b.try_send(0, 8u32).unwrap();
+        b.try_send(0, ALL, 7u32).unwrap();
+        b.try_send(0, ALL, 8u32).unwrap();
         for r in 0..3 {
             assert_eq!(b.recv_map(5, r, |&v| v), Some(7));
             assert_eq!(b.recv_map(5, r, |&v| v), Some(8));
             assert_eq!(b.recv_map(5, r, |&v| v), None);
         }
-        assert_eq!(b.queue.len(), 0, "fully consumed items are released");
-        assert_eq!(b.pushes, 2);
-        assert_eq!(b.pops, vec![2, 2, 2]);
+        for r in 0..3 {
+            let st = b.reader_stats(r);
+            assert_eq!((st.pushes, st.pops, st.occupancy), (2, 2, 0));
+        }
+        // Fully consumed items are released: the whole capacity is free.
+        (0..4).for_each(|v| b.try_send(6, ALL, v).unwrap());
+        assert!(!b.can_send_all());
     }
 
     #[test]
     fn broadcast_slowest_reader_gates_capacity() {
         let mut b = BroadcastCore::new("w", 2, 2, 1);
-        b.try_send(0, 1u8).unwrap();
-        b.try_send(0, 2u8).unwrap();
+        b.try_send(0, ALL, 1u8).unwrap();
+        b.try_send(0, ALL, 2u8).unwrap();
         // Reader 0 drains fully; reader 1 does not move.
         assert_eq!(b.recv_map(3, 0, |&v| v), Some(1));
         assert_eq!(b.recv_map(3, 0, |&v| v), Some(2));
         assert!(!b.can_send_all(), "reader 1 still at capacity");
-        assert!(b.try_send(3, 3u8).is_err());
-        assert_eq!(b.full_stalls, 1);
+        assert!(b.try_send(3, ALL, 3u8).is_err());
+        assert_eq!(b.reader_stats(0).full_stalls, 1);
         // Reader 1 frees one slot.
         assert_eq!(b.recv_map(4, 1, |&v| v), Some(1));
         assert!(b.can_send_all());
-        b.try_send(4, 3u8).unwrap();
+        b.try_send(4, ALL, 3u8).unwrap();
         assert_eq!(b.occupancy(0), 1);
         assert_eq!(b.occupancy(1), 2);
     }
@@ -777,8 +769,8 @@ mod tests {
     #[test]
     fn broadcast_latency_applies_per_item() {
         let mut b = BroadcastCore::new("w", 2, 4, 2);
-        b.try_send(10, 5u8).unwrap();
-        assert!(!b.can_recv(11, 0));
+        b.try_send(10, ALL, 5u8).unwrap();
+        assert_eq!(b.tap_front_visible_at(0), Some(12));
         assert_eq!(b.recv_map(11, 0, |&v| v), None);
         assert_eq!(b.recv_map(12, 0, |&v| v), Some(5));
     }
@@ -786,8 +778,8 @@ mod tests {
     #[test]
     fn broadcast_per_reader_stats() {
         let mut b = BroadcastCore::new("word", 2, 8, 1);
-        b.try_send(0, 1u8).unwrap();
-        b.try_send(0, 2u8).unwrap();
+        b.try_send(0, ALL, 1u8).unwrap();
+        b.try_send(0, ALL, 2u8).unwrap();
         b.recv_map(5, 0, |_| ()).unwrap();
         let s0 = b.reader_stats(0);
         let s1 = b.reader_stats(1);

@@ -263,35 +263,10 @@ impl SimContext {
         self.chan::<T>(tx.idx).has_room()
     }
 
-    /// How many more items the FIFO behind `tx` can accept right now.
-    #[inline]
-    pub fn free_space<T: Send + 'static>(&self, tx: SenderId<T>) -> usize {
-        let ch = self.chan::<T>(tx.idx);
-        ch.capacity - ch.queue.len()
-    }
-
-    /// Returns `true` if an item is visible to `rx` at cycle `cy`.
-    #[inline]
-    pub fn can_recv<T: Send + 'static>(&self, cy: Cycle, rx: ReceiverId<T>) -> bool {
-        self.chan::<T>(rx.idx).can_recv(cy)
-    }
-
     /// Returns `true` when the FIFO holds no items at all (visible or not).
     #[inline]
     pub fn is_empty<T: Send + 'static>(&self, rx: ReceiverId<T>) -> bool {
         self.chan::<T>(rx.idx).queue.is_empty()
-    }
-
-    /// Number of items currently buffered behind `rx` (visible or not).
-    #[inline]
-    pub fn len<T: Send + 'static>(&self, rx: ReceiverId<T>) -> usize {
-        self.chan::<T>(rx.idx).queue.len()
-    }
-
-    /// Returns `true` when the FIFO behind `tx` holds no items.
-    #[inline]
-    pub fn send_side_empty<T: Send + 'static>(&self, tx: SenderId<T>) -> bool {
-        self.chan::<T>(tx.idx).queue.is_empty()
     }
 
     /// Visibility time of the FIFO's head item, or `None` when empty.
@@ -307,7 +282,8 @@ impl SimContext {
 
     // ---- broadcast channels --------------------------------------------
 
-    /// Attempts to broadcast `value` to every reader tap at cycle `cy`.
+    /// Attempts to broadcast `value` to every reader tap at cycle `cy`,
+    /// tagged for every tap.
     ///
     /// The push is atomic: it succeeds only when *every* tap has room
     /// (mirroring the combiner's all-datapaths gate), and the value is
@@ -324,7 +300,26 @@ impl SimContext {
         tx: BcastSenderId<T>,
         value: T,
     ) -> Result<(), SendError<T>> {
-        let result = self.bcast_mut::<T>(tx.idx).try_send(cy, value);
+        self.bcast_try_send_tagged(cy, tx, u64::MAX, value)
+    }
+
+    /// [`bcast_try_send`](Self::bcast_try_send) with a **tag**: bit `r`
+    /// set ⇔ tap `r` must see the payload. Every tap still receives and
+    /// pops the item; the tag only limits which taps
+    /// [`bcast_recv_taps`](Self::bcast_recv_taps) hands it to.
+    ///
+    /// # Errors
+    ///
+    /// As [`bcast_try_send`](Self::bcast_try_send).
+    #[inline]
+    pub fn bcast_try_send_tagged<T: Send + 'static>(
+        &mut self,
+        cy: Cycle,
+        tx: BcastSenderId<T>,
+        tag: u64,
+        value: T,
+    ) -> Result<(), SendError<T>> {
+        let result = self.bcast_mut::<T>(tx.idx).try_send(cy, tag, value);
         if result.is_ok() {
             self.fire_push(tx.idx);
         }
@@ -338,7 +333,8 @@ impl SimContext {
     }
 
     /// Applies `f` to the oldest unconsumed item of this reader tap if one
-    /// is visible at `cy`, consuming it (for this tap only).
+    /// is visible at `cy`, consuming it (for this tap only). `f` runs
+    /// whether or not the item is tagged for the tap.
     ///
     /// The item is passed by reference because other taps may still need
     /// it; clone out whatever must outlive the call.
@@ -359,11 +355,14 @@ impl SimContext {
     }
 
     /// Batched tap receive: serves every tap of `group` named in `want`
-    /// (bit `r` = tap `r`) in index order, in one resolution of the arena
-    /// slot. A tap whose next item is visible at `cy` has `f(r, &item)`
-    /// applied and the item consumed for that tap — observationally one
+    /// (bit `r` = tap `r`) in one resolution of the arena slot and one
+    /// branch-free pass over the tap cursors. A tap whose next item is
+    /// visible at `cy` consumes it — observationally one
     /// [`bcast_recv_map`](Self::bcast_recv_map) per wanted tap, except that
-    /// the group's pop subscribers fire once, after the last tap.
+    /// the group's pop subscribers fire once — and `f(r, &item)` then runs,
+    /// in tap order, for exactly the taps that popped an item **tagged**
+    /// for them (see [`bcast_try_send_tagged`](Self::bcast_try_send_tagged)).
+    /// An untagged tap pops its item silently.
     ///
     /// Returns `(popped, buffered)`: the taps that consumed an item, and
     /// the taps of the whole group — wanted or not — that still buffer
@@ -384,22 +383,10 @@ impl SimContext {
         result
     }
 
-    /// Returns `true` if this tap has a visible item at cycle `cy`.
-    #[inline]
-    pub fn bcast_can_recv<T: Send + 'static>(&self, cy: Cycle, rx: BcastReceiverId<T>) -> bool {
-        self.bcast::<T>(rx.idx).can_recv(cy, rx.reader as usize)
-    }
-
     /// Returns `true` when this tap has no items at all (visible or not).
     #[inline]
     pub fn bcast_is_empty<T: Send + 'static>(&self, rx: BcastReceiverId<T>) -> bool {
         self.bcast::<T>(rx.idx).occupancy(rx.reader as usize) == 0
-    }
-
-    /// Number of items buffered for this tap (visible or not).
-    #[inline]
-    pub fn bcast_len<T: Send + 'static>(&self, rx: BcastReceiverId<T>) -> usize {
-        self.bcast::<T>(rx.idx).occupancy(rx.reader as usize)
     }
 
     /// Visibility time of the item at this tap's cursor, or `None` when the

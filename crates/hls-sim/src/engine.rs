@@ -206,42 +206,14 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` or `readers` is zero.
+    /// Panics if `capacity` is zero or `readers` is not in `1..=64`.
     pub fn broadcast_channel<T: Send + 'static>(
         &mut self,
         name_prefix: &str,
         readers: usize,
         capacity: usize,
     ) -> (BcastSenderId<T>, Vec<BcastReceiverId<T>>) {
-        self.broadcast_channel_with_latency(name_prefix, readers, capacity, DEFAULT_LATENCY)
-    }
-
-    /// [`broadcast_channel`](Self::broadcast_channel) with an explicit
-    /// visibility latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `readers` is zero.
-    pub fn broadcast_channel_with_latency<T: Send + 'static>(
-        &mut self,
-        name_prefix: &str,
-        readers: usize,
-        capacity: usize,
-        latency: u64,
-    ) -> (BcastSenderId<T>, Vec<BcastReceiverId<T>>) {
-        self.register_broadcast(BroadcastCore::<T>::new(
-            name_prefix,
-            readers,
-            capacity,
-            latency,
-        ))
-    }
-
-    fn register_broadcast<T: Send + 'static>(
-        &mut self,
-        core: BroadcastCore<T>,
-    ) -> (BcastSenderId<T>, Vec<BcastReceiverId<T>>) {
-        let readers = core.cursors.len();
+        let core = BroadcastCore::<T>::new(name_prefix, readers, capacity, DEFAULT_LATENCY);
         let idx = self.ctx.add_channel(ArenaSlot::broadcast(core));
         let tx = BcastSenderId {
             idx,

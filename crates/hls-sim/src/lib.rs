@@ -39,10 +39,11 @@
 //!   awake kernel rather than scanning the whole population — see
 //!   [`Engine::step`] for why a materialized active list was rejected);
 //! * a [broadcast channel](Engine::broadcast_channel) fans one value out to
-//!   `R` reader taps while storing it once — the combiner's wide-word
-//!   duplication without `R` copies. A kernel that serves *every* tap
-//!   receives for all of them in one resolution of the arena slot
-//!   ([`SimContext::bcast_recv_taps`]): taps in index order, one pop wake;
+//!   `R` reader taps while storing it once in a fixed ring, tagged with the
+//!   taps that must see it — the combiner's wide-word duplication without
+//!   `R` copies. A kernel serving *every* tap pops all ready taps in one
+//!   branch-free pass ([`SimContext::bcast_recv_taps`]); its callback runs
+//!   only on tagged taps, in tap order, and the pop wakes once;
 //! * a [channel bank](Engine::channel_bank) is `len` independent plain
 //!   FIFOs behind one arena slot, for the *arrays* of identical modules
 //!   real designs are built from (N lanes, M+X PE queues). One kernel

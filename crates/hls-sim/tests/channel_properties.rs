@@ -256,11 +256,12 @@ fn channel_bank_matches_plain_channels_at_the_same_position() {
     }
 }
 
-/// `bcast_recv_taps` over an arbitrary `want` mask is the same taps served
-/// by individual `bcast_recv_map` calls in index order: same items to the
-/// same taps, same cursors and per-tap pops, same front release (observed
-/// as producer-side room), and the pop wake fires exactly when a tap
-/// consumed.
+/// `bcast_recv_taps` over an arbitrary `want` mask, on items with random
+/// tags, is the same taps served by individual `bcast_recv_map` calls in
+/// index order on untagged items: same items popped by the same taps, same
+/// cursors and per-tap pops, same front release (observed as producer-side
+/// room), and the pop wake fires exactly when a tap consumed — while the
+/// callback runs for exactly the popped taps the item is tagged for.
 #[test]
 fn batched_tap_receive_matches_individual_receives() {
     let mut s = 0x7a95u64;
@@ -269,7 +270,7 @@ fn batched_tap_receive_matches_individual_receives() {
         let capacity = 1 + (splitmix(&mut s) % 6) as usize;
         let build = || {
             let mut engine = Engine::new();
-            let (tx, taps) = engine.broadcast_channel::<u64>("w", readers, capacity);
+            let (tx, taps) = engine.broadcast_channel::<(u64, u64)>("w", readers, capacity);
             let on_pop = engine.add_kernel(Sleeper(WakeSet::new().after_pop_on_bcast(tx)));
             (engine, tx, taps, on_pop)
         };
@@ -283,9 +284,11 @@ fn batched_tap_receive_matches_individual_receives() {
             let at = format!("case {case} round {round}");
             for _ in 0..splitmix(&mut s) % 3 {
                 let v = splitmix(&mut s);
+                let tag = [u64::MAX, 0, v][v as usize % 3];
+                let (b, t) = (batched.context_mut(), single.context_mut());
                 assert_eq!(
-                    batched.context_mut().bcast_try_send(cy, btx, v).is_ok(),
-                    single.context_mut().bcast_try_send(cy, stx, v).is_ok(),
+                    b.bcast_try_send_tagged(cy, btx, tag, (v, tag)).is_ok(),
+                    t.bcast_try_send(cy, stx, (v, tag)).is_ok(),
                     "{at}"
                 );
             }
@@ -294,18 +297,19 @@ fn batched_tap_receive_matches_individual_receives() {
             let (popped, buffered) =
                 batched
                     .context_mut()
-                    .bcast_recv_taps(cy, group, want, |r, &v| got.push((r, v)));
+                    .bcast_recv_taps(cy, group, want, |r, &item| got.push((r, item)));
             let ctx = single.context_mut();
-            let expect: Vec<(usize, u64)> = (0..readers)
+            let expect: Vec<(usize, (u64, u64))> = (0..readers)
                 .filter(|r| want >> r & 1 == 1)
                 .filter_map(|r| ctx.bcast_recv_map(cy, staps[r], |&v| v).map(|v| (r, v)))
                 .collect();
-            assert_eq!(got, expect, "{at}");
             assert_eq!(
                 popped,
                 expect.iter().fold(0, |m, &(r, _)| m | 1 << r),
                 "{at}: popped mask"
             );
+            let tagged = expect.iter().filter(|(r, (_, tag))| tag >> r & 1 == 1);
+            assert!(got.iter().eq(tagged), "{at}: callbacks = popped ∩ tagged");
             let still: u64 = (0..readers)
                 .filter(|&r| !ctx.bcast_is_empty(staps[r]))
                 .fold(0, |m, r| m | 1 << r);
@@ -323,6 +327,44 @@ fn batched_tap_receive_matches_individual_receives() {
             );
             assert_eq!(batched.kernel_awake(b_on_pop), popped != 0, "{at}");
             assert_eq!(batched.active_kernels(), single.active_kernels(), "{at}");
+        }
+    }
+}
+
+/// A bank's `ready_mask(cy)` and `nonempty_mask` agree with the per-member
+/// probes under random pushes and pops (each push visible one cycle later):
+/// bit `i` is set exactly when member `i` has a visible head — and then
+/// `try_recv(cy, i)` pops it — resp. when member `i` is not empty.
+#[test]
+fn bank_masks_match_member_probes() {
+    let mut s = 0x3a5cu64;
+    for case in 0..64 {
+        let n = 1 + (splitmix(&mut s) % 12) as usize;
+        let capacity = 1 + (splitmix(&mut s) % 4) as usize;
+        let mut engine = Engine::new();
+        let bank = engine.channel_bank::<u64>("m", 0, n, capacity);
+        let ctx = engine.context_mut();
+        for round in 0..300u64 {
+            let cy = round / 3;
+            let (ready, nonempty) = ctx.bank_with(bank, |v| (v.ready_mask(cy), v.nonempty_mask()));
+            for i in 0..n {
+                let probes = (
+                    ctx.bank_recv_visible_at(bank, i).is_some_and(|at| at <= cy),
+                    !ctx.bank_is_empty(bank, i),
+                );
+                let masks = (ready >> i & 1 == 1, nonempty >> i & 1 == 1);
+                assert_eq!(masks, probes, "case {case} round {round} member {i}");
+            }
+            let roll = splitmix(&mut s);
+            let i = (roll / 2) as usize % n;
+            ctx.bank_with(bank, |v| {
+                if roll.is_multiple_of(2) {
+                    let _ = v.try_send(cy, i, roll);
+                } else {
+                    let popped = v.try_recv(cy, i).is_some();
+                    assert_eq!(popped, ready >> i & 1 == 1, "case {case} round {round}");
+                }
+            });
         }
     }
 }
