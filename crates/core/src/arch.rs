@@ -258,6 +258,7 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
                     monitor_window: config.monitor_window,
                     reschedule_threshold: config.reschedule_threshold,
                     requeue_overhead_cycles: config.requeue_overhead_cycles,
+                    requeue: config.requeue,
                     auto_disable_after: config.auto_disable_after,
                 },
                 feeds,

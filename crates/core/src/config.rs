@@ -1,5 +1,27 @@
 //! Architecture configuration.
 
+/// How the host re-enqueues the profiler and SecPE kernels after a
+/// reschedule (§IV-B) — a design axis of the online flow, like X.
+///
+/// The paper's host dequeues the exited kernels and only then enqueues the
+/// next generation, so every reschedule runs PriPE-only for the whole
+/// kernel dequeue/enqueue overhead. OpenCL command queues are in-order,
+/// though: the host can enqueue generation g+1's profiler and SecPEs behind
+/// generation g's while g runs, and they start as soon as g's kernels exit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Requeue {
+    /// The next generation is enqueued while the current one runs: after
+    /// the merge at cycle `cy` the SecPEs restart at
+    /// `max(cy, armed_at + overhead)`, where `armed_at` is the cycle the
+    /// current generation started. The overhead is exposed only when a
+    /// reschedule completes less than `overhead` cycles after the last one.
+    #[default]
+    PreArmed,
+    /// The paper's serial round trip: the SecPEs restart at
+    /// `cy + overhead`, every time.
+    Serial,
+}
+
 /// Configuration of one generated implementation.
 ///
 /// `n_pre`/`m_pri` come from the framework's Equation 1 tuning; `x_sec`
@@ -42,6 +64,10 @@ pub struct ArchConfig {
     pub reschedule_threshold: f64,
     /// Kernel dequeue/enqueue overhead modelled on reschedule, cycles.
     pub requeue_overhead_cycles: u64,
+    /// Whether that overhead overlaps the running generation
+    /// ([`Requeue::PreArmed`], the default) or follows the merge
+    /// ([`Requeue::Serial`], the paper's protocol).
+    pub requeue: Requeue,
     /// Consecutive too-fast reschedules before auto-disabling.
     pub auto_disable_after: u32,
     /// When `true`, the engine's steady-state fast-forward is enabled:
@@ -79,6 +105,7 @@ impl ArchConfig {
             monitor_window: 2_048,
             reschedule_threshold: 0.0,
             requeue_overhead_cycles: 200_000,
+            requeue: Requeue::PreArmed,
             auto_disable_after: 3,
             steady_state_fast_forward: false,
         }
@@ -101,6 +128,12 @@ impl ArchConfig {
     pub fn with_reschedule(mut self, threshold: f64, overhead_cycles: u64) -> Self {
         self.reschedule_threshold = threshold;
         self.requeue_overhead_cycles = overhead_cycles;
+        self
+    }
+
+    /// Sets how the host re-enqueues kernels after a reschedule.
+    pub fn with_requeue(mut self, requeue: Requeue) -> Self {
+        self.requeue = requeue;
         self
     }
 
@@ -167,12 +200,15 @@ mod tests {
         let cfg = ArchConfig::new(4, 8, 2)
             .with_pe_entries(64)
             .with_reschedule(0.4, 1_000)
+            .with_requeue(Requeue::Serial)
             .with_profile_cycles(128)
             .with_monitor_window(512)
             .with_pe_queue_depth(32);
         assert_eq!(cfg.pe_entries, 64);
         assert_eq!(cfg.reschedule_threshold, 0.4);
         assert_eq!(cfg.requeue_overhead_cycles, 1_000);
+        assert_eq!(cfg.requeue, Requeue::Serial);
+        assert_eq!(ArchConfig::paper(1).requeue, Requeue::PreArmed);
         assert_eq!(cfg.profile_cycles, 128);
         assert_eq!(cfg.monitor_window, 512);
         assert_eq!(cfg.pe_queue_depth, 32);

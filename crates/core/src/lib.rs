@@ -101,7 +101,7 @@ pub mod routing;
 
 pub use app::{DittoApp, MergeableOutput, Routed};
 pub use arch::{PersistentPipeline, RunOutcome, SkewObliviousPipeline};
-pub use config::ArchConfig;
+pub use config::{ArchConfig, Requeue};
 pub use control::{Control, ControlId, SecPhase};
 pub use counts::{profile_counts, SliceOptions};
 pub use mask::MaskTable;

@@ -8,6 +8,7 @@ use hls_sim::{
     ThroughputWindow,
 };
 
+use crate::config::Requeue;
 use crate::control::ControlId;
 use crate::phase::PhasePlan;
 use crate::{PeId, SchedulingPlan};
@@ -31,6 +32,9 @@ pub struct ProfilerParams {
     /// Kernel dequeue + enqueue overhead in cycles: the time between the
     /// profiler exiting and the CPU having re-enqueued profiler + SecPEs.
     pub requeue_overhead_cycles: u64,
+    /// Whether the requeue overlaps the running generation or follows the
+    /// merge (see [`Requeue`]).
+    pub requeue: Requeue,
     /// After this many *consecutive* reschedules that re-trigger faster than
     /// twice the requeue overhead, stop rescheduling for good (the adaptive
     /// form of setting the threshold to zero that Fig. 9's right side
@@ -401,6 +405,7 @@ mod tests {
             monitor_window: 32,
             reschedule_threshold: 0.0,
             requeue_overhead_cycles: 100,
+            requeue: Requeue::Serial,
             auto_disable_after: 3,
         }
     }

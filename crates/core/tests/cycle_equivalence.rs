@@ -11,7 +11,7 @@
 
 use datagen::{EvolvingZipfStream, Tuple, ZipfGenerator};
 use ditto_core::apps::{CountPerKey, ModHistogram};
-use ditto_core::{ArchConfig, DittoApp, PersistentPipeline, SkewObliviousPipeline};
+use ditto_core::{ArchConfig, DittoApp, PersistentPipeline, Requeue, SkewObliviousPipeline};
 use hls_sim::{ChannelStats, MemoryModel, SliceSource};
 
 fn channel<'a>(channels: &'a [ChannelStats], name: &str) -> &'a ChannelStats {
@@ -188,12 +188,14 @@ fn offline_skewed_with_fast_forward_matches_seed() {
 }
 
 /// Online, evolving skew, 7 SecPEs with rescheduling: exercises the full
-/// §IV-B protocol — drain, merge, requeue — eight times over.
+/// §IV-B protocol — drain, merge, requeue — eight times over. The seed
+/// engine's requeue was the paper's serial one.
 #[test]
 fn online_evolving_skew_reschedules_match_seed() {
     let stream = EvolvingZipfStream::new(3.0, 1 << 16, 11, 4_000, 4.0, None);
     let cfg = ArchConfig::new(4, 8, 7)
         .with_reschedule(0.5, 200)
+        .with_requeue(Requeue::Serial)
         .with_profile_cycles(64)
         .with_monitor_window(256);
     let out =

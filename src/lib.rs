@@ -87,8 +87,8 @@ pub mod prelude {
         routing_noskew, PriorDesign, SinglePeDesign, StaticReplicationDesign,
     };
     pub use ditto_core::{
-        ArchConfig, DittoApp, ExecutionReport, MergeableOutput, PersistentPipeline, Routed,
-        RunOutcome, SchedulingPlan, SkewObliviousPipeline, SliceOptions, StatSnapshot,
+        ArchConfig, DittoApp, ExecutionReport, MergeableOutput, PersistentPipeline, Requeue,
+        Routed, RunOutcome, SchedulingPlan, SkewObliviousPipeline, SliceOptions, StatSnapshot,
     };
     pub use ditto_framework::{
         select_implementation, Implementation, Platform, SkewAnalyzer, SystemGenerator,

@@ -9,7 +9,9 @@
 //!   workloads and channel totals;
 //! * `output` — the finalized application output.
 //!
-//! The literals were computed on eb91fe4. A change to how the engine steps,
+//! The literals were computed on eb91fe4, where every reschedule paid the
+//! paper's serial requeue; the scenarios that reschedule pin
+//! `Requeue::Serial` so those literals still hold. A change to how the engine steps,
 //! rather than to what it simulates, must leave every one unmodified; a
 //! mismatch names the scenario, the first differing hash and the line to
 //! paste if the change is a deliberate re-pin.
@@ -38,6 +40,8 @@ struct Scenario {
     word_queue_depth: usize,
     lane_queue_depth: usize,
     fast_forward: bool,
+    /// Only the evolving source reschedules, so only there does it matter.
+    requeue: Requeue,
 }
 
 const UNIVERSE: u64 = 1 << 16;
@@ -53,6 +57,7 @@ fn scenarios() -> Vec<Scenario> {
         word_queue_depth: 64,
         lane_queue_depth: 8,
         fast_forward: false,
+        requeue: Requeue::Serial,
     };
     let names = [
         [
@@ -148,7 +153,8 @@ fn run(s: &Scenario) -> [u64; 4] {
     let mut cfg = ArchConfig::new(n, m, x)
         .with_pe_entries(4)
         .with_pe_queue_depth(s.pe_queue_depth)
-        .with_steady_state_fast_forward(s.fast_forward);
+        .with_steady_state_fast_forward(s.fast_forward)
+        .with_requeue(s.requeue);
     cfg.word_queue_depth = s.word_queue_depth;
     cfg.lane_queue_depth = s.lane_queue_depth;
     let tuples = 600 * n as usize;
