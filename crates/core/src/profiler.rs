@@ -93,6 +93,10 @@ pub struct ProfilerKernel {
     /// Consecutive reschedules that re-triggered faster than the requeue
     /// overhead can amortise.
     fast_retriggers: u32,
+    /// Cycle the current generation's profiler and SecPEs started: pipeline
+    /// construction, then every requeue. Under [`Requeue::PreArmed`] the
+    /// next generation is enqueued from here on.
+    armed_at: Cycle,
     /// The `secpe#bank` and merger kernel ids, woken on drain/restart
     /// commands and merge requests (§IV-B side-band signals produce no
     /// channel event, so the profiler wakes the sleeping kernels explicitly
@@ -156,6 +160,7 @@ impl ProfilerKernel {
             params,
             plans_generated,
             fast_retriggers: 0,
+            armed_at: engine.cycle(),
             protocol_wakes: None,
         }
     }
@@ -315,8 +320,12 @@ impl Kernel for ProfilerKernel {
             Phase::AwaitMerge => {
                 if ctx.state(self.control).merge_done() {
                     ctx.state_mut(self.control).count_reschedule();
+                    let armed_at = match self.params.requeue {
+                        Requeue::PreArmed => self.armed_at,
+                        Requeue::Serial => cy,
+                    };
                     self.phase = Phase::Requeue {
-                        until: cy + self.params.requeue_overhead_cycles,
+                        until: cy.max(armed_at + self.params.requeue_overhead_cycles),
                     };
                 }
             }
@@ -330,6 +339,7 @@ impl Kernel for ProfilerKernel {
                     control.set_feed_profiler(true);
                     self.wake_secs(ctx);
                     self.reset_hists();
+                    self.armed_at = cy;
                     self.phase = Phase::Profiling {
                         remaining: self.params.profile_cycles,
                     };

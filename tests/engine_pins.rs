@@ -118,8 +118,28 @@ fn scenarios() -> Vec<Scenario> {
         fast_forward: true,
         ..base("4-8-3 paced ff", (4, 8, 3), Source::Paced, 10)
     });
+    // The rescheduling scenarios again, with the default pre-armed requeue.
+    let twins: Vec<Scenario> = out
+        .iter()
+        .filter(|s| matches!(s.source, Source::Evolving) && s.shape.2 > 0)
+        .map(|s| Scenario {
+            requeue: Requeue::PreArmed,
+            ..*s
+        })
+        .collect();
+    for (twin, name) in twins.into_iter().zip(PRE_ARMED) {
+        out.push(Scenario { name, ..twin });
+    }
     out
 }
+
+const PRE_ARMED: [&str; 5] = [
+    "2-4-3 evolving pre-armed",
+    "4-8-3 evolving pre-armed",
+    "8-16-15 evolving pre-armed",
+    "16-32-31 evolving pre-armed",
+    "8-16-15 evolving ff pre-armed",
+];
 
 /// One mixing step of the fold (SplitMix64's multiplier after a rotate).
 fn mix(acc: u64, v: u64) -> u64 {
@@ -444,6 +464,52 @@ const PINS: &[(&str, [u64; 4])] = &[
             0x60c64fcbf660c981,
             0xcd791baa70f98a6a,
             0xd99149aff1d0762c,
+        ],
+    ),
+    // Computed on the change that made the pre-armed requeue the default.
+    (
+        "2-4-3 evolving pre-armed",
+        [
+            0x361b423c1ee7c150,
+            0x58337e2915f629fe,
+            0x65fb0b7071dd38c4,
+            0x96d328e340bc8c82,
+        ],
+    ),
+    (
+        "4-8-3 evolving pre-armed",
+        [
+            0x12a8c9c5d857c976,
+            0xf334be5c1da5fadd,
+            0x8fd80ccc2d94d862,
+            0x3ad4d61caa7c3192,
+        ],
+    ),
+    (
+        "8-16-15 evolving pre-armed",
+        [
+            0xca900c2a21c33994,
+            0xad78aedd39fe8eac,
+            0x248ca186f46d9d89,
+            0xad70ef6dd075bb,
+        ],
+    ),
+    (
+        "16-32-31 evolving pre-armed",
+        [
+            0xb4769cbfc3e3f4ac,
+            0xcc18da701ad08762,
+            0xbfa90b76aaeefe7b,
+            0x91bc72275850e171,
+        ],
+    ),
+    (
+        "8-16-15 evolving ff pre-armed",
+        [
+            0x9723482d21d38099,
+            0x2f0adbbac03e8754,
+            0xa1f9a4edde7db7ea,
+            0x5d82ef5af9f50c22,
         ],
     ),
 ];
