@@ -205,7 +205,7 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
 
         // Registration order is the step order within a cycle, pinned by
         // the goldens: one kernel per module array, along the dataflow.
-        engine.add_kernel(MemoryReaderKernel::new(source, lanes, issued));
+        engine.add_kernel(MemoryReaderKernel::new(source, lanes, issued).reports_drain_to(control));
         engine.add_kernel(PrePeBank::new(Arc::clone(&app), m, lanes, pre_out));
         engine.add_kernel(MapperBank::new(
             m,

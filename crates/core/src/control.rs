@@ -55,6 +55,10 @@ pub struct Control {
     merge_done: bool,
     /// Completed reschedules.
     reschedules: u64,
+    /// Set by the memory reader once its source is exhausted and staged
+    /// tuples are in the lanes: the rate the profiler monitors can only
+    /// fall from then on, and that fall is not a skew change.
+    source_drained: bool,
     /// The compiled execution plan of the current phase, applied at every
     /// reschedule boundary (see [`PhasePlan`]).
     phase_plan: PhasePlan,
@@ -74,6 +78,7 @@ impl Control {
             merge_request: false,
             merge_done: false,
             reschedules: 0,
+            source_drained: false,
             phase_plan: PhasePlan::default(),
             next_phase: 0,
         }
@@ -224,6 +229,17 @@ impl Control {
     /// Counts one completed reschedule.
     pub fn count_reschedule(&mut self) {
         self.reschedules += 1;
+    }
+
+    /// `true` once the memory reader has drained its source.
+    pub fn source_drained(&self) -> bool {
+        self.source_drained
+    }
+
+    /// Records that the memory reader has drained its source (permanent:
+    /// an exhausted source never refills).
+    pub fn set_source_drained(&mut self) {
+        self.source_drained = true;
     }
 }
 

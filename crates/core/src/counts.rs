@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use crate::apps::CountPerKey;
     use crate::ArchConfig;
-    use datagen::{EvolvingZipfStream, Tuple, UniformGenerator, ZipfGenerator};
+    use datagen::{EvolvingZipfStream, Tuple, UniformGenerator};
     use hls_sim::{MemoryModel, SliceSource};
 
     fn pipeline(data: Vec<Tuple>, cfg: &ArchConfig) -> PersistentPipeline<CountPerKey> {
@@ -187,14 +187,14 @@ mod tests {
 
     #[test]
     fn phase_transitions_open_new_ledgers() {
-        // Skewed data with aggressive rescheduling: the profiler generates
-        // plans, so the slice must observe more than one phase.
-        let data = ZipfGenerator::new(3.0, 1 << 16, 7).take_vec(12_000);
+        // Rotating skew with aggressive rescheduling: the profiler drains
+        // and re-plans, so the slice must observe more than one phase.
         let cfg = ArchConfig::new(4, 8, 7)
             .with_reschedule(0.5, 200)
             .with_profile_cycles(64)
             .with_monitor_window(256);
-        let mut p = pipeline(data, &cfg);
+        let stream = EvolvingZipfStream::new(3.0, 1 << 16, 7, 2_000, 8.0, None);
+        let mut p = PersistentPipeline::new(CountPerKey::new(8), Box::new(stream), &cfg);
         let trace = p.profile_counts(SliceOptions::new(8_192).with_chunk(64));
         assert!(
             trace.phases.len() > 1,

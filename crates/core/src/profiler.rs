@@ -9,7 +9,7 @@ use hls_sim::{
 };
 
 use crate::config::Requeue;
-use crate::control::ControlId;
+use crate::control::{Control, ControlId};
 use crate::phase::PhasePlan;
 use crate::{PeId, SchedulingPlan};
 
@@ -205,6 +205,12 @@ impl ProfilerKernel {
     }
 }
 
+/// `true` when no window can trigger a reschedule any more: the threshold
+/// is zero or the memory reader has drained its source.
+fn monitoring_is_moot(threshold: f64, control: &Control) -> bool {
+    threshold <= 0.0 || control.source_drained()
+}
+
 impl Kernel for ProfilerKernel {
     fn name(&self) -> &str {
         &self.name
@@ -267,9 +273,11 @@ impl Kernel for ProfilerKernel {
                 }
             }
             Phase::Monitoring { since, peak } => {
-                if self.params.reschedule_threshold <= 0.0 {
-                    // Rescheduling disabled: monitoring is a permanent
-                    // no-op, so the profiler can park for good.
+                if monitoring_is_moot(self.params.reschedule_threshold, ctx.state(self.control)) {
+                    // Rescheduling disabled, or the input has run dry (the
+                    // rate can only fall, and not because the skew moved):
+                    // monitoring is a permanent no-op, so the profiler can
+                    // park for good.
                     return Progress::Sleep;
                 }
                 if let Some(rate) = self.window.tick(cy, ctx.counter(self.processed)) {
@@ -365,7 +373,7 @@ impl Kernel for ProfilerKernel {
         }
     }
 
-    fn hold_until(&self, cy: Cycle, _ctx: &SimContext) -> Option<Cycle> {
+    fn hold_until(&self, cy: Cycle, ctx: &SimContext) -> Option<Cycle> {
         match &self.phase {
             // Reschedule-boundary phases tick an internal clock or watch
             // cross-kernel state every cycle: the detector refuses to
@@ -375,7 +383,7 @@ impl Kernel for ProfilerKernel {
             | Phase::Draining
             | Phase::AwaitMerge => None,
             Phase::Monitoring { .. } => {
-                if self.params.reschedule_threshold <= 0.0 {
+                if monitoring_is_moot(self.params.reschedule_threshold, ctx.state(self.control)) {
                     // Permanent no-op (the step parks the kernel anyway).
                     return Some(Cycle::MAX);
                 }
@@ -393,7 +401,6 @@ impl Kernel for ProfilerKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::Control;
     use crate::SecPhase;
 
     /// A mapper's feed of PriPE id `pri` on `lane`, from outside any kernel.

@@ -2,6 +2,7 @@
 
 use hls_sim::{ChannelBankId, CounterId, Cycle, Kernel, Progress, SimContext, StreamSource};
 
+use crate::control::ControlId;
 use crate::Tuple;
 
 /// Streams tuples from a [`StreamSource`] into the N PrePE lanes (the
@@ -27,6 +28,9 @@ pub struct MemoryReaderKernel {
     staging_cap: usize,
     next_lane: usize,
     issued: CounterId,
+    /// Control block told when the source runs dry (see
+    /// [`reports_drain_to`](Self::reports_drain_to)).
+    control: Option<ControlId>,
 }
 
 impl MemoryReaderKernel {
@@ -47,7 +51,16 @@ impl MemoryReaderKernel {
             staging_cap,
             next_lane: 0,
             issued,
+            control: None,
         }
+    }
+
+    /// Sets [`Control::set_source_drained`](crate::Control::set_source_drained)
+    /// in the cycle the reader drains, so the profiler does not mistake the
+    /// end of the input for a skew change.
+    pub fn reports_drain_to(mut self, control: ControlId) -> Self {
+        self.control = Some(control);
+        self
     }
 
     fn staging_len(&self) -> usize {
@@ -108,6 +121,9 @@ impl Kernel for MemoryReaderKernel {
         // needed. While staging holds tuples it must retry every cycle so
         // lane stalls keep being counted, exactly like the original engine.
         if self.drained() {
+            if let Some(control) = self.control {
+                ctx.state_mut(control).set_source_drained();
+            }
             Progress::Sleep
         } else {
             Progress::Busy

@@ -113,3 +113,24 @@ fn stream_respects_line_rate() {
     let rate = got as f64 / 10_000.0;
     assert!((3.9..=4.1).contains(&rate), "rate {rate}");
 }
+
+#[test]
+fn end_of_a_static_dataset_is_not_a_skew_change() {
+    // When the input runs dry the monitored rate collapses. That used to
+    // trigger one reschedule, and the drain then waited out its requeue.
+    let data = ZipfGenerator::new(3.0, 1 << 16, 7).take_vec(400_000);
+    let run = |threshold: f64, overhead: u64| {
+        let cfg = ArchConfig::new(4, 8, 7)
+            .with_reschedule(threshold, overhead)
+            .with_monitor_window(256);
+        let app = ditto::core::apps::CountPerKey::new(8);
+        SkewObliviousPipeline::run_dataset(app, data.clone(), &cfg)
+    };
+    let off = run(0.0, 0);
+    for overhead in [2_000, 20_000, 200_000] {
+        let on = run(0.5, overhead);
+        assert_eq!(on.report.reschedules, 0, "overhead {overhead}");
+        assert_eq!(on.report.cycles, off.report.cycles, "overhead {overhead}");
+        assert_eq!(on.output, off.output, "overhead {overhead}");
+    }
+}
