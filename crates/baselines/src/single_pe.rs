@@ -146,6 +146,7 @@ impl SinglePeDesign {
                 completed: true,
                 channel_totals: ChannelTotals::aggregate(&channels),
                 kernel_steps,
+                protocol_cycles: Default::default(),
             },
             channels,
         }

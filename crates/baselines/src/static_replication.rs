@@ -199,6 +199,7 @@ impl StaticReplicationDesign {
                 completed: true,
                 channel_totals: ChannelTotals::aggregate(&channels),
                 kernel_steps,
+                protocol_cycles: Default::default(),
             },
             channels,
         }

@@ -266,6 +266,7 @@ impl WorkStealingDesign {
                 completed: true,
                 channel_totals: ChannelTotals::default(),
                 kernel_steps,
+                protocol_cycles: Default::default(),
             },
             channels: Vec::new(),
         }

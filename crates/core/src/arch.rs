@@ -414,6 +414,7 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
             kernel_steps: self.engine.steps_executed(),
             phase: phase_plan.phase(),
             phase_active_pes: phase_plan.active_pes(),
+            protocol_cycles: ctx.state(self.control).protocol_cycles(self.engine.cycle()),
         }
     }
 
@@ -449,6 +450,7 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
             completed: self.drained_ok,
             channel_totals: ChannelTotals::aggregate(&channels),
             kernel_steps,
+            protocol_cycles: ctx.state(self.control).protocol_cycles(total_cycles),
         };
         (pri_states, report, channels)
     }

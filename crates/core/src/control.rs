@@ -10,9 +10,10 @@
 //! is engine-owned plain data, reading a flag is a field load, not an
 //! atomic, and the whole engine stays `Send` for free.
 
-use hls_sim::StateId;
+use hls_sim::{Cycle, StateId};
 
 use crate::phase::PhasePlan;
+use crate::report::{ProtocolCycles, ProtocolPhase};
 
 /// Handle to a pipeline's [`Control`] block in the engine's state arena.
 pub type ControlId = StateId<Control>;
@@ -59,6 +60,11 @@ pub struct Control {
     /// tuples are in the lanes: the rate the profiler monitors can only
     /// fall from then on, and that fall is not a skew change.
     source_drained: bool,
+    /// Closed protocol-phase intervals, written by the profiler.
+    protocol_cycles: ProtocolCycles,
+    /// The open protocol phase and the cycle it was entered (`None`
+    /// without a profiler).
+    protocol_open: Option<(ProtocolPhase, Cycle)>,
     /// The compiled execution plan of the current phase, applied at every
     /// reschedule boundary (see [`PhasePlan`]).
     phase_plan: PhasePlan,
@@ -79,6 +85,8 @@ impl Control {
             merge_done: false,
             reschedules: 0,
             source_drained: false,
+            protocol_cycles: ProtocolCycles::default(),
+            protocol_open: None,
             phase_plan: PhasePlan::default(),
             next_phase: 0,
         }
@@ -234,6 +242,23 @@ impl Control {
     /// `true` once the memory reader has drained its source.
     pub fn source_drained(&self) -> bool {
         self.source_drained
+    }
+
+    /// Closes the open protocol phase at `cy` and opens `phase` there.
+    pub(crate) fn enter_protocol_phase(&mut self, phase: ProtocolPhase, cy: Cycle) {
+        if let Some((open, since)) = self.protocol_open {
+            *self.protocol_cycles.of_mut(open) += cy - since;
+        }
+        self.protocol_open = Some((phase, cy));
+    }
+
+    /// Cycles per protocol phase up to `now`, the open phase included.
+    pub fn protocol_cycles(&self, now: Cycle) -> ProtocolCycles {
+        let mut cycles = self.protocol_cycles;
+        if let Some((open, since)) = self.protocol_open {
+            *cycles.of_mut(open) += now - since;
+        }
+        cycles
     }
 
     /// Records that the memory reader has drained its source (permanent:

@@ -107,7 +107,7 @@ pub use counts::{profile_counts, SliceOptions};
 pub use mask::MaskTable;
 pub use phase::PhasePlan;
 pub use plan::SchedulingPlan;
-pub use report::{ChannelTotals, ExecutionReport, StatSnapshot};
+pub use report::{ChannelTotals, ExecutionReport, ProtocolCycles, StatSnapshot};
 pub use routing::{WideWord, MAX_DEST_PES, MAX_WORD_SLOTS};
 
 /// Identifier of a destination PE: `0..M` are PriPEs, `M..M+X` are SecPEs.

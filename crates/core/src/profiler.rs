@@ -11,6 +11,7 @@ use hls_sim::{
 use crate::config::Requeue;
 use crate::control::{Control, ControlId};
 use crate::phase::PhasePlan;
+use crate::report::ProtocolPhase;
 use crate::{PeId, SchedulingPlan};
 
 /// Tuning parameters of the profiler.
@@ -59,6 +60,21 @@ enum Phase {
     Requeue { until: Cycle },
     /// Rescheduling permanently off (threshold 0 or auto-disabled).
     Disabled,
+}
+
+impl Phase {
+    /// The protocol-ledger field this phase's cycles accrue to; routing
+    /// with rescheduling off counts as monitoring.
+    fn ledger(&self) -> ProtocolPhase {
+        match self {
+            Phase::Profiling { .. } => ProtocolPhase::Profiling,
+            Phase::Distributing { .. } => ProtocolPhase::Distributing,
+            Phase::Monitoring { .. } | Phase::Disabled => ProtocolPhase::Monitoring,
+            Phase::Draining => ProtocolPhase::Draining,
+            Phase::AwaitMerge => ProtocolPhase::AwaitMerge,
+            Phase::Requeue { .. } => ProtocolPhase::Requeue,
+        }
+    }
 }
 
 /// The runtime profiler kernel.
@@ -141,10 +157,10 @@ impl ProfilerKernel {
         );
         let lanes = feeds.members();
         let plans_generated = engine.counter();
-        engine
-            .context_mut()
-            .state_mut(control)
-            .set_feed_profiler(true);
+        let armed_at = engine.cycle();
+        let control_block = engine.context_mut().state_mut(control);
+        control_block.set_feed_profiler(true);
+        control_block.enter_protocol_phase(ProtocolPhase::Profiling, armed_at);
         ProfilerKernel {
             name: "runtime-profiler".to_owned(),
             window: ThroughputWindow::new(params.monitor_window),
@@ -160,7 +176,7 @@ impl ProfilerKernel {
             params,
             plans_generated,
             fast_retriggers: 0,
-            armed_at: engine.cycle(),
+            armed_at,
             protocol_wakes: None,
         }
     }
@@ -183,6 +199,14 @@ impl ProfilerKernel {
         if let Some((secpe_bank, _)) = self.protocol_wakes {
             ctx.wake_kernel(secpe_bank);
         }
+    }
+
+    /// Moves to `phase` at `cy`, closing the current phase's interval in
+    /// the control block's protocol ledger.
+    fn enter(&mut self, ctx: &mut SimContext, cy: Cycle, phase: Phase) {
+        ctx.state_mut(self.control)
+            .enter_protocol_phase(phase.ledger(), cy);
+        self.phase = phase;
     }
 
     /// Merges the per-lane hists into the global workload histogram —
@@ -242,7 +266,7 @@ impl Kernel for ProfilerKernel {
                     let queue: VecDeque<_> = plan.pairs().to_vec().into();
                     *ctx.state_mut(self.current_plan) = plan;
                     ctx.counter_incr(self.plans_generated);
-                    self.phase = Phase::Distributing { queue };
+                    self.enter(ctx, cy, Phase::Distributing { queue });
                 }
             }
             Phase::Distributing { queue } => {
@@ -266,10 +290,14 @@ impl Kernel for ProfilerKernel {
                 }
                 if queue.is_empty() {
                     self.window.restart(cy, ctx.counter(self.processed));
-                    self.phase = Phase::Monitoring {
-                        since: cy,
-                        peak: 0.0,
-                    };
+                    self.enter(
+                        ctx,
+                        cy,
+                        Phase::Monitoring {
+                            since: cy,
+                            peak: 0.0,
+                        },
+                    );
                 }
             }
             Phase::Monitoring { since, peak } => {
@@ -294,7 +322,7 @@ impl Kernel for ProfilerKernel {
                                 // than kernels can be re-enqueued: stop
                                 // rescheduling for good (the threshold-to-
                                 // zero behaviour Fig. 9's right side shows).
-                                self.phase = Phase::Disabled;
+                                self.enter(ctx, cy, Phase::Disabled);
                                 return Progress::Sleep;
                             }
                         } else {
@@ -304,7 +332,7 @@ impl Kernel for ProfilerKernel {
                         control.set_route_to_sec(false);
                         control.drain_all_secs();
                         self.wake_secs(ctx);
-                        self.phase = Phase::Draining;
+                        self.enter(ctx, cy, Phase::Draining);
                     }
                 }
             }
@@ -322,7 +350,7 @@ impl Kernel for ProfilerKernel {
                     if let Some((_, merger)) = self.protocol_wakes {
                         ctx.wake_kernel(merger);
                     }
-                    self.phase = Phase::AwaitMerge;
+                    self.enter(ctx, cy, Phase::AwaitMerge);
                 }
             }
             Phase::AwaitMerge => {
@@ -332,9 +360,13 @@ impl Kernel for ProfilerKernel {
                         Requeue::PreArmed => self.armed_at,
                         Requeue::Serial => cy,
                     };
-                    self.phase = Phase::Requeue {
-                        until: cy.max(armed_at + self.params.requeue_overhead_cycles),
-                    };
+                    self.enter(
+                        ctx,
+                        cy,
+                        Phase::Requeue {
+                            until: cy.max(armed_at + self.params.requeue_overhead_cycles),
+                        },
+                    );
                 }
             }
             Phase::Requeue { until } => {
@@ -348,9 +380,13 @@ impl Kernel for ProfilerKernel {
                     self.wake_secs(ctx);
                     self.reset_hists();
                     self.armed_at = cy;
-                    self.phase = Phase::Profiling {
-                        remaining: self.params.profile_cycles,
-                    };
+                    self.enter(
+                        ctx,
+                        cy,
+                        Phase::Profiling {
+                            remaining: self.params.profile_cycles,
+                        },
+                    );
                 }
             }
             Phase::Disabled => return Progress::Sleep,

@@ -31,6 +31,68 @@ impl ChannelTotals {
     }
 }
 
+/// Cycles the runtime profiler has spent in each phase of the §IV-B
+/// reschedule protocol, accumulated at every phase transition plus the
+/// phase still open when read. All zero without SecPEs (there is no
+/// profiler); otherwise the fields sum to the elapsed cycles.
+///
+/// Reading them is bookkeeping only: the profiler writes the ledger in the
+/// steps it takes anyway, so the schedule is the same whether anyone reads
+/// it or not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProtocolCycles {
+    /// Counting PriPE ids into the profiling hists.
+    pub profiling: u64,
+    /// Streaming the generated plan to the mappers.
+    pub distributing: u64,
+    /// Routing to SecPEs under the current plan, watching the throughput
+    /// window (and, once rescheduling is off, just routing).
+    pub monitoring: u64,
+    /// Waiting for every SecPE to drain and exit.
+    pub draining: u64,
+    /// Waiting for the merger to fold the SecPE partials.
+    pub await_merge: u64,
+    /// Waiting for the host to re-enqueue the profiler and SecPEs: the
+    /// requeue overhead per reschedule under `Requeue::Serial`, only the
+    /// part the running generation did not hide under `Requeue::PreArmed`
+    /// (one cycle when it hid all of it).
+    pub requeue: u64,
+}
+
+/// A phase of the §IV-B protocol, naming one [`ProtocolCycles`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ProtocolPhase {
+    Profiling,
+    Distributing,
+    Monitoring,
+    Draining,
+    AwaitMerge,
+    Requeue,
+}
+
+impl ProtocolCycles {
+    /// The sum over every phase.
+    pub fn total(&self) -> u64 {
+        self.profiling
+            + self.distributing
+            + self.monitoring
+            + self.draining
+            + self.await_merge
+            + self.requeue
+    }
+
+    pub(crate) fn of_mut(&mut self, phase: ProtocolPhase) -> &mut u64 {
+        match phase {
+            ProtocolPhase::Profiling => &mut self.profiling,
+            ProtocolPhase::Distributing => &mut self.distributing,
+            ProtocolPhase::Monitoring => &mut self.monitoring,
+            ProtocolPhase::Draining => &mut self.draining,
+            ProtocolPhase::AwaitMerge => &mut self.await_merge,
+            ProtocolPhase::Requeue => &mut self.requeue,
+        }
+    }
+}
+
 /// A cheap mid-run statistics snapshot from a live
 /// [`PersistentPipeline`](crate::PersistentPipeline).
 ///
@@ -56,6 +118,8 @@ pub struct StatSnapshot {
     pub phase: u64,
     /// Destination PEs the current phase plan predicts reachable.
     pub phase_active_pes: u32,
+    /// Cycles per phase of the reschedule protocol so far.
+    pub protocol_cycles: ProtocolCycles,
 }
 
 impl StatSnapshot {
@@ -92,6 +156,8 @@ pub struct ExecutionReport {
     /// Kernel step calls actually executed by the idle-set scheduler
     /// (compare with `cycles × kernel count` for the naive schedule).
     pub kernel_steps: u64,
+    /// Cycles per phase of the reschedule protocol.
+    pub protocol_cycles: ProtocolCycles,
 }
 
 impl ExecutionReport {
@@ -150,6 +216,7 @@ mod tests {
             completed: true,
             channel_totals: ChannelTotals::default(),
             kernel_steps: 0,
+            protocol_cycles: ProtocolCycles::default(),
         }
     }
 

@@ -1297,6 +1297,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             completed: true,
             channel_totals: Default::default(),
             kernel_steps: 0,
+            protocol_cycles: Default::default(),
         }
     }
 

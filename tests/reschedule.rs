@@ -134,3 +134,64 @@ fn end_of_a_static_dataset_is_not_a_skew_change() {
         assert_eq!(on.output, off.output, "overhead {overhead}");
     }
 }
+
+/// Steps a rotating-skew pipeline in `slices` of `slice` cycles, checking
+/// at every slice that the protocol phases account for every cycle, and
+/// returns the final report.
+fn protocol_run(cfg: &ArchConfig, interval: u64, slice: u64, slices: u64) -> ExecutionReport {
+    let app = ditto::core::apps::CountPerKey::new(8);
+    let mut p = PersistentPipeline::new(app, Box::new(rotating_stream(interval)), cfg);
+    for _ in 0..slices {
+        p.step_cycles(slice);
+        let snap = p.snapshot();
+        assert_eq!(snap.protocol_cycles.total(), snap.cycles);
+    }
+    let report = p.finish().report;
+    assert_eq!(report.protocol_cycles.total(), report.cycles);
+    report
+}
+
+#[test]
+fn serial_requeue_waits_the_whole_overhead_every_time() {
+    let cfg = online_cfg(0.5, 200).with_requeue(Requeue::Serial);
+    let r = protocol_run(&cfg, 5_000, 1_000, 50);
+    assert!(r.reschedules >= 3, "{r:?}");
+    let p = r.protocol_cycles;
+    assert_eq!(p.requeue, r.reschedules * 200, "{p:?}");
+    assert!(p.profiling > 0 && p.distributing > 0 && p.draining > 0 && p.await_merge > 0);
+    assert!(p.monitoring > r.cycles / 2, "{p:?}");
+}
+
+#[test]
+fn pre_armed_requeue_hides_the_overhead_behind_long_generations() {
+    // Rotations every 20 000 cycles against a 500-cycle requeue: each
+    // generation outlives its successor's enqueue, so every requeue costs
+    // only the one cycle of the restart step.
+    let cfg = online_cfg(0.5, 500);
+    assert_eq!(cfg.requeue, Requeue::PreArmed);
+    let r = protocol_run(&cfg, 20_000, 4_000, 25);
+    assert!(r.reschedules >= 2, "{r:?}");
+    assert_eq!(r.protocol_cycles.requeue, r.reschedules);
+    let serial = protocol_run(&cfg.with_requeue(Requeue::Serial), 20_000, 4_000, 25);
+    assert_eq!(
+        serial.protocol_cycles.requeue,
+        serial.reschedules * 500,
+        "{serial:?}"
+    );
+    assert!(r.tuples > serial.tuples);
+}
+
+#[test]
+fn protocol_cycles_are_equal_with_fast_forward_on_and_off() {
+    for requeue in [Requeue::Serial, Requeue::PreArmed] {
+        let cfg = online_cfg(0.5, 2_000).with_requeue(requeue);
+        let stepped = protocol_run(&cfg, 8_000, 2_500, 24);
+        let jumped = protocol_run(&cfg.with_steady_state_fast_forward(true), 8_000, 2_500, 24);
+        assert!(stepped.reschedules > 0);
+        assert_eq!(
+            stepped.protocol_cycles, jumped.protocol_cycles,
+            "{requeue:?}"
+        );
+        assert_eq!(stepped.reschedules, jumped.reschedules);
+    }
+}
