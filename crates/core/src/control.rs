@@ -244,6 +244,12 @@ impl Control {
         self.source_drained
     }
 
+    /// Records that the memory reader has drained its source (permanent:
+    /// an exhausted source never refills).
+    pub fn set_source_drained(&mut self) {
+        self.source_drained = true;
+    }
+
     /// Closes the open protocol phase at `cy` and opens `phase` there.
     pub(crate) fn enter_protocol_phase(&mut self, phase: ProtocolPhase, cy: Cycle) {
         if let Some((open, since)) = self.protocol_open {
@@ -259,12 +265,6 @@ impl Control {
             *cycles.of_mut(open) += now - since;
         }
         cycles
-    }
-
-    /// Records that the memory reader has drained its source (permanent:
-    /// an exhausted source never refills).
-    pub fn set_source_drained(&mut self) {
-        self.source_drained = true;
     }
 }
 

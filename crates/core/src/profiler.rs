@@ -1,5 +1,23 @@
 //! The runtime profiler (§IV-C3): workload profiling, SecPE plan
 //! generation, throughput monitoring and the reschedule protocol (§IV-B).
+//!
+//! One generation of the protocol is Profiling → Distributing → Monitoring;
+//! a skew change then runs Draining → AwaitMerge → Requeue and the next
+//! generation starts profiling. Requeue models the host re-enqueueing the
+//! exited profiler and SecPE kernels. Under [`Requeue::Serial`] (the
+//! paper's protocol) the host starts that round trip only after the merge
+//! at cycle `cy`, so the SecPEs restart at `cy + overhead`. OpenCL command
+//! queues are in-order, though, so the host can enqueue generation g+1's
+//! kernels behind generation g's as soon as g starts. Under
+//! [`Requeue::PreArmed`] the SecPEs therefore restart at
+//! `max(cy, armed_at + overhead)`, where `armed_at` is the cycle g started
+//! (pipeline construction for the first generation). The overhead is still
+//! exposed when a generation is shorter than the overhead, i.e. when
+//! reschedules come faster than the host can re-arm: that is Fig. 9's dip,
+//! which pre-arming narrows but cannot remove.
+//!
+//! Every phase transition also closes an interval in the control block's
+//! protocol ledger (see [`ProtocolCycles`](crate::ProtocolCycles)).
 
 use std::collections::VecDeque;
 

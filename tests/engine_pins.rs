@@ -11,10 +11,12 @@
 //!
 //! The literals were computed on eb91fe4, where every reschedule paid the
 //! paper's serial requeue; the scenarios that reschedule pin
-//! `Requeue::Serial` so those literals still hold. A change to how the engine steps,
-//! rather than to what it simulates, must leave every one unmodified; a
-//! mismatch names the scenario, the first differing hash and the line to
-//! paste if the change is a deliberate re-pin.
+//! `Requeue::Serial` so those literals still hold. Their `pre-armed` twins
+//! were computed on the change that introduced `Requeue::PreArmed`. A
+//! change to how the engine steps, rather than to what it simulates, must
+//! leave every one unmodified; a mismatch names the scenario, the first
+//! differing hash and the line to paste if the change is a deliberate
+//! re-pin.
 
 use ditto::core::apps::ModHistogram;
 use ditto::hls_sim::{MemoryModel, PacedSource, SliceSource, StreamSource};
