@@ -17,10 +17,6 @@
 //! * [`PriorDesign`] — analytic throughput/BRAM models for the rows whose
 //!   artifacts are not public ("Original" source in Table II), with the
 //!   architecture parameters documented per design.
-//! * [`WorkStealingDesign`] — the atomic work-stealing alternative of
-//!   Ramanathan et al. [11] (related work), quantifying the paper's
-//!   Challenge 1 argument that per-tuple synchronisation cannot keep up
-//!   with cycle-level routing.
 //!
 //! All models consume the same datasets and the same bandwidth budget as
 //! the Ditto pipeline, matching the paper's "bandwidth is normalized for a
@@ -33,9 +29,7 @@ mod prior;
 pub mod routing_noskew;
 mod single_pe;
 mod static_replication;
-mod work_stealing;
 
 pub use prior::PriorDesign;
 pub use single_pe::SinglePeDesign;
 pub use static_replication::StaticReplicationDesign;
-pub use work_stealing::WorkStealingDesign;

@@ -202,10 +202,15 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
         let fresh: Vec<A::State> = (0..pes).map(|_| app.new_state(config.pe_entries)).collect();
         let states = engine.state(fresh);
         let per_pe_counters: Vec<CounterId> = (0..pes).map(|_| engine.counter()).collect();
+        let lane_waits = engine.counter();
 
         // Registration order is the step order within a cycle, pinned by
         // the goldens: one kernel per module array, along the dataflow.
-        engine.add_kernel(MemoryReaderKernel::new(source, lanes, issued).reports_drain_to(control));
+        engine.add_kernel(
+            MemoryReaderKernel::new(source, lanes, issued)
+                .reports_drain_to(control)
+                .counts_lane_waits_to(lane_waits),
+        );
         engine.add_kernel(PrePeBank::new(Arc::clone(&app), m, lanes, pre_out));
         engine.add_kernel(MapperBank::new(
             m,
@@ -267,7 +272,8 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
                 plan,
                 control,
             )
-            .with_protocol_wakes(secpe_bank_id, merger_kernel_id);
+            .with_protocol_wakes(secpe_bank_id, merger_kernel_id)
+            .with_lane_waits(lane_waits);
             let counter = profiler.plans_generated();
             engine.add_kernel(profiler);
             let actual_merger_id = engine.add_kernel(MergerKernel::new(

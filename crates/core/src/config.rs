@@ -8,6 +8,12 @@
 /// kernel dequeue/enqueue overhead. OpenCL command queues are in-order,
 /// though: the host can enqueue generation g+1's profiler and SecPEs behind
 /// generation g's while g runs, and they start as soon as g's kernels exit.
+///
+/// The protocol also decides how the profiler watches for a skew change.
+/// Serial keeps the paper's tumbling `monitor_window`. Pre-armed, a false
+/// alarm costs only the drain and one profiling window, so the profiler
+/// can afford to probe every `profile_cycles` instead, gated on input
+/// waiting at the lanes (see the [`profiler`](crate::profiler) module).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Requeue {
     /// The next generation is enqueued while the current one runs: after
@@ -15,10 +21,14 @@ pub enum Requeue {
     /// `max(cy, armed_at + overhead)`, where `armed_at` is the cycle the
     /// current generation started. The overhead is exposed only when a
     /// reschedule completes less than `overhead` cycles after the last one.
+    /// The monitor probes every profiling window and triggers on one whose
+    /// rate falls below `threshold × peak` while input waited at the lanes
+    /// in each of its cycles.
     #[default]
     PreArmed,
     /// The paper's serial round trip: the SecPEs restart at
-    /// `cy + overhead`, every time.
+    /// `cy + overhead`, every time. The monitor is the paper's tumbling
+    /// `monitor_window`.
     Serial,
 }
 
@@ -56,9 +66,11 @@ pub struct ArchConfig {
     pub word_queue_depth: usize,
     /// Depth of lane channels (reader → PrePE → mapper → combiner).
     pub lane_queue_depth: usize,
-    /// Profiling window, cycles (the paper's example: 256).
+    /// Profiling window, cycles (the paper's example: 256); also the
+    /// pre-armed monitor's probe window.
     pub profile_cycles: u64,
-    /// Throughput-monitoring window, cycles.
+    /// Throughput-monitoring window, cycles: the trigger under
+    /// [`Requeue::Serial`], the peak's window under [`Requeue::PreArmed`].
     pub monitor_window: u64,
     /// Reschedule threshold as a fraction of peak rate; 0 disables.
     pub reschedule_threshold: f64,
@@ -66,7 +78,8 @@ pub struct ArchConfig {
     pub requeue_overhead_cycles: u64,
     /// Whether that overhead overlaps the running generation
     /// ([`Requeue::PreArmed`], the default) or follows the merge
-    /// ([`Requeue::Serial`], the paper's protocol).
+    /// ([`Requeue::Serial`], the paper's protocol), and with it which
+    /// monitor triggers a reschedule.
     pub requeue: Requeue,
     /// Consecutive too-fast reschedules before auto-disabling.
     pub auto_disable_after: u32,

@@ -16,6 +16,24 @@
 //! reschedules come faster than the host can re-arm: that is Fig. 9's dip,
 //! which pre-arming narrows but cannot remove.
 //!
+//! Under [`Requeue::Serial`] monitoring is the paper's tumbling window: a
+//! reschedule triggers when the rate over a `monitor_window` falls below
+//! `reschedule_threshold × peak`, `peak` being the best such window since
+//! the plan. After a hot-set rotation that takes thousands of cycles, all
+//! of them PriPE-only. Under [`Requeue::PreArmed`] the window only sets
+//! the peak, and a *probe* triggers instead: every `profile_cycles` it
+//! compares that profiling window's rate against the same
+//! `threshold × peak`, and it may trigger only if input waited at the
+//! lanes in every cycle of the window (the memory reader counts those
+//! cycles, see
+//! [`counts_lane_waits_to`](crate::reader::MemoryReaderKernel::counts_lane_waits_to)).
+//! That gate makes the trigger skew-specific: a starved pipeline (a paced
+//! source between bursts, a served shard between batches) is slow with
+//! empty lanes and never passes it. The probe is pre-armed only because of
+//! what a false alarm costs: drain plus one profiling window when the next
+//! generation is already enqueued, the whole requeue overhead under
+//! [`Requeue::Serial`].
+//!
 //! Every phase transition also closes an interval in the control block's
 //! protocol ledger (see [`ProtocolCycles`](crate::ProtocolCycles)).
 
@@ -39,9 +57,10 @@ pub struct ProfilerParams {
     pub m_pri: u32,
     /// SecPE count X.
     pub x_sec: u32,
-    /// Profiling window length in cycles (the paper's example uses 256).
+    /// Profiling window length in cycles (the paper's example uses 256);
+    /// also the pre-armed monitor's probe window.
     pub profile_cycles: u64,
-    /// Throughput-monitoring window in clock ticks.
+    /// Throughput-monitoring window in clock ticks (see the module docs).
     pub monitor_window: u64,
     /// Reschedule when the monitored rate falls below this fraction of the
     /// peak rate seen since the last plan. `0.0` disables rescheduling —
@@ -52,7 +71,7 @@ pub struct ProfilerParams {
     /// profiler exiting and the CPU having re-enqueued profiler + SecPEs.
     pub requeue_overhead_cycles: u64,
     /// Whether the requeue overlaps the running generation or follows the
-    /// merge (see [`Requeue`]).
+    /// merge (see [`Requeue`]), and which monitor triggers.
     pub requeue: Requeue,
     /// After this many *consecutive* reschedules that re-trigger faster than
     /// twice the requeue overhead, stop rescheduling for good (the adaptive
@@ -95,6 +114,32 @@ impl Phase {
     }
 }
 
+/// The pre-armed monitor's probe: the rate and the lane waits over each
+/// profiling window (see the module docs).
+#[derive(Debug)]
+struct Probe {
+    /// Cycles that ended with input waiting at the lanes.
+    waits: CounterId,
+    rate: ThroughputWindow,
+    /// The same window over `waits`: a rate of 1 means every cycle waited.
+    waited: ThroughputWindow,
+}
+
+impl Probe {
+    fn restart(&mut self, cy: Cycle, ctx: &SimContext, processed: u64) {
+        self.rate.restart(cy, processed);
+        self.waited.restart(cy, ctx.counter(self.waits));
+    }
+
+    /// The rate of the window completing at `cy`, if one does and input
+    /// waited at the lanes in every cycle of it.
+    fn tick(&mut self, cy: Cycle, ctx: &SimContext, processed: u64) -> Option<f64> {
+        let rate = self.rate.tick(cy, processed)?;
+        let waited = self.waited.tick(cy, ctx.counter(self.waits))?;
+        (waited >= 1.0).then_some(rate)
+    }
+}
+
 /// The runtime profiler kernel.
 ///
 /// It "receives N PriPE IDs from the mappers in one cycle with N independent
@@ -123,6 +168,9 @@ pub struct ProfilerKernel {
     /// Global processed-tuple counter driving the throughput monitor.
     processed: CounterId,
     window: ThroughputWindow,
+    /// Present under [`Requeue::PreArmed`] once the reader's lane-wait
+    /// counter is wired in (see [`with_lane_waits`](Self::with_lane_waits)).
+    probe: Option<Probe>,
     plans_generated: CounterId,
     /// Consecutive reschedules that re-triggered faster than the requeue
     /// overhead can amortise.
@@ -182,6 +230,7 @@ impl ProfilerKernel {
         ProfilerKernel {
             name: "runtime-profiler".to_owned(),
             window: ThroughputWindow::new(params.monitor_window),
+            probe: None,
             phase: Phase::Profiling {
                 remaining: params.profile_cycles,
             },
@@ -210,6 +259,21 @@ impl ProfilerKernel {
     /// this, those kernels must stay awake polling the control block.
     pub fn with_protocol_wakes(mut self, secpe_bank: KernelId, merger: KernelId) -> Self {
         self.protocol_wakes = Some((secpe_bank, merger));
+        self
+    }
+
+    /// Gives the monitor the memory reader's lane-wait counter, which arms
+    /// the probe under [`Requeue::PreArmed`] (a no-op under
+    /// [`Requeue::Serial`], whose monitor is the paper's).
+    pub fn with_lane_waits(mut self, waits: CounterId) -> Self {
+        if self.params.requeue == Requeue::PreArmed {
+            let window = self.params.profile_cycles;
+            self.probe = Some(Probe {
+                waits,
+                rate: ThroughputWindow::new(window),
+                waited: ThroughputWindow::new(window),
+            });
+        }
         self
     }
 
@@ -307,7 +371,11 @@ impl Kernel for ProfilerKernel {
                     }
                 }
                 if queue.is_empty() {
-                    self.window.restart(cy, ctx.counter(self.processed));
+                    let processed = ctx.counter(self.processed);
+                    self.window.restart(cy, processed);
+                    if let Some(probe) = &mut self.probe {
+                        probe.restart(cy, ctx, processed);
+                    }
                     self.enter(
                         ctx,
                         cy,
@@ -326,10 +394,20 @@ impl Kernel for ProfilerKernel {
                     // park for good.
                     return Progress::Sleep;
                 }
-                if let Some(rate) = self.window.tick(cy, ctx.counter(self.processed)) {
+                let processed = ctx.counter(self.processed);
+                let window_rate = self.window.tick(cy, processed);
+                if let Some(rate) = window_rate {
                     if rate > *peak {
                         *peak = rate;
                     }
+                }
+                // Pre-armed, the window only sets the peak: the probe's rate
+                // is the one compared against it.
+                let compared = match &mut self.probe {
+                    Some(probe) => probe.tick(cy, ctx, processed),
+                    None => window_rate,
+                };
+                if let Some(rate) = compared {
                     let triggered = *peak > 0.0 && rate < self.params.reschedule_threshold * *peak;
                     if triggered {
                         let steady = cy - *since;
@@ -441,9 +519,12 @@ impl Kernel for ProfilerKernel {
                     // Permanent no-op (the step parks the kernel anyway).
                     return Some(Cycle::MAX);
                 }
-                // Ticks strictly before the window boundary return `None`
-                // without mutating the observer.
-                let boundary = self.window.next_boundary();
+                // Ticks strictly before the next window or probe boundary
+                // return `None` without mutating either observer.
+                let mut boundary = self.window.next_boundary();
+                if let Some(probe) = &self.probe {
+                    boundary = boundary.min(probe.rate.next_boundary());
+                }
                 (boundary > cy).then_some(boundary)
             }
             Phase::Requeue { until } => (*until > cy).then_some(*until),
@@ -663,5 +744,50 @@ mod tests {
             "routing re-enabled after requeue"
         );
         assert!(ctx.state(control).generation() > 0, "mappers told to reset");
+    }
+
+    #[test]
+    fn pre_armed_probe_triggers_only_while_input_waits() {
+        let mut engine = Engine::new();
+        let feeds = engine.channel_bank::<u32>("feed", 0, 1, 64);
+        let plans = engine.channel_bank::<(u32, u32)>("plan", 0, 1, 8);
+        let control = engine.state(Control::new(1));
+        let plan = engine.state(SchedulingPlan::empty());
+        let (processed, waits) = (engine.counter(), engine.counter());
+        let mut p = params(1);
+        p.reschedule_threshold = 0.5;
+        p.requeue = Requeue::PreArmed;
+        let mut prof = ProfilerKernel::new(&mut engine, p, feeds, plans, processed, plan, control)
+            .with_lane_waits(waits);
+        let ctx = engine.context_mut();
+        let mut cy = 1;
+        let mut run = |ctx: &mut SimContext, cycles: u64, rate: u64, waiting: bool| {
+            for _ in 0..cycles {
+                ctx.counter_add(processed, rate);
+                ctx.counter_add(waits, u64::from(waiting));
+                prof.step(cy, ctx);
+                cy += 1;
+            }
+            (cy, prof.hold_until(cy, ctx))
+        };
+        // Profile, distribute, then a healthy rate for several windows.
+        run(ctx, 200, 4, true);
+        assert!(ctx.state(control).route_to_sec());
+        // Monitoring holds only up to the next 16-cycle probe boundary.
+        let (now, hold) = run(ctx, 1, 4, true);
+        let hold = hold.expect("monitoring is holdable");
+        assert!(hold > now && hold <= now + 16, "hold {hold} at cy {now}");
+        // A starved pipeline: the rate collapses with nothing waiting.
+        run(ctx, 200, 0, false);
+        assert!(ctx.state(control).route_to_sec(), "starvation triggered");
+        // One waiting cycle short of a whole probe window is not enough...
+        run(ctx, 15, 0, true);
+        assert!(
+            ctx.state(control).route_to_sec(),
+            "a partial window triggered"
+        );
+        // ...a window in which input waited every cycle is: drain starts.
+        run(ctx, 32, 0, true);
+        assert!(!ctx.state(control).route_to_sec(), "skew not detected");
     }
 }

@@ -31,6 +31,9 @@ pub struct MemoryReaderKernel {
     /// Control block told when the source runs dry (see
     /// [`reports_drain_to`](Self::reports_drain_to)).
     control: Option<ControlId>,
+    /// Counts the cycles that end with tuples still staged (see
+    /// [`counts_lane_waits_to`](Self::counts_lane_waits_to)).
+    lane_waits: Option<CounterId>,
 }
 
 impl MemoryReaderKernel {
@@ -52,6 +55,7 @@ impl MemoryReaderKernel {
             next_lane: 0,
             issued,
             control: None,
+            lane_waits: None,
         }
     }
 
@@ -60,6 +64,15 @@ impl MemoryReaderKernel {
     /// end of the input for a skew change.
     pub fn reports_drain_to(mut self, control: ControlId) -> Self {
         self.control = Some(control);
+        self
+    }
+
+    /// Adds one to `waits` in every cycle that ends with tuples still
+    /// staged, i.e. input waiting at the lanes. The pre-armed profiler's
+    /// probe triggers only on windows where that held every cycle, so a
+    /// starved pipeline cannot pass for a skewed one.
+    pub fn counts_lane_waits_to(mut self, waits: CounterId) -> Self {
+        self.lane_waits = Some(waits);
         self
     }
 
@@ -115,6 +128,9 @@ impl Kernel for MemoryReaderKernel {
             }
         });
         ctx.counter_add(self.issued, (self.staged - before) as u64);
+        if let Some(waits) = self.lane_waits {
+            ctx.counter_add(waits, u64::from(self.staging_len() > 0));
+        }
 
         // The reader only parks once the source is exhausted and staging is
         // drained — a permanent condition, so no wake subscription is

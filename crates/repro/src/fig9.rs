@@ -16,7 +16,11 @@
 //! (the column the paper's claims are checked on) and the pre-armed requeue
 //! (see [`Requeue`]), which hides the overhead behind every generation that
 //! outlives it — so it gains most at a few × overhead and cannot remove the
-//! dip, where generations are no longer than the requeue itself.
+//! dip, where generations are no longer than the requeue itself. Its
+//! monitor also probes every profiling window, so it detects a rotation in
+//! a few hundred cycles rather than thousands, and at the two shortest
+//! intervals it reschedules where the serial protocol does not, at no cost
+//! in throughput.
 
 use std::io::{self, Write};
 
@@ -152,7 +156,8 @@ impl Target for Fig9 {
              Ditto 16P+15S in both columns; the paper's claims are checked on the\n\
              serial one. Pre-armed requeue enqueues the next generation while the\n\
              current one runs: it gains where generations outlive the overhead\n\
-             and keeps the dip, where they do not."
+             and keeps the dip, where they do not. Its monitor probes every\n\
+             profiling window, so it also reschedules at the shortest intervals."
         )
     }
 
@@ -208,6 +213,10 @@ impl Target for Fig9 {
         let text = "pre-armed share of line rate in the dip, interval = overhead";
         let pre_dip = dip.pre_armed.gbps / self.peak_gbps;
         c.at_most(text, "serial only", pre_dip, 0.25);
+        // The probe reschedules at the shortest intervals, where the serial
+        // monitor never fires: those reschedules must cost nothing.
+        let text = "pre-armed over serial (x), worst of the two shortest intervals";
+        c.at_least(text, "serial only", gain(short).min(gain(shortest)), 0.95);
         c.list
     }
 }
@@ -230,8 +239,8 @@ mod tests {
             (1_600, 93.2, 5, 98.4, 5),
             (400, 74.6, 5, 87.6, 5),
             (100, 20.0, 2, 22.7, 2),
-            (25, 36.9, 0, 36.9, 0),
-            (6, 57.9, 0, 57.9, 0),
+            (25, 36.9, 0, 37.7, 2),
+            (6, 57.9, 0, 57.8, 5),
         ];
         Fig9 {
             overhead: 100,
@@ -267,6 +276,10 @@ mod tests {
                 (|f| f.rows[0].pre_armed.gbps = 90.0, "worst interval above"),
                 (|f| f.rows[2].pre_armed.gbps = 80.0, "at interval = 4 ×"),
                 (|f| f.rows[3].pre_armed.gbps = 30.0, "pre-armed share"),
+                (
+                    |f| f.rows[5].pre_armed.gbps = 50.0,
+                    "worst of the two shortest",
+                ),
             ],
         );
     }

@@ -1508,6 +1508,47 @@ mod tests {
     }
 
     #[test]
+    fn shard_metrics_split_its_cycles_by_protocol_phase() {
+        // Three in four tuples hit one key, and the hot key moves halfway
+        // through: the shard reschedules.
+        let arch = ArchConfig::new(4, 8, 7)
+            .with_reschedule(0.5, 200)
+            .with_profile_cycles(64)
+            .with_monitor_window(256);
+        let key = |i: u64| match i {
+            _ if i.is_multiple_of(4) => i,
+            0..40_000 => 1,
+            _ => 2,
+        };
+        let data: Vec<Tuple> = (0..80_000u64).map(|i| Tuple::from_key(key(i))).collect();
+        let mut cluster = Cluster::new(CountPerKey::new(8), &ServeConfig::new(1, arch));
+        cluster.submit(data);
+        cluster.drain();
+        let metrics = cluster.metrics();
+        let value = |name: &str| {
+            let entry = metrics.get(name, &[("shard", "0")]);
+            entry
+                .unwrap_or_else(|| panic!("{name} not exported"))
+                .value
+                .scalar()
+        };
+        assert!(value("ditto_serve_reschedules") > 0);
+        let phases: u64 = [
+            "ditto_protocol_profiling_cycles",
+            "ditto_protocol_distributing_cycles",
+            "ditto_protocol_monitoring_cycles",
+            "ditto_protocol_draining_cycles",
+            "ditto_protocol_await_merge_cycles",
+            "ditto_protocol_requeue_cycles",
+        ]
+        .into_iter()
+        .map(value)
+        .sum();
+        assert_eq!(phases, value("ditto_engine_cycles"));
+        cluster.finish();
+    }
+
+    #[test]
     #[should_panic(expected = "m_pri/pe_entries uniform")]
     fn per_shard_archs_reject_mismatched_state_shapes() {
         let _ = ServeConfig::new(2, ArchConfig::new(2, 4, 0))

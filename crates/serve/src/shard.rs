@@ -369,6 +369,20 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
         let active = reg.gauge("ditto_plan_active_pes", "plan", "pes");
         reg.set_gauge(phase, s.phase);
         reg.set_gauge(active, u64::from(s.phase_active_pes));
+        // The §IV-B protocol ledger: one counter per phase, summing to the
+        // shard's cycles (all zero without SecPEs).
+        let p = s.protocol_cycles;
+        for (name, cycles) in [
+            ("ditto_protocol_profiling_cycles", p.profiling),
+            ("ditto_protocol_distributing_cycles", p.distributing),
+            ("ditto_protocol_monitoring_cycles", p.monitoring),
+            ("ditto_protocol_draining_cycles", p.draining),
+            ("ditto_protocol_await_merge_cycles", p.await_merge),
+            ("ditto_protocol_requeue_cycles", p.requeue),
+        ] {
+            let h = reg.counter(name, "core", "cycles");
+            reg.set_counter(h, cycles);
+        }
         self.pipeline.engine().publish_metrics(&mut reg);
         reg.snapshot()
     }

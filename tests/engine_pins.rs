@@ -12,7 +12,8 @@
 //! The literals were computed on eb91fe4, where every reschedule paid the
 //! paper's serial requeue; the scenarios that reschedule pin
 //! `Requeue::Serial` so those literals still hold. Their `pre-armed` twins
-//! were computed on the change that introduced `Requeue::PreArmed`. A
+//! were computed on the change that introduced `Requeue::PreArmed` and
+//! re-pinned on the one that gave its monitor the probe. A
 //! change to how the engine steps, rather than to what it simulates, must
 //! leave every one unmodified; a mismatch names the scenario, the first
 //! differing hash and the line to paste if the change is a deliberate
@@ -468,50 +469,50 @@ const PINS: &[(&str, [u64; 4])] = &[
             0xd99149aff1d0762c,
         ],
     ),
-    // Computed on the change that made the pre-armed requeue the default.
+    // Re-pinned on the change that gave the pre-armed monitor its probe.
     (
         "2-4-3 evolving pre-armed",
         [
-            0x361b423c1ee7c150,
-            0x58337e2915f629fe,
-            0x65fb0b7071dd38c4,
-            0x96d328e340bc8c82,
+            0x2733696214a060aa,
+            0x1718750a39e52fc3,
+            0x1a711f0b8354aec8,
+            0x5b7a40c66aa91e74,
         ],
     ),
     (
         "4-8-3 evolving pre-armed",
         [
-            0x12a8c9c5d857c976,
-            0xf334be5c1da5fadd,
-            0x8fd80ccc2d94d862,
-            0x3ad4d61caa7c3192,
+            0xf951745287be46e4,
+            0xca0e5cb32c1aca97,
+            0x1fed73c01254c097,
+            0x17ba75d2034c586d,
         ],
     ),
     (
         "8-16-15 evolving pre-armed",
         [
-            0xca900c2a21c33994,
-            0xad78aedd39fe8eac,
-            0x248ca186f46d9d89,
-            0xad70ef6dd075bb,
+            0xacaf4a1c083c3f9c,
+            0x7a26d9f5370a86ee,
+            0xd6de193c0b51b5cd,
+            0xa96f9c7e2d5dd20a,
         ],
     ),
     (
         "16-32-31 evolving pre-armed",
         [
-            0xb4769cbfc3e3f4ac,
-            0xcc18da701ad08762,
-            0xbfa90b76aaeefe7b,
-            0x91bc72275850e171,
+            0xc14e442539eff35e,
+            0xc210836a6b95eaa8,
+            0x7f56092c4443464a,
+            0x39221a35de39e1d,
         ],
     ),
     (
         "8-16-15 evolving ff pre-armed",
         [
-            0x9723482d21d38099,
-            0x2f0adbbac03e8754,
-            0xa1f9a4edde7db7ea,
-            0x5d82ef5af9f50c22,
+            0x1b44b95d77238494,
+            0x446b7f59585ead15,
+            0x7cd733981e23e94b,
+            0xf848c0850dd3f030,
         ],
     ),
 ];

@@ -1,6 +1,7 @@
 //! The §IV-B reschedule protocol under evolving skew (the Fig. 9 machine).
 
-use ditto::hls_sim::StreamSource;
+use ditto::core::apps::CountPerKey;
+use ditto::hls_sim::{PacedSource, StreamSource};
 use ditto::prelude::*;
 
 fn online_cfg(threshold: f64, overhead: u64) -> ArchConfig {
@@ -194,4 +195,76 @@ fn protocol_cycles_are_equal_with_fast_forward_on_and_off() {
         );
         assert_eq!(stepped.reschedules, jumped.reschedules);
     }
+}
+
+/// The `engine_evolving` shape: the paper's 16P+15S, a 20 000-cycle
+/// requeue, 256-cycle profiling and a 4 096-cycle monitor window.
+fn paper_online(requeue: Requeue) -> ArchConfig {
+    ArchConfig::paper(15)
+        .with_reschedule(0.5, 20_000)
+        .with_requeue(requeue)
+        .with_profile_cycles(256)
+        .with_monitor_window(4_096)
+}
+
+#[test]
+fn a_starved_pipeline_never_reschedules() {
+    // Zipf(3) tuples in bursts of 2 048 every 2 000 cycles: between bursts
+    // the rate falls far below the peak with empty lanes and no change in
+    // skew. The pre-armed probe must not read that as a skew change.
+    let data = ZipfGenerator::new(3.0, 1 << 16, 7).take_vec(420_000);
+    for requeue in [Requeue::Serial, Requeue::PreArmed] {
+        let cfg = paper_online(requeue).with_steady_state_fast_forward(true);
+        let source = PacedSource::new(data.clone(), 2_048, 2_000, 0);
+        let out = SkewObliviousPipeline::run_stream_for(
+            CountPerKey::new(16),
+            Box::new(source),
+            &cfg,
+            400_000,
+        );
+        assert_eq!(out.report.reschedules, 0, "{requeue:?}");
+        assert!(out.report.tuples > 400_000, "{requeue:?}: {:?}", out.report);
+    }
+}
+
+/// Cycles from each hot-set rotation (every 80 000 cycles) to the first
+/// 16-cycle slice in which the pipeline starts draining its SecPEs.
+fn detection_delays(requeue: Requeue, rotations: u64) -> Vec<u64> {
+    let interval = 80_000;
+    let stream = EvolvingZipfStream::new(3.0, 1 << 16, 5, interval, 8.0, None);
+    let mut p = PersistentPipeline::new(
+        CountPerKey::new(16),
+        Box::new(stream),
+        &paper_online(requeue),
+    );
+    let (mut delays, mut rotated, mut draining) = (Vec::new(), None, 0);
+    while p.cycle() < (rotations + 1) * interval {
+        p.step_cycles(16);
+        let (cy, now) = (p.cycle(), p.snapshot().protocol_cycles.draining);
+        if cy % interval < 16 {
+            rotated = Some(cy - cy % interval);
+        }
+        if now > draining {
+            delays.extend(rotated.take().map(|at| cy - at));
+        }
+        draining = now;
+    }
+    delays.sort_unstable();
+    delays
+}
+
+#[test]
+fn pre_armed_probe_detects_rotations_within_two_profiling_windows() {
+    let profile = paper_online(Requeue::PreArmed).profile_cycles;
+    let window = paper_online(Requeue::Serial).monitor_window;
+    let probed = detection_delays(Requeue::PreArmed, 4);
+    let serial = detection_delays(Requeue::Serial, 4);
+    assert!(
+        probed.len() >= 3 && serial.len() >= 3,
+        "{probed:?} {serial:?}"
+    );
+    assert!(probed[probed.len() / 2] <= 2 * profile, "{probed:?}");
+    assert!(probed[probed.len() - 1] <= 6 * profile, "{probed:?}");
+    // The paper's tumbling window is unchanged.
+    assert!(serial[serial.len() / 2] >= window / 2, "{serial:?}");
 }
