@@ -8,7 +8,7 @@ use datagen::Tuple;
 use ditto_core::DittoApp;
 use ditto_obs::{LogHistogram, MetricsRegistry, MetricsSnapshot, SpanEvent};
 use ditto_serve::{
-    AdmissionSnapshot, BatchId, Cluster, ClusterOutcome, ClusterSnapshot, CompletedBatch,
+    AdmissionSnapshot, BatchId, Cluster, ClusterOutcome, ClusterSnapshot, CompletedBatch, Doorbell,
     HandoffReport, ServeConfig, ShardFailure, SlotMove,
 };
 
@@ -139,6 +139,21 @@ where
             resubmits: HashMap::new(),
             outstanding: HashMap::new(),
         }
+    }
+
+    /// Attaches `bell` to the leader cluster and to every follower (see
+    /// [`Cluster::attach_doorbell`]): a leader's completion or death, and
+    /// a follower's, wake the thread that runs [`heal`](Self::heal) and
+    /// [`take_completed`](Self::take_completed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a doorbell is already attached.
+    pub fn attach_doorbell(&self, bell: Doorbell) {
+        for follower in self.followers.iter().flatten() {
+            follower.attach_doorbell(bell.clone());
+        }
+        self.inner.attach_doorbell(bell);
     }
 
     /// Number of leader shards.

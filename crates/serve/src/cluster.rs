@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use datagen::Tuple;
@@ -14,10 +15,11 @@ use ditto_obs::{
 
 use crate::balancer::{BalancerConfig, ShardBalancer};
 use crate::batch::{BatchId, CompletedBatch};
+use crate::doorbell::Doorbell;
 use crate::metrics::{AdmissionSnapshot, ClusterSnapshot, ShardSnapshot};
 use crate::router::{RoutingTable, SlotMove, DEFAULT_SLOTS};
 use crate::shard::{
-    panic_message, spawn_shard, ShardCommand, ShardEvent, ShardFinish, ShardHandle,
+    panic_message, spawn_shard, ShardCommand, ShardEvent, ShardEvents, ShardFinish, ShardHandle,
 };
 
 /// How long the cluster waits on a shard reply or completion event before
@@ -313,6 +315,8 @@ pub struct Cluster<A: DittoApp + Clone + 'static> {
     router: RoutingTable,
     balancer: Option<ShardBalancer>,
     events: Receiver<ShardEvent>,
+    /// Rung by every shard event once attached; shared with the shards.
+    doorbell: Arc<OnceLock<Doorbell>>,
     pending: HashMap<BatchId, PendingCluster>,
     next_batch: BatchId,
     batches_submitted: u64,
@@ -349,6 +353,8 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Boots `config.shards` shard threads, each serving a clone of `app`.
     pub fn new(app: A, config: &ServeConfig) -> Self {
         let (event_tx, events) = std::sync::mpsc::channel();
+        let doorbell = Arc::new(OnceLock::new());
+        let event_tx = ShardEvents::new(event_tx, Arc::clone(&doorbell));
         let handles = (0..config.shards)
             .map(|id| {
                 spawn_shard(
@@ -375,6 +381,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                 .clone()
                 .map(|b| ShardBalancer::new(config.shards, b)),
             events,
+            doorbell,
             pending: HashMap::new(),
             next_batch: 0,
             batches_submitted: 0,
@@ -400,6 +407,23 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             m_pri: config.arch.m_pri,
             pe_entries: config.arch.pe_entries,
         }
+    }
+
+    /// Attaches the doorbell every shard rings right after it streams an
+    /// event — a completion or its death notice — so the thread collecting
+    /// completions can park instead of polling. The cluster rings it too
+    /// when it completes a batch no shard event announces (an empty batch,
+    /// or one released from a dead shard). A cluster without a doorbell
+    /// rings nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a doorbell is already attached.
+    pub fn attach_doorbell(&self, bell: Doorbell) {
+        assert!(
+            self.doorbell.set(bell).is_ok(),
+            "cluster already has a doorbell"
+        );
     }
 
     /// Number of shards.
@@ -458,7 +482,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         let mut kept = keep.then(|| vec![Vec::new(); self.handles.len()]);
         if routed.is_empty() {
             // Served by nobody: complete the empty batch at once.
-            self.record_completion(CompletedBatch {
+            self.complete_unannounced(CompletedBatch {
                 id,
                 tuples: total,
                 latency_cycles: 0,
@@ -534,7 +558,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         };
         if done {
             let p = self.pending.remove(&batch).expect("present");
-            self.record_completion(CompletedBatch {
+            self.complete_unannounced(CompletedBatch {
                 id: batch,
                 tuples: p.tuples,
                 latency_cycles: p.worst_cycles,
@@ -770,6 +794,15 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             batch.tuples,
         );
         self.completed.push(batch);
+    }
+
+    /// Records a completion no shard event announces, ringing the doorbell
+    /// in the shards' place.
+    fn complete_unannounced(&mut self, batch: CompletedBatch) {
+        self.record_completion(batch);
+        if let Some(bell) = self.doorbell.get() {
+            bell.ring();
+        }
     }
 
     /// Takes the completion records accumulated since the last call —
@@ -1199,7 +1232,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             };
             if done {
                 let p = self.pending.remove(&id).expect("present");
-                self.record_completion(CompletedBatch {
+                self.complete_unannounced(CompletedBatch {
                     id,
                     tuples: p.tuples,
                     latency_cycles: p.worst_cycles,

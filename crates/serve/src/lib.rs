@@ -27,6 +27,9 @@
 //!   (watermarks on each shard's processed-tuple counter), and exposes
 //!   snapshotable metrics — throughput, queue depth, p50/p99 batch latency
 //!   in simulated cycles and wall time.
+//! * [`Doorbell`] — attached to a cluster, every shard rings it right
+//!   after streaming a completion or its death notice, so the thread that
+//!   collects completions parks instead of polling.
 //! * [`RoutingTable`] — hash-slot ownership; slots are the key-range
 //!   migration unit.
 //! * [`ShardBalancer`] — the paper's profiler loop lifted to cluster
@@ -84,6 +87,7 @@
 mod balancer;
 mod batch;
 mod cluster;
+mod doorbell;
 mod metrics;
 mod queue;
 mod router;
@@ -94,6 +98,7 @@ pub use batch::{split_into_batches, BatchId, CompletedBatch};
 pub use cluster::{
     Cluster, ClusterOutcome, HandoffReport, ServeConfig, ShardFailure, ShardFault, ShardStates,
 };
+pub use doorbell::Doorbell;
 pub use metrics::{
     AdmissionSnapshot, ClusterSnapshot, LatencyRecorder, LatencyStats, ShardSnapshot,
 };

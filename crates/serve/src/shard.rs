@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -19,6 +20,7 @@ use ditto_core::{ArchConfig, DittoApp, ExecutionReport, PersistentPipeline};
 use ditto_obs::{MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal, SpanStage};
 
 use crate::batch::BatchId;
+use crate::doorbell::Doorbell;
 use crate::metrics::ShardSnapshot;
 use crate::queue::SharedQueue;
 
@@ -96,13 +98,37 @@ pub(crate) enum ShardEvent {
     Failed { shard: usize, message: String },
 }
 
+/// A shard's end of the event stream: every send is followed by a ring of
+/// the cluster's doorbell, once one is attached.
+#[derive(Clone)]
+pub(crate) struct ShardEvents {
+    tx: Sender<ShardEvent>,
+    doorbell: Arc<OnceLock<Doorbell>>,
+}
+
+impl ShardEvents {
+    pub(crate) fn new(tx: Sender<ShardEvent>, doorbell: Arc<OnceLock<Doorbell>>) -> Self {
+        ShardEvents { tx, doorbell }
+    }
+
+    /// Streams `event`, then rings the doorbell. A send failure means the
+    /// cluster stopped listening (dropped); the shard keeps serving the
+    /// engine side regardless.
+    fn send(&self, event: ShardEvent) {
+        let _ = self.tx.send(event);
+        if let Some(bell) = self.doorbell.get() {
+            bell.ring();
+        }
+    }
+}
+
 /// When a shard thread panics mid-serve, every cluster-side waiter would
 /// otherwise block on the events channel until teardown joins the thread
 /// (the cluster clones the event sender per shard, so one death never
 /// disconnects the channel). This guard wraps the serve loop: it catches
-/// the unwind, streams a [`ShardEvent::Failed`] carrying the panic payload,
-/// then resumes unwinding so the thread's join handle still reports the
-/// original panic.
+/// the unwind, streams a [`ShardEvent::Failed`] carrying the panic payload
+/// (ringing the doorbell like any other event), then resumes unwinding so
+/// the thread's join handle still reports the original panic.
 fn run_with_failure_notice<A: DittoApp + 'static>(
     worker: ShardWorker<A>,
     commands: Receiver<ShardCommand<A>>,
@@ -112,7 +138,7 @@ fn run_with_failure_notice<A: DittoApp + 'static>(
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || worker.run(commands)));
     if let Err(payload) = outcome {
-        let _ = events.send(ShardEvent::Failed {
+        events.send(ShardEvent::Failed {
             shard,
             message: panic_message(payload.as_ref()).to_owned(),
         });
@@ -156,7 +182,7 @@ struct ShardWorker<A: DittoApp + 'static> {
     pipeline: PersistentPipeline<A>,
     queue: SharedQueue,
     pending: VecDeque<PendingBatch>,
-    events: Sender<ShardEvent>,
+    events: ShardEvents,
     cycles_per_poll: u64,
     /// Ingress tuples/cycle (drain-budget sizing at Finish).
     ingress_rate: f64,
@@ -181,7 +207,7 @@ pub(crate) fn spawn_shard<A: DittoApp + 'static>(
     cycles_per_poll: u64,
     journal_capacity: usize,
     kill_after: Option<u64>,
-    events: Sender<ShardEvent>,
+    events: ShardEvents,
 ) -> ShardHandle<A> {
     let (commands, command_rx) = std::sync::mpsc::channel();
     let queue = SharedQueue::new();
@@ -415,9 +441,7 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
             self.batches_done += 1;
             self.journal
                 .record(b.id, SpanStage::Drain, done_cycle, self.id as u32, b.tuples);
-            // A send failure means the cluster stopped listening (dropped);
-            // the shard keeps serving the engine side regardless.
-            let _ = self.events.send(ShardEvent::Completed {
+            self.events.send(ShardEvent::Completed {
                 shard: self.id,
                 batch: b.id,
                 latency_cycles: done_cycle - b.enqueue_cycle,

@@ -47,8 +47,9 @@ const TOKEN_LISTENER: usize = 1;
 const TOKEN_BASE: usize = 2;
 
 /// Retry delay for a submit whose app lock was momentarily contended (not
-/// an admission defer — the attempt counter does not advance).
-const LOCK_RETRY: Duration = Duration::from_micros(100);
+/// an admission defer — the attempt counter does not advance), and for the
+/// pump's next pass over an app it found locked.
+pub(crate) const LOCK_RETRY: Duration = Duration::from_micros(100);
 /// Read chunk size per `read(2)`.
 const READ_CHUNK: usize = 16 * 1024;
 /// Fairness bound: chunks read from one connection per readiness event

@@ -17,7 +17,7 @@ use ditto_core::apps::CountPerKey;
 use ditto_core::DittoApp;
 use ditto_ha::HaCluster;
 use ditto_obs::{MetricsSnapshot, SpanEvent};
-use ditto_serve::{AdmissionSnapshot, BatchId, Cluster, CompletedBatch, ServeConfig};
+use ditto_serve::{AdmissionSnapshot, BatchId, Cluster, CompletedBatch, Doorbell, ServeConfig};
 use sketches::{Fixed, HyperLogLog};
 
 use crate::admission::AdmissionConfig;
@@ -199,11 +199,14 @@ impl WireApp for HhdApp {
 /// virtual call per batch; all tuple-granularity work stays inside the
 /// concrete [`Cluster`].
 pub(crate) trait HostedCluster: Send {
+    /// Attaches the server's pump doorbell to every cluster this host runs,
+    /// now and after each [`finalize`](Self::finalize) respawn.
+    fn attach_doorbell(&mut self, bell: Doorbell);
     /// Admits a batch, returning its cluster batch id.
     fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId;
-    /// Background upkeep between frames: the server's pump calls this every
-    /// cycle so a host can run supervision (failure detection, promotion)
-    /// without blocking any client. The default does nothing.
+    /// Background upkeep between frames: the server's pump calls this on
+    /// every pass so a host can run supervision (failure detection,
+    /// promotion) without blocking any client. The default does nothing.
     fn maintain(&mut self) {}
     /// Live cluster-wide queue depth in tuples (non-blocking).
     fn queue_depth(&mut self) -> u64;
@@ -251,14 +254,15 @@ fn wire_stats_from(a: AdmissionSnapshot) -> WireStats {
     }
 }
 
-/// The concrete host: an app instance, its serve configuration (kept so
-/// `finalize` can respawn a fresh cluster) and the live cluster. `prior`
-/// accumulates the counters of every finalized epoch, so lifetime
-/// statistics stay monotonic across `Finalize` round-trips (latency
-/// percentiles and queue depth are per-epoch and reset).
+/// The concrete host: an app instance, its serve configuration and pump
+/// doorbell (kept so `finalize` can respawn a fresh cluster) and the live
+/// cluster. `prior` accumulates the counters of every finalized epoch, so
+/// lifetime statistics stay monotonic across `Finalize` round-trips
+/// (latency percentiles and queue depth are per-epoch and reset).
 struct Host<A: WireApp> {
     app: A,
     config: ServeConfig,
+    doorbell: Option<Doorbell>,
     cluster: Cluster<A>,
     prior: WireStats,
 }
@@ -279,6 +283,11 @@ fn fold_stats(prior: &WireStats, cur: WireStats) -> WireStats {
 }
 
 impl<A: WireApp> HostedCluster for Host<A> {
+    fn attach_doorbell(&mut self, bell: Doorbell) {
+        self.cluster.attach_doorbell(bell.clone());
+        self.doorbell = Some(bell);
+    }
+
     fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId {
         self.cluster.submit(tuples)
     }
@@ -314,6 +323,9 @@ impl<A: WireApp> HostedCluster for Host<A> {
 
     fn finalize(&mut self) -> (Vec<CompletedBatch>, Vec<u8>) {
         let fresh = Cluster::new(self.app.clone(), &self.config);
+        if let Some(bell) = &self.doorbell {
+            fresh.attach_doorbell(bell.clone());
+        }
         let mut old = std::mem::replace(&mut self.cluster, fresh);
         old.drain();
         let completed = old.take_completed();
@@ -350,6 +362,7 @@ where
     app: A,
     config: ServeConfig,
     replicas: usize,
+    doorbell: Option<Doorbell>,
     cluster: HaCluster<A>,
     prior: WireStats,
 }
@@ -358,6 +371,11 @@ impl<A: WireApp> HostedCluster for HaHost<A>
 where
     A::State: Clone,
 {
+    fn attach_doorbell(&mut self, bell: Doorbell) {
+        self.cluster.attach_doorbell(bell.clone());
+        self.doorbell = Some(bell);
+    }
+
     fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId {
         self.cluster.submit(tuples)
     }
@@ -400,6 +418,9 @@ where
 
     fn finalize(&mut self) -> (Vec<CompletedBatch>, Vec<u8>) {
         let fresh = HaCluster::new(self.app.clone(), &self.config, self.replicas);
+        if let Some(bell) = &self.doorbell {
+            fresh.attach_doorbell(bell.clone());
+        }
         let mut old = std::mem::replace(&mut self.cluster, fresh);
         old.drain();
         let completed = old.take_completed();
@@ -469,6 +490,7 @@ impl AppRegistry {
         let host = Host {
             app,
             config,
+            doorbell: None,
             cluster,
             prior: WireStats::default(),
         };
@@ -502,6 +524,7 @@ impl AppRegistry {
             app,
             config,
             replicas,
+            doorbell: None,
             cluster,
             prior: WireStats::default(),
         };

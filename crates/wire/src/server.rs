@@ -22,9 +22,15 @@
 //! loop — so thousands of idle or slow connections cost file descriptors,
 //! not threads. Submits admit (or shed) inline under a `try_lock`;
 //! lock-holding requests (`Stats`/`Finalize`/`Metrics`) run on the pump
-//! thread. The **pump** polls every hosted cluster for completed batches
+//! thread. The **pump** parks until something rings its
+//! [`Doorbell`]: every shard thread of every hosted cluster rings it right
+//! after it streams a completion or its death notice, and a reactor rings
+//! it after queuing a service request. Each wake-up runs the queued
+//! requests, then collects every hosted cluster's completed batches
 //! (running HA `maintain` first) and routes `Done` frames to whichever
 //! connection submitted them — pipelining across connections for free.
+//! [`WireServerConfig::pump_interval`] only bounds the park when nothing
+//! rings.
 //!
 //! Shutdown is graceful by construction: stop admitting, drain every
 //! in-flight batch, flush the resulting `Done` responses from the
@@ -35,7 +41,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,13 +49,13 @@ use ditto_obs::{
     encode_snapshot, to_prometheus_text, MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal,
     SpanStage, NO_SHARD,
 };
-use ditto_serve::{BatchId, CompletedBatch};
+use ditto_serve::{BatchId, CompletedBatch, Doorbell};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::conn::ConnShared;
 use crate::frame::{error_code, metrics_format, Response, WireStats};
 use crate::poller::{deepen_backlog, Backend};
-use crate::reactor::{Reactor, ReactorNotify};
+use crate::reactor::{Reactor, ReactorNotify, LOCK_RETRY};
 use crate::registry::{AppRegistry, HostedCluster};
 
 /// Wire server tuning.
@@ -57,7 +63,11 @@ use crate::registry::{AppRegistry, HostedCluster};
 pub struct WireServerConfig {
     /// Admission control (watermark, defer policy, connection budget).
     pub admission: AdmissionConfig,
-    /// How often the completion pump polls the hosted clusters.
+    /// The longest the completion pump parks when nothing rings it. Shard
+    /// completions and deaths, service requests and shutdown all wake it
+    /// at once, so this only bounds how often HA `maintain` upkeep runs on
+    /// a quiet server. An app whose lock was busy is retried after at most
+    /// 100 µs (the reactor's retry of a contended submit).
     pub pump_interval: Duration,
     /// Capacity of each app's wire-level span journal (accept/admit/shed/
     /// reply events); `0` disables buffering, counters stay exact.
@@ -78,9 +88,9 @@ pub struct WireServerConfig {
 }
 
 impl WireServerConfig {
-    /// Defaults: permissive admission, 200 µs pump, 4096-event journals,
-    /// environment-selected backend, auto-sized reactor pool, 4 MiB
-    /// outbox soft cap, 10 s drain.
+    /// Defaults: permissive admission, a 200 µs bound on the pump's park,
+    /// 4096-event journals, environment-selected backend, auto-sized
+    /// reactor pool, 4 MiB outbox soft cap, 10 s drain.
     pub fn new() -> Self {
         WireServerConfig {
             admission: AdmissionConfig::new(),
@@ -283,13 +293,19 @@ pub(crate) struct ServiceQueue {
     ops: VecDeque<ServiceRequest>,
 }
 
-/// Queues a service request unless the queue already closed for shutdown.
+/// Queues a service request unless the queue already closed for shutdown,
+/// and wakes the pump to execute it.
 pub(crate) fn enqueue_service(shared: &ServerShared, req: ServiceRequest) -> bool {
-    let mut q = shared.service.lock().expect("service queue poisoned");
-    if q.closed {
-        return false;
+    {
+        let mut q = shared.service.lock().expect("service queue poisoned");
+        if q.closed {
+            return false;
+        }
+        q.ops.push_back(req);
     }
-    q.ops.push_back(req);
+    if let Some(pump) = shared.pump.get() {
+        pump.ring();
+    }
     true
 }
 
@@ -324,6 +340,8 @@ pub(crate) struct ServerShared {
     pub(crate) slow_disconnects: AtomicU64,
     pub(crate) connections_open: AtomicUsize,
     pub(crate) service: Mutex<ServiceQueue>,
+    /// The pump thread's doorbell; set at bind before any reactor runs.
+    pub(crate) pump: OnceLock<Doorbell>,
     pub(crate) max_connections: usize,
     pub(crate) write_soft_cap: usize,
     pub(crate) write_hard_cap: usize,
@@ -414,6 +432,7 @@ impl WireServer {
                 closed: false,
                 ops: VecDeque::new(),
             }),
+            pump: OnceLock::new(),
             max_connections: config.admission.max_connections,
             write_soft_cap: config.write_buf_bytes,
             write_hard_cap: config.write_buf_bytes.saturating_mul(4),
@@ -428,32 +447,53 @@ impl WireServer {
             wake_rxs.push(rx);
         }
         let mut listener = Some(listener);
-        let mut reactor_threads = Vec::with_capacity(io_threads);
-        for (index, rx) in wake_rxs.into_iter().enumerate() {
-            let reactor = Reactor::new(
-                index,
-                Arc::clone(&shared),
-                Arc::clone(&notifies[index]),
-                notifies.clone(),
-                rx,
-                listener.take(),
-                backend,
-                config.drain_timeout,
-            )?;
-            reactor_threads.push(
+        let reactors = wake_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(index, rx)| {
+                Reactor::new(
+                    index,
+                    Arc::clone(&shared),
+                    Arc::clone(&notifies[index]),
+                    notifies.clone(),
+                    rx,
+                    listener.take(),
+                    backend,
+                    config.drain_timeout,
+                )
+            })
+            .collect::<std::io::Result<Vec<Reactor>>>()?;
+
+        // The pump starts before the reactors, and every cluster and the
+        // service queue know its doorbell before the first request lands.
+        let pump_shared = Arc::clone(&shared);
+        let pump_interval = config.pump_interval;
+        let (pump_tx, pump_rx) = std::sync::mpsc::channel();
+        let pump_thread = std::thread::Builder::new()
+            .name("wire-pump".to_owned())
+            .spawn(move || {
+                let pump = Doorbell::current();
+                let _ = pump_tx.send(pump.clone());
+                pump_loop(&pump_shared, &pump, pump_interval);
+            })
+            .expect("spawn pump thread");
+        let pump = pump_rx.recv().expect("pump thread started");
+        for state in shared.apps.values() {
+            let mut st = state.lock().expect("host state poisoned");
+            st.host.attach_doorbell(pump.clone());
+        }
+        let _ = shared.pump.set(pump);
+
+        let reactor_threads = reactors
+            .into_iter()
+            .enumerate()
+            .map(|(index, reactor)| {
                 std::thread::Builder::new()
                     .name(format!("wire-reactor-{index}"))
                     .spawn(move || reactor.run())
-                    .expect("spawn reactor thread"),
-            );
-        }
-
-        let pump_shared = Arc::clone(&shared);
-        let pump_interval = config.pump_interval;
-        let pump_thread = std::thread::Builder::new()
-            .name("wire-pump".to_owned())
-            .spawn(move || pump_loop(&pump_shared, pump_interval))
-            .expect("spawn pump thread");
+                    .expect("spawn reactor thread")
+            })
+            .collect();
 
         Ok(WireServer {
             addr,
@@ -510,6 +550,9 @@ impl WireServer {
     /// propagated into the message).
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.stopping.store(true, Ordering::SeqCst);
+        if let Some(pump) = self.shared.pump.get() {
+            pump.ring();
+        }
         if let Some(t) = self.pump_thread.take() {
             t.join().expect("pump thread panicked");
         }
@@ -627,9 +670,10 @@ fn with_app(
     }
 }
 
-/// Executes queued service requests, then polls every hosted cluster for
-/// completed batches and routes their `Done` responses.
-fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
+/// Executes queued service requests, then collects every hosted cluster's
+/// completed batches and routes their `Done` responses; parks until the
+/// doorbell rings in between.
+fn pump_loop(shared: &Arc<ServerShared>, pump: &Doorbell, interval: Duration) {
     loop {
         // Service requests first: their connections' decode is paused
         // until answered, so they must not wait behind a full pump pass.
@@ -646,10 +690,13 @@ fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
+        let mut busy = false;
         for state in shared.apps.values() {
-            // Never block on a busy app (drain/finalize hold the lock for
-            // long stretches); completions keep until the next tick.
+            // Never block on a busy app (a reactor admitting a batch, which
+            // on an HA host may first heal a dead shard); its completions
+            // keep until the retry.
             let Ok(mut st) = state.try_lock() else {
+                busy = true;
                 continue;
             };
             // Host upkeep first (an HA host runs failure detection and
@@ -661,7 +708,13 @@ fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
                 st.dispatch(completed);
             }
         }
-        std::thread::sleep(interval);
+        // A ring that landed during this pass makes the wait return at
+        // once, so no completion waits out the timeout.
+        pump.wait(if busy {
+            interval.min(LOCK_RETRY)
+        } else {
+            interval
+        });
     }
 }
 
