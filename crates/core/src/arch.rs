@@ -264,7 +264,6 @@ impl<A: DittoApp + 'static> PersistentPipeline<A> {
                     reschedule_threshold: config.reschedule_threshold,
                     requeue_overhead_cycles: config.requeue_overhead_cycles,
                     requeue: config.requeue,
-                    auto_disable_after: config.auto_disable_after,
                 },
                 feeds,
                 plans,

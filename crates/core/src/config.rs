@@ -81,8 +81,6 @@ pub struct ArchConfig {
     /// ([`Requeue::Serial`], the paper's protocol), and with it which
     /// monitor triggers a reschedule.
     pub requeue: Requeue,
-    /// Consecutive too-fast reschedules before auto-disabling.
-    pub auto_disable_after: u32,
     /// When `true`, the engine's steady-state fast-forward is enabled:
     /// whenever every awake kernel can prove its next cycles are
     /// observational no-ops, the engine jumps the cycle counter straight
@@ -119,7 +117,6 @@ impl ArchConfig {
             reschedule_threshold: 0.0,
             requeue_overhead_cycles: 200_000,
             requeue: Requeue::PreArmed,
-            auto_disable_after: 3,
             steady_state_fast_forward: false,
         }
     }

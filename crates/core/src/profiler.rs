@@ -73,12 +73,13 @@ pub struct ProfilerParams {
     /// Whether the requeue overlaps the running generation or follows the
     /// merge (see [`Requeue`]), and which monitor triggers.
     pub requeue: Requeue,
-    /// After this many *consecutive* reschedules that re-trigger faster than
-    /// twice the requeue overhead, stop rescheduling for good (the adaptive
-    /// form of setting the threshold to zero that Fig. 9's right side
-    /// exercises).
-    pub auto_disable_after: u32,
 }
+
+/// After this many *consecutive* reschedules that re-trigger faster than
+/// twice the requeue overhead, the profiler stops rescheduling for good
+/// (the adaptive form of setting the threshold to zero that Fig. 9's right
+/// side exercises).
+const FAST_RETRIGGERS_BEFORE_DISABLE: u32 = 3;
 
 /// Internal protocol state.
 #[derive(Debug)]
@@ -413,7 +414,7 @@ impl Kernel for ProfilerKernel {
                         let steady = cy - *since;
                         if steady < 2 * self.params.requeue_overhead_cycles {
                             self.fast_retriggers += 1;
-                            if self.fast_retriggers >= self.params.auto_disable_after {
+                            if self.fast_retriggers >= FAST_RETRIGGERS_BEFORE_DISABLE {
                                 // The workload distribution changes faster
                                 // than kernels can be re-enqueued: stop
                                 // rescheduling for good (the threshold-to-
@@ -558,7 +559,6 @@ mod tests {
             reschedule_threshold: 0.0,
             requeue_overhead_cycles: 100,
             requeue: Requeue::Serial,
-            auto_disable_after: 3,
         }
     }
 

@@ -56,10 +56,10 @@ pub struct Promotion {
 /// replication tap. Deterministic engines make followers bit-identical
 /// mirrors, so promotion after a shard death loses nothing.
 ///
-/// The inner cluster runs with its own per-migration state handoff
-/// disabled: [`rebalance`](Self::rebalance) performs the *replicated*
-/// handoff protocol instead (leader slice and follower slices move
-/// together, logs reset/mark to stay truthful).
+/// The inner cluster owns state handoff: [`rebalance`](Self::rebalance)
+/// runs its rebalance (which moves and records the leader slices), then
+/// mirrors every applied handoff onto the followers and resets/marks the
+/// logs so they stay truthful.
 pub struct HaCluster<A>
 where
     A: DittoApp + Clone + 'static,
@@ -76,9 +76,6 @@ where
     promotions: Vec<Promotion>,
     promotions_total: u64,
     recovery_us: LogHistogram,
-    handoffs: Vec<HandoffReport>,
-    handoffs_total: u64,
-    handoff_pause_us: LogHistogram,
     /// Resubmitted batch → the root batch whose raced sub-batch it carries.
     resubmits: HashMap<BatchId, BatchId>,
     /// Root batches with resubmitted children still in flight: their
@@ -109,13 +106,12 @@ where
     /// `DITTO_KILL_SHARD` hook kills leaders, never the replicas that
     /// recovery depends on.
     pub fn new(app: A, config: &ServeConfig, replicas: usize) -> Self {
-        let leader_config = config.clone().with_state_handoff(false);
         let mut follower_config = ServeConfig::new(1, config.arch.clone())
             .with_cycles_per_poll(config.cycles_per_poll)
             .with_ingress_rate(config.ingress_rate)
             .with_journal_capacity(0);
         follower_config.fault = None;
-        let inner = Cluster::new(app.clone(), &leader_config);
+        let inner = Cluster::new(app.clone(), config);
         let followers = (0..config.shards)
             .map(|_| {
                 (0..replicas)
@@ -133,9 +129,6 @@ where
             promotions: Vec::new(),
             promotions_total: 0,
             recovery_us: LogHistogram::new(),
-            handoffs: Vec::new(),
-            handoffs_total: 0,
-            handoff_pause_us: LogHistogram::new(),
             resubmits: HashMap::new(),
             outstanding: HashMap::new(),
         }
@@ -332,54 +325,52 @@ where
     }
 
     /// One balancing round with *replicated* state handoff: the inner
-    /// balancer redirects traffic, then each migration source's slice
-    /// moves to the target leader and the target's followers; the source's
-    /// followers discard the same slice and its log resets (state is
-    /// fresh, which an empty log derives exactly). A source that dies
-    /// mid-handoff forfeits nothing — its replica still covers the full
+    /// cluster rebalances, handing each migration source leader's slice to
+    /// its target leader, then every applied handoff is mirrored on the
+    /// followers: source follower `i`'s slice moves to target follower
+    /// `i`, the source's log resets and the target's is marked incomplete.
+    /// A source that dies mid-handoff forfeits nothing — the inner cluster
+    /// applies none of its moves, its replica still covers the full
     /// history and [`heal`](Self::heal) promotes it.
     pub fn rebalance(&mut self) -> Vec<SlotMove> {
         let moves = self.inner.rebalance();
-        if moves.is_empty() {
-            return moves;
-        }
-        let mut by_source: Vec<(usize, Vec<SlotMove>)> = Vec::new();
+        // The inner cluster hands each source's whole slice to the target
+        // of the first move off it.
+        let mut sources = Vec::new();
         for mv in &moves {
-            match by_source.iter_mut().find(|(s, _)| *s == mv.from) {
-                Some((_, group)) => group.push(*mv),
-                None => by_source.push((mv.from, vec![*mv])),
+            if !sources.contains(&mv.from) {
+                sources.push(mv.from);
+                self.mirror_handoff(mv.from, mv.to);
             }
-        }
-        for (from, group) in by_source {
-            let to = group[0].to;
-            let start = Instant::now();
-            let Ok(extract) = self.inner.extract_shard(from) else {
-                continue; // source died mid-handoff; heal() owns it now
-            };
-            self.install_replicated(to, extract.states);
-            // The source's followers drop the same slice the leader lost,
-            // and its log resets to match the now-fresh state.
-            for follower in &mut self.followers[from] {
-                follower.drain();
-                let _ = follower
-                    .extract_shard(0)
-                    .expect("local follower cluster cannot die");
-            }
-            self.logs[from].reset();
-            let report = HandoffReport {
-                from,
-                to,
-                slots: group.iter().map(|m| m.slot).collect(),
-                pause: start.elapsed(),
-                catch_up_cycles: extract.catch_up_cycles,
-                tuples_moved: extract.tuples,
-            };
-            self.handoffs_total += 1;
-            self.handoff_pause_us
-                .record(u64::try_from(report.pause.as_micros()).unwrap_or(u64::MAX));
-            self.handoffs.push(report);
         }
         moves
+    }
+
+    /// Repeats one leader handoff on the followers. A follower is a
+    /// bit-identical mirror of its leader, so its slice is exactly the one
+    /// the leader handed off and no state is cloned. The source's log
+    /// resets (its state is fresh, which an empty log derives exactly) and
+    /// the target's is marked incomplete.
+    fn mirror_handoff(&mut self, from: usize, to: usize) {
+        // Only a dead shard loses followers, and a dead shard takes part in
+        // no applied handoff.
+        assert_eq!(
+            self.followers[from].len(),
+            self.followers[to].len(),
+            "live shards {from} and {to} must keep the same replica count"
+        );
+        for i in 0..self.followers[from].len() {
+            let source = &mut self.followers[from][i];
+            source.drain();
+            let slice = source
+                .extract_shard(0)
+                .expect("local follower cluster cannot die");
+            self.followers[to][i]
+                .install_shard(0, slice.states)
+                .expect("local follower cluster cannot die");
+        }
+        self.logs[from].reset();
+        self.logs[to].mark_incomplete();
     }
 
     /// Blocks until every admitted batch completes, healing through any
@@ -416,9 +407,9 @@ where
         self.promotions_total
     }
 
-    /// Replicated handoff reports since the last call.
+    /// The inner cluster's handoff reports since the last call.
     pub fn take_handoffs(&mut self) -> Vec<HandoffReport> {
-        std::mem::take(&mut self.handoffs)
+        self.inner.take_handoffs()
     }
 
     /// Per-shard replication lag: the worst follower queue depth in
@@ -533,21 +524,18 @@ where
     }
 
     /// The merged observability snapshot: the leader cluster's registry
-    /// plus the `ditto_ha_*` series — replica count, per-shard replication
-    /// lag, promotions, recovery-time and handoff-pause histograms.
+    /// (which carries the handoff series) plus the `ditto_ha_*` series
+    /// this layer owns — replica count, per-shard replication lag,
+    /// promotions and the recovery-time histogram.
     pub fn metrics(&mut self) -> MetricsSnapshot {
         let mut merged = self.inner.metrics();
         let mut reg = MetricsRegistry::new();
         let replicas = reg.gauge("ditto_ha_replicas", "ha", "items");
         let promotions = reg.counter("ditto_ha_promotions", "ha", "items");
-        let handoffs = reg.counter("ditto_ha_handoffs", "ha", "items");
         reg.set_gauge(replicas, self.replicas as u64);
         reg.set_counter(promotions, self.promotions_total);
-        reg.set_counter(handoffs, self.handoffs_total);
         let recovery = reg.histogram("ditto_ha_recovery_us", "ha", "us");
-        let pause = reg.histogram("ditto_ha_handoff_pause_us", "ha", "us");
         reg.set_histogram(recovery, self.recovery_us.clone());
-        reg.set_histogram(pause, self.handoff_pause_us.clone());
         merged.merge(&reg.snapshot());
         for (shard, lag) in self.replication_lag().into_iter().enumerate() {
             let mut reg = MetricsRegistry::new().with_label("shard", shard);

@@ -30,12 +30,14 @@
 //!            └────────────────────┘
 //! ```
 //!
-//! * **State handoff** ([`HaCluster::rebalance`]): when the balancer
-//!   migrates hot slots, the source shard's accumulated slice moves with
-//!   them — extracted at the admission watermark, installed on the target
-//!   *and its followers* via the application's own `merge`. Because merge
-//!   is associative and commutative, which shard folds the history is
-//!   immaterial to the cluster-level result: the handoff run is
+//! * **Replicated state handoff** ([`HaCluster::rebalance`]): when the
+//!   balancer migrates hot slots, the serve cluster's own handoff moves the
+//!   source leader's accumulated slice with them — extracted at the
+//!   admission watermark, installed on the target via the application's
+//!   own `merge`. This crate then mirrors each applied handoff replica by
+//!   replica: source follower `i`'s slice moves to target follower `i`.
+//!   Because merge is associative and commutative, which shard folds the
+//!   history is immaterial to the cluster-level result: the handoff run is
 //!   bit-identical to the no-migration run.
 //! * **N-way replication** ([`HaCluster::submit`]): every delivered
 //!   per-shard sub-batch is appended to that shard's [`BatchLog`] and

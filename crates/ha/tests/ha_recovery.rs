@@ -11,12 +11,15 @@
 //! * **crash during handoff**: the migration source dying mid-protocol
 //!   (after the balancer decided, before the install) forfeits nothing —
 //!   its replica still covers the full history.
+//! * **kill right after a handoff**: either side of a completed replicated
+//!   handoff dies and its replica alone restores it, which holds only if
+//!   the followers mirrored the handoff exactly.
 
 use datagen::{Tuple, ZipfGenerator};
 use ditto_apps::{HhdApp, HistoApp};
 use ditto_core::{ArchConfig, DittoApp, SkewObliviousPipeline};
 use ditto_ha::{HaCluster, RecoverySource};
-use ditto_serve::{split_into_batches, BalancerConfig, ServeConfig, ShardFault};
+use ditto_serve::{split_into_batches, BalancerConfig, HandoffReport, ServeConfig, ShardFault};
 
 const TUPLES: usize = 8_000;
 const BATCH: usize = 1_000;
@@ -288,4 +291,97 @@ fn metrics_expose_the_ha_plane() {
         .filter(|e| e.desc.name == "ditto_ha_replication_lag")
         .count();
     assert_eq!(lag_entries, SHARDS, "one lag gauge per shard");
+}
+
+/// The balancer-driven cluster of
+/// `replicated_rebalance_moves_state_and_keeps_logs_honest`, with
+/// `replicas` followers per shard.
+fn balanced_histo(replicas: usize) -> (HistoApp, ArchConfig, HaCluster<HistoApp>) {
+    let app = HistoApp::new(256, 8);
+    let arch = ArchConfig::new(4, 8, 0).with_pe_entries(app.pe_entries());
+    let config = ServeConfig::new(SHARDS, arch.clone()).with_balancer(BalancerConfig {
+        min_window_tuples: 64,
+        ..BalancerConfig::default()
+    });
+    let ha = HaCluster::new(app.clone(), &config, replicas);
+    (app, arch, ha)
+}
+
+/// Pins hot traffic to shard 0 until the balancer hands state off once;
+/// returns every tuple submitted and the handoff reports of that round.
+fn force_one_handoff(ha: &mut HaCluster<HistoApp>) -> (Vec<Tuple>, Vec<HandoffReport>) {
+    let hot_keys: Vec<u64> = (0u64..)
+        .filter(|&k| ha.router().shard_of_key(k) == 0)
+        .take(32)
+        .collect();
+    let mut all = Vec::new();
+    for _ in 0..8 {
+        let batch: Vec<Tuple> = hot_keys
+            .iter()
+            .cycle()
+            .take(2_000)
+            .map(|&k| Tuple::from_key(k))
+            .collect();
+        all.extend(batch.iter().copied());
+        ha.submit(batch);
+        ha.drain();
+        ha.rebalance();
+        let handoffs = ha.take_handoffs();
+        if !handoffs.is_empty() {
+            return (all, handoffs);
+        }
+    }
+    panic!("hot shard never handed state off");
+}
+
+#[test]
+fn killing_either_side_right_after_a_handoff_recovers_from_its_replica() {
+    // Source and target in two separate runs. The source's replica must
+    // have dropped the slice its leader handed off (or promotion would
+    // double it); the target's must hold it (or promotion would lose it).
+    // Two followers per shard: promotion takes the last one, so a mirror
+    // that skipped any replica index shows up here.
+    for victim_is_target in [false, true] {
+        let (app, arch, mut ha) = balanced_histo(2);
+        let (mut all, handoffs) = force_one_handoff(&mut ha);
+        let handoff = &handoffs[0];
+        let victim = if victim_is_target {
+            handoff.to
+        } else {
+            handoff.from
+        };
+        ha.kill_shard(victim, "killed right after a replicated handoff");
+        let promotions = ha.heal();
+        assert_eq!(promotions.len(), 1, "victim {victim}: one promotion");
+        assert_eq!(promotions[0].dead, victim);
+        assert_eq!(promotions[0].source, RecoverySource::Replica);
+        for batch in split_into_batches(&zipf3(99), BATCH).into_iter().take(3) {
+            all.extend(batch.iter().copied());
+            ha.submit(batch);
+        }
+        ha.drain();
+        assert_eq!(
+            ha.finish().output,
+            single(app, &all, &arch),
+            "killing shard {victim} (target: {victim_is_target}) after a handoff \
+             lost or doubled tuples"
+        );
+    }
+}
+
+#[test]
+fn handoff_metrics_count_each_handoff_once() {
+    let (_, _, mut ha) = balanced_histo(1);
+    let (_, handoffs) = force_one_handoff(&mut ha);
+    let snap = ha.metrics();
+    assert_eq!(
+        snap.scalar("ditto_ha_handoffs"),
+        Some(handoffs.len() as u64),
+        "one handoff counter owner"
+    );
+    assert_eq!(
+        snap.scalar("ditto_ha_handoff_pause_us"),
+        Some(handoffs.len() as u64),
+        "one pause sample per handoff"
+    );
 }

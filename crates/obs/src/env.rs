@@ -58,13 +58,6 @@ pub const KNOWN: &[EnvKnob] = &[
                  answered with one `TOO_MANY_CONNECTIONS` error frame and closed",
     },
     EnvKnob {
-        name: "DITTO_WIRE_BACKEND",
-        consumer: "ditto-wire (reactor)",
-        default: "`epoll` on Linux, else `poll`",
-        effect: "readiness backend for the I/O reactors: `epoll` or `poll` (unknown values \
-                 keep the platform default)",
-    },
-    EnvKnob {
         name: "DITTO_WIRE_IO_THREADS",
         consumer: "ditto-wire (reactor)",
         default: "cores, capped at 8",

@@ -58,10 +58,6 @@ pub struct ServeConfig {
     /// cluster-side); `0` disables trace buffering entirely while keeping
     /// the lifetime counters exact.
     pub journal_capacity: usize,
-    /// When `true` (the default), balancer migrations hand the source
-    /// shard's accumulated state slice to the target shard
-    /// ([`Cluster::handoff`]) instead of only redirecting future traffic.
-    pub state_handoff: bool,
     /// Fault injection: kill one shard thread after it serves a fixed
     /// number of batches (the `DITTO_KILL_SHARD` test hook).
     pub fault: Option<ShardFault>,
@@ -110,7 +106,6 @@ impl ServeConfig {
             ingress_rate: 8.0,
             balancer: None,
             journal_capacity: 4096,
-            state_handoff: true,
             fault: None,
         }
     }
@@ -160,14 +155,6 @@ impl ServeConfig {
     /// buffering; lifetime counters stay exact either way).
     pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
         self.journal_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables state handoff on balancer migrations (on by
-    /// default; `ditto-ha` disables it to run its replicated handoff
-    /// protocol instead).
-    pub fn with_state_handoff(mut self, on: bool) -> Self {
-        self.state_handoff = on;
         self
     }
 
@@ -339,7 +326,6 @@ pub struct Cluster<A: DittoApp + Clone + 'static> {
     /// racing the submit; a recovery layer takes and resubmits them.
     lost_parts: Vec<(BatchId, usize, Vec<Tuple>)>,
     tuples_lost: u64,
-    state_handoff: bool,
     handoffs: Vec<HandoffReport>,
     handoffs_total: u64,
     handoff_pause_us: LogHistogram,
@@ -400,7 +386,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             dead: (0..config.shards).map(|_| None).collect(),
             lost_parts: Vec::new(),
             tuples_lost: 0,
-            state_handoff: config.state_handoff,
             handoffs: Vec::new(),
             handoffs_total: 0,
             handoff_pause_us: LogHistogram::new(),
@@ -1008,12 +993,13 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// recommended key-range migrations to the routing table. Returns the
     /// applied moves (empty when balanced or the balancer is disabled).
     ///
-    /// With [`ServeConfig::state_handoff`] on (the default), each round's
-    /// migrations also *hand off state*: the hot shard's accumulated slice
-    /// moves to the migration target via [`handoff`](Self::handoff), so a
-    /// subsequently retired source loses nothing. With it off, moves only
-    /// redirect future traffic (`ditto-ha` runs its own replicated handoff
-    /// protocol around this).
+    /// Every round's migrations also *hand off state*: the hot shard's
+    /// accumulated slice moves to the migration target via
+    /// [`handoff`](Self::handoff), so a subsequently retired source loses
+    /// nothing. This is the one place handoffs happen and are recorded
+    /// ([`take_handoffs`](Self::take_handoffs), `ditto_ha_handoffs`,
+    /// `ditto_ha_handoff_pause_us`); `ditto-ha` only mirrors the applied
+    /// moves onto its followers afterwards.
     pub fn rebalance(&mut self) -> Vec<SlotMove> {
         self.poll();
         if self.balancer.is_none() {
@@ -1028,15 +1014,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         self.last_shard_tuples = snaps.iter().map(|s| s.tuples).collect();
         let balancer = self.balancer.as_mut().expect("checked above");
         let moves = balancer.rebalance(&window, &mut self.router);
-        if moves.is_empty() {
-            return moves;
-        }
-        if !self.state_handoff {
-            for mv in &moves {
-                self.router.apply(*mv);
-            }
-            return moves;
-        }
         // Group the round's moves by source shard (one balancer round moves
         // slots off a single hot shard, but stay general): extraction is
         // whole-slice, so one extract per source covers every move off it,

@@ -18,8 +18,8 @@
 //!   (property-tested).
 //! * [`WireServer`] — an event-driven TCP server: a core-count pool of
 //!   reactor threads multiplexes every connection through hand-rolled
-//!   `epoll` bindings (`poll(2)` fallback, selectable via [`Backend`]),
-//!   with per-connection framed state machines, bounded write buffers
+//!   `epoll` bindings (the crate builds on Linux only), with
+//!   per-connection framed state machines, bounded write buffers
 //!   that backpressure (and eventually evict) slow readers, request
 //!   pipelining (responses matched by sequence number), a connection
 //!   budget (`DITTO_MAX_CONNS`), a completion pump, and graceful
@@ -71,6 +71,9 @@
 // other code stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("ditto-wire multiplexes sockets with epoll and builds on Linux only");
 
 mod admission;
 mod client;

@@ -1,62 +1,42 @@
-//! Readiness multiplexing: hand-rolled `epoll` bindings with a portable
-//! `poll(2)` fallback behind one [`Poller`] trait.
+//! Readiness multiplexing: hand-rolled Linux `epoll` bindings.
 //!
-//! The zero-dependency rule means no `libc`/`mio` crates; instead the two
-//! syscall surfaces the reactor needs are declared directly against the C
-//! library the Rust standard library already links on every Unix target.
-//! The unsafe surface is confined to the `sys` module below: three `epoll`
-//! entry points, `poll`, and `listen` (to deepen the accept backlog for
-//! thousand-connection fan-in) — every wrapper validates results and
-//! returns `io::Error`, so the rest of the crate stays `unsafe`-free.
+//! The zero-dependency rule means no `libc`/`mio` crates; instead the
+//! syscalls the reactor needs are declared directly against the C library
+//! the Rust standard library already links. The unsafe surface is confined
+//! to the `sys` module below: three `epoll` entry points and `listen` (to
+//! deepen the accept backlog for thousand-connection fan-in) — every
+//! wrapper validates results and returns `io::Error`, so the rest of the
+//! crate stays `unsafe`-free.
 //!
-//! Both backends are **level-triggered**: an event fires as long as the
+//! Registrations are **level-triggered**: an event fires as long as the
 //! condition holds, so the reactor never needs to drain a socket to
 //! "re-arm" it — a partially read connection simply fires again on the
 //! next wait. Write interest is registered only while a connection has
 //! queued output, keeping idle connections free for the kernel.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::time::Duration;
 
-/// Which readiness backend a [`WireServer`](crate::WireServer) multiplexes
-/// sockets with.
+/// The readiness backend a [`WireServer`](crate::WireServer) multiplexes
+/// sockets with. `epoll` is the only one; the enum, its
+/// [`label`](Self::label), [`WireServerConfig::backend`] and
+/// [`WireServerConfig::with_backend`] are kept only because
+/// `benchmark/src` imports them (ROADMAP 4(g)).
+///
+/// [`WireServerConfig::backend`]: crate::WireServerConfig::backend
+/// [`WireServerConfig::with_backend`]: crate::WireServerConfig::with_backend
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Linux `epoll`: O(ready) wakeups, the 10k-connection path.
     Epoll,
-    /// POSIX `poll(2)`: O(registered) per wait, portable fallback.
-    Poll,
 }
 
 impl Backend {
-    /// The best backend for the build target: `epoll` on Linux, `poll`
-    /// elsewhere.
-    pub fn auto() -> Backend {
-        if cfg!(target_os = "linux") {
-            Backend::Epoll
-        } else {
-            Backend::Poll
-        }
-    }
-
-    /// Resolves the `DITTO_WIRE_BACKEND` override (`epoll` / `poll`),
-    /// falling back to `default`. Unknown values fall back too — a typo'd
-    /// override must not take a serving process down.
-    pub(crate) fn from_env(default: Backend) -> Backend {
-        match std::env::var("DITTO_WIRE_BACKEND").ok().as_deref() {
-            Some("epoll") => Backend::Epoll,
-            Some("poll") => Backend::Poll,
-            _ => default,
-        }
-    }
-
-    /// Stable lower-case name (`"epoll"` / `"poll"`), as accepted by the
-    /// `DITTO_WIRE_BACKEND` override and stamped into bench artifacts.
+    /// Stable lower-case name (`"epoll"`), stamped into bench artifacts.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Epoll => "epoll",
-            Backend::Poll => "poll",
         }
     }
 }
@@ -75,9 +55,20 @@ impl Interest {
         read: true,
         write: false,
     };
+
+    fn mask(self) -> u32 {
+        let mut m = 0;
+        if self.read {
+            m |= sys::EPOLLIN;
+        }
+        if self.write {
+            m |= sys::EPOLLOUT;
+        }
+        m
+    }
 }
 
-/// One readiness event, backend-agnostic.
+/// One readiness event.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
     /// The token the fd was registered under.
@@ -90,32 +81,6 @@ pub(crate) struct Event {
     /// Error or peer-hangup condition. Reported even for an empty interest
     /// set — how the reactor notices a dead connection it had paused.
     pub hangup: bool,
-}
-
-/// A readiness selector the reactor can block on.
-pub(crate) trait Poller: Send {
-    /// Starts watching `fd` under `token` with `interest`.
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-    /// Replaces the interest set of an already-registered `fd`.
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-    /// Stops watching `fd`. Must be called *before* the fd is closed.
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-    /// Blocks until at least one event, the timeout (`None` = forever), or
-    /// a signal; fills `events` (cleared first). A signal-interrupted wait
-    /// returns successfully with no events.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-/// Builds the selector for `backend`. Asking for `epoll` off-Linux falls
-/// back to `poll` (the trait surface is identical).
-pub(crate) fn new_poller(backend: Backend) -> io::Result<Box<dyn Poller>> {
-    match backend {
-        #[cfg(target_os = "linux")]
-        Backend::Epoll => Ok(Box::new(linux::EpollPoller::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        Backend::Epoll => Ok(Box::new(PollPoller::new())),
-        Backend::Poll => Ok(Box::new(PollPoller::new())),
-    }
 }
 
 /// Milliseconds for the C timeout argument: `None` → -1 (infinite),
@@ -153,15 +118,6 @@ mod sys {
         pub data: u64,
     }
 
-    /// `struct pollfd`, identical on every Unix.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
     pub const EPOLLERR: u32 = 0x008;
@@ -171,16 +127,10 @@ mod sys {
     pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLL_CLOEXEC: i32 = 0x8_0000;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
     }
 
@@ -194,11 +144,14 @@ mod sys {
 
     /// `epoll_create1(EPOLL_CLOEXEC)`, returning the raw epoll fd.
     pub fn epoll_create() -> io::Result<RawFd> {
+        // SAFETY: takes no pointers; a failure is reported through errno.
         check(unsafe { epoll_create1(EPOLL_CLOEXEC) })
     }
 
     /// One `epoll_ctl` op; `event` is ignored by the kernel for DEL.
     pub fn epoll_control(epfd: RawFd, op: i32, fd: RawFd, mut event: EpollEvent) -> io::Result<()> {
+        // SAFETY: `event` is a live, correctly laid out `epoll_event` for
+        // the duration of the call; bad fds come back as errors.
         check(unsafe { epoll_ctl(epfd, op, fd, &mut event) }).map(|_| ())
     }
 
@@ -206,17 +159,9 @@ mod sys {
     /// EINTR is surfaced as `Ok(0)` — the reactor just re-evaluates.
     pub fn epoll_wait_into(epfd: RawFd, buf: &mut [EpollEvent], timeout: i32) -> io::Result<usize> {
         let max = i32::try_from(buf.len()).unwrap_or(i32::MAX);
+        // SAFETY: the kernel writes at most `max <= buf.len()` entries
+        // into `buf`, which stays mutably borrowed for the call.
         match check(unsafe { epoll_wait(epfd, buf.as_mut_ptr(), max, timeout) }) {
-            Ok(n) => Ok(n as usize),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// `poll(2)` over `fds`, returning the number of fds with events.
-    /// EINTR is surfaced as `Ok(0)`.
-    pub fn poll_fds(fds: &mut [PollFd], timeout: i32) -> io::Result<usize> {
-        match check(unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout) }) {
             Ok(n) => Ok(n as usize),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
             Err(e) => Err(e),
@@ -228,186 +173,92 @@ mod sys {
     /// standard library offers no backlog control, and 10k clients
     /// connecting at once overflow its default of 128.
     pub fn deepen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
+        // SAFETY: takes no pointers; a bad fd comes back as an error.
         check(unsafe { listen(fd, backlog) }).map(|_| ())
     }
 }
 
 pub(crate) use sys::deepen_backlog;
 
-#[cfg(target_os = "linux")]
-mod linux {
-    use super::sys::{self, EpollEvent};
-    use super::{timeout_ms, Event, Interest, Poller};
-    use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-    use std::time::Duration;
-
-    /// The Linux backend: one epoll instance, kernel-side interest lists,
-    /// O(ready) wakeups.
-    pub struct EpollPoller {
-        /// Owned so dropping the poller closes the epoll fd.
-        epfd: OwnedFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = 0;
-        if interest.read {
-            m |= sys::EPOLLIN;
-        }
-        if interest.write {
-            m |= sys::EPOLLOUT;
-        }
-        m
-    }
-
-    impl EpollPoller {
-        pub fn new() -> io::Result<EpollPoller> {
-            let raw = sys::epoll_create()?;
-            // SAFETY-free ownership transfer lives in the sys module's
-            // allow scope; from_raw_fd here is the one place the raw fd
-            // becomes owned.
-            #[allow(unsafe_code)]
-            let epfd = unsafe { OwnedFd::from_raw_fd(raw) };
-            Ok(EpollPoller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn raw(&self) -> RawFd {
-            use std::os::fd::AsRawFd;
-            self.epfd.as_raw_fd()
-        }
-    }
-
-    impl Poller for EpollPoller {
-        fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            let ev = EpollEvent {
-                events: mask(interest),
-                data: token as u64,
-            };
-            sys::epoll_control(self.raw(), sys::EPOLL_CTL_ADD, fd, ev)
-        }
-
-        fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            let ev = EpollEvent {
-                events: mask(interest),
-                data: token as u64,
-            };
-            sys::epoll_control(self.raw(), sys::EPOLL_CTL_MOD, fd, ev)
-        }
-
-        fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            sys::epoll_control(
-                self.raw(),
-                sys::EPOLL_CTL_DEL,
-                fd,
-                EpollEvent { events: 0, data: 0 },
-            )
-        }
-
-        fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            events.clear();
-            let n = sys::epoll_wait_into(self.raw(), &mut self.buf, timeout_ms(timeout))?;
-            for e in &self.buf[..n] {
-                // Copy out of the (possibly packed) struct before use.
-                let bits = e.events;
-                let token = e.data as usize;
-                events.push(Event {
-                    token,
-                    // Error/hangup conditions surface as readability so the
-                    // next read() observes EOF or the real error.
-                    readable: bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    writable: bits & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    hangup: bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
+/// One epoll instance: kernel-side interest lists, O(ready) wakeups.
+pub(crate) struct EpollPoller {
+    /// Owned so dropping the poller closes the epoll fd.
+    epfd: OwnedFd,
+    buf: Vec<sys::EpollEvent>,
 }
 
-/// The portable fallback: a user-space interest list handed to `poll(2)`
-/// on every wait. O(registered fds) per call — fine for hundreds of
-/// connections, the reason `epoll` exists for tens of thousands.
-pub(crate) struct PollPoller {
-    entries: Vec<(RawFd, usize, Interest)>,
-    fds: Vec<sys::PollFd>,
-}
-
-impl PollPoller {
-    pub(crate) fn new() -> PollPoller {
-        PollPoller {
-            entries: Vec::new(),
-            fds: Vec::new(),
-        }
+impl EpollPoller {
+    /// Creates the epoll instance.
+    pub(crate) fn new() -> io::Result<EpollPoller> {
+        let raw = sys::epoll_create()?;
+        // SAFETY: `raw` was just returned by a successful `epoll_create1`,
+        // so it is open, and nothing else owns or closes it.
+        #[allow(unsafe_code)]
+        let epfd = unsafe { OwnedFd::from_raw_fd(raw) };
+        Ok(EpollPoller {
+            epfd,
+            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    fn position(&self, fd: RawFd) -> Option<usize> {
-        self.entries.iter().position(|&(f, _, _)| f == fd)
-    }
-}
-
-impl Poller for PollPoller {
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        if self.position(fd).is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
-        }
-        self.entries.push((fd, token, interest));
-        Ok(())
+    fn control(&self, op: i32, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        let ev = sys::EpollEvent {
+            events: interest.mask(),
+            data: token as u64,
+        };
+        sys::epoll_control(self.epfd.as_raw_fd(), op, fd, ev)
     }
 
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        let at = self
-            .position(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.entries[at] = (fd, token, interest);
-        Ok(())
+    /// Starts watching `fd` under `token` with `interest`.
+    pub(crate) fn register(
+        &mut self,
+        fd: RawFd,
+        token: usize,
+        interest: Interest,
+    ) -> io::Result<()> {
+        self.control(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let at = self
-            .position(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.entries.swap_remove(at);
-        Ok(())
+    /// Replaces the interest set of an already-registered `fd`.
+    pub(crate) fn reregister(
+        &mut self,
+        fd: RawFd,
+        token: usize,
+        interest: Interest,
+    ) -> io::Result<()> {
+        self.control(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Stops watching `fd`. Must be called *before* the fd is closed.
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        let none = Interest {
+            read: false,
+            write: false,
+        };
+        self.control(sys::EPOLL_CTL_DEL, fd, 0, none)
+    }
+
+    /// Blocks until at least one event, the timeout (`None` = forever), or
+    /// a signal; fills `events` (cleared first). A signal-interrupted wait
+    /// returns successfully with no events.
+    pub(crate) fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
         events.clear();
-        self.fds.clear();
-        for &(fd, _, interest) in &self.entries {
-            let mut mask = 0i16;
-            if interest.read {
-                mask |= sys::POLLIN;
-            }
-            if interest.write {
-                mask |= sys::POLLOUT;
-            }
-            self.fds.push(sys::PollFd {
-                fd,
-                events: mask,
-                revents: 0,
-            });
-        }
-        let n = sys::poll_fds(&mut self.fds, timeout_ms(timeout))?;
-        if n == 0 {
-            return Ok(());
-        }
-        for (slot, &(_, token, _)) in self.fds.iter().zip(&self.entries) {
-            let got = slot.revents;
-            if got == 0 {
-                continue;
-            }
+        let n = sys::epoll_wait_into(self.epfd.as_raw_fd(), &mut self.buf, timeout_ms(timeout))?;
+        for e in &self.buf[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let bits = e.events;
+            let token = e.data as usize;
             events.push(Event {
                 token,
-                readable: got & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0,
-                writable: got & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0,
-                hangup: got & (sys::POLLERR | sys::POLLHUP) != 0,
+                // Error/hangup conditions surface as readability so the
+                // next read() observes EOF or the real error.
+                readable: bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                writable: bits & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                hangup: bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
             });
         }
         Ok(())
@@ -418,94 +269,80 @@ impl Poller for PollPoller {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn backend_cases() -> Vec<Box<dyn Poller>> {
-        let mut cases: Vec<Box<dyn Poller>> = vec![Box::new(PollPoller::new())];
-        if cfg!(target_os = "linux") {
-            cases.push(new_poller(Backend::Epoll).expect("epoll poller"));
-        }
-        cases
-    }
-
     #[test]
-    fn readiness_roundtrip_on_both_backends() {
-        for mut poller in backend_cases() {
-            let (mut a, mut b) = UnixStream::pair().expect("socketpair");
-            a.set_nonblocking(true).expect("nonblocking");
-            b.set_nonblocking(true).expect("nonblocking");
-            poller
-                .register(a.as_raw_fd(), 7, Interest::READ)
-                .expect("register");
+    fn readiness_roundtrip() {
+        let mut poller = EpollPoller::new().expect("epoll poller");
+        let (mut a, mut b) = UnixStream::pair().expect("socketpair");
+        a.set_nonblocking(true).expect("nonblocking");
+        b.set_nonblocking(true).expect("nonblocking");
+        poller
+            .register(a.as_raw_fd(), 7, Interest::READ)
+            .expect("register");
 
-            // Nothing to read yet: a zero timeout returns no events.
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::ZERO))
-                .expect("wait");
-            assert!(events.is_empty(), "spurious readiness");
+        // Nothing to read yet: a zero timeout returns no events.
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("wait");
+        assert!(events.is_empty(), "spurious readiness");
 
-            // Peer writes → readable under token 7.
-            b.write_all(b"x").expect("peer write");
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
-            assert_eq!(events.len(), 1);
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
-            let mut byte = [0u8; 1];
-            a.read_exact(&mut byte).expect("drain");
+        // Peer writes → readable under token 7.
+        b.write_all(b"x").expect("peer write");
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
+        let mut byte = [0u8; 1];
+        a.read_exact(&mut byte).expect("drain");
 
-            // Write interest: an empty socket buffer is immediately writable.
-            poller
-                .reregister(
-                    a.as_raw_fd(),
-                    7,
-                    Interest {
-                        read: false,
-                        write: true,
-                    },
-                )
-                .expect("reregister");
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
-            assert!(events.iter().any(|e| e.token == 7 && e.writable));
+        // Write interest: an empty socket buffer is immediately writable.
+        poller
+            .reregister(
+                a.as_raw_fd(),
+                7,
+                Interest {
+                    read: false,
+                    write: true,
+                },
+            )
+            .expect("reregister");
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
-            poller.deregister(a.as_raw_fd()).expect("deregister");
-            poller
-                .wait(&mut events, Some(Duration::ZERO))
-                .expect("wait");
-            assert!(events.is_empty(), "deregistered fd still firing");
-        }
+        poller.deregister(a.as_raw_fd()).expect("deregister");
+        poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("wait");
+        assert!(events.is_empty(), "deregistered fd still firing");
     }
 
     #[test]
     fn peer_hangup_surfaces_as_readable() {
-        for mut poller in backend_cases() {
-            let (a, b) = UnixStream::pair().expect("socketpair");
-            a.set_nonblocking(true).expect("nonblocking");
-            poller
-                .register(a.as_raw_fd(), 3, Interest::READ)
-                .expect("register");
-            drop(b);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
-            assert!(
-                events.iter().any(|e| e.token == 3 && e.readable),
-                "hangup invisible"
-            );
-        }
+        let mut poller = EpollPoller::new().expect("epoll poller");
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        a.set_nonblocking(true).expect("nonblocking");
+        poller
+            .register(a.as_raw_fd(), 3, Interest::READ)
+            .expect("register");
+        drop(b);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert!(
+            events.iter().any(|e| e.token == 3 && e.readable),
+            "hangup invisible"
+        );
     }
 
     #[test]
-    fn backend_labels_and_env_parsing() {
+    fn backend_label() {
         assert_eq!(Backend::Epoll.label(), "epoll");
-        assert_eq!(Backend::Poll.label(), "poll");
-        // No env set in tests: default wins.
-        assert_eq!(Backend::from_env(Backend::Poll), Backend::Poll);
     }
 }

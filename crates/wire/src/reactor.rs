@@ -1,7 +1,7 @@
 //! The event loop: readiness-driven I/O multiplexing for the wire server.
 //!
-//! One [`Reactor`] per I/O thread. Each owns a [`Poller`] (epoll or poll,
-//! see [`crate::poller`]), a slab of connections, and a doorbell
+//! One [`Reactor`] per I/O thread. Each owns an [`EpollPoller`] (see
+//! [`crate::poller`]), a slab of connections, and a doorbell
 //! ([`ReactorNotify`]) that other threads ring to hand it work:
 //!
 //! - the **completion pump** and **service executor** push response frames
@@ -36,7 +36,7 @@ use ditto_obs::{clock, SpanStage, NO_SHARD};
 use crate::admission::AdmissionDecision;
 use crate::conn::{Conn, ConnPhase, ConnShared, OutBuf, ParkedSubmit};
 use crate::frame::{error_code, Frame, FrameError, Request, Response};
-use crate::poller::{new_poller, Backend, Event, Interest, Poller};
+use crate::poller::{EpollPoller, Event, Interest};
 use crate::server::{enqueue_service, ServerShared, ServiceKind, ServiceRequest, Waiter};
 
 /// Poller token of this reactor's doorbell read-half.
@@ -114,7 +114,7 @@ pub(crate) struct Reactor {
     peers: Vec<Arc<ReactorNotify>>,
     waker_rx: UnixStream,
     listener: Option<TcpListener>,
-    poller: Box<dyn Poller>,
+    poller: EpollPoller,
     drain_timeout: Duration,
     slots: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -129,7 +129,6 @@ impl Reactor {
     /// # Errors
     ///
     /// Propagates poller-creation and fd-registration failures.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: usize,
         shared: Arc<ServerShared>,
@@ -137,10 +136,9 @@ impl Reactor {
         peers: Vec<Arc<ReactorNotify>>,
         waker_rx: UnixStream,
         listener: Option<TcpListener>,
-        backend: Backend,
         drain_timeout: Duration,
     ) -> std::io::Result<Reactor> {
-        let mut poller = new_poller(backend)?;
+        let mut poller = EpollPoller::new()?;
         waker_rx.set_nonblocking(true)?;
         poller.register(waker_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
         if let Some(l) = &listener {

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! A small fixed pool of **reactor** threads multiplexes every connection
-//! through a readiness poller ([epoll or poll](crate::poller)). Each
+//! through an [epoll](crate::poller) readiness poller. Each
 //! connection is a framed state machine: partial reads resume across
 //! events, responses accumulate in a bounded per-connection outbox, and a
 //! slow client backpressures (then is disconnected) without blocking the
@@ -72,8 +72,8 @@ pub struct WireServerConfig {
     /// Capacity of each app's wire-level span journal (accept/admit/shed/
     /// reply events); `0` disables buffering, counters stay exact.
     pub trace_capacity: usize,
-    /// Readiness backend for the reactors. Defaults to `DITTO_WIRE_BACKEND`
-    /// (`epoll` | `poll`), else the platform's best.
+    /// Readiness backend for the reactors: always [`Backend::Epoll`], kept
+    /// only because `benchmark/src` imports it (ROADMAP 4(g)).
     pub backend: Backend,
     /// Reactor (I/O) thread count; `0` (the default) auto-sizes to the
     /// core count capped at 8. `DITTO_WIRE_IO_THREADS` overrides both.
@@ -89,14 +89,14 @@ pub struct WireServerConfig {
 
 impl WireServerConfig {
     /// Defaults: permissive admission, a 200 µs bound on the pump's park,
-    /// 4096-event journals, environment-selected backend, auto-sized
-    /// reactor pool, 4 MiB outbox soft cap, 10 s drain.
+    /// 4096-event journals, auto-sized reactor pool, 4 MiB outbox soft
+    /// cap, 10 s drain.
     pub fn new() -> Self {
         WireServerConfig {
             admission: AdmissionConfig::new(),
             pump_interval: Duration::from_micros(200),
             trace_capacity: 4096,
-            backend: Backend::from_env(Backend::auto()),
+            backend: Backend::Epoll,
             io_threads: 0,
             write_buf_bytes: 4 << 20,
             drain_timeout: Duration::from_secs(10),
@@ -115,7 +115,8 @@ impl WireServerConfig {
         self
     }
 
-    /// Pins the readiness backend (overriding `DITTO_WIRE_BACKEND`).
+    /// Sets the readiness backend; kept only because `benchmark/src`
+    /// imports it (ROADMAP 4(g)).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -370,7 +371,6 @@ pub struct WireServer {
     notifies: Vec<Arc<ReactorNotify>>,
     reactor_threads: Vec<JoinHandle<()>>,
     pump_thread: Option<JoinHandle<()>>,
-    backend: Backend,
     io_threads: usize,
 }
 
@@ -418,7 +418,6 @@ impl WireServer {
             })
             .collect();
         let io_threads = resolve_io_threads(config.io_threads);
-        let backend = config.backend;
         let shared = Arc::new(ServerShared {
             apps,
             tokens,
@@ -458,7 +457,6 @@ impl WireServer {
                     notifies.clone(),
                     rx,
                     listener.take(),
-                    backend,
                     config.drain_timeout,
                 )
             })
@@ -501,7 +499,6 @@ impl WireServer {
             notifies,
             reactor_threads,
             pump_thread: Some(pump_thread),
-            backend,
             io_threads,
         })
     }
@@ -509,11 +506,6 @@ impl WireServer {
     /// The bound address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The readiness backend the reactors are running on.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// How many reactor (I/O) threads are multiplexing connections —
@@ -722,7 +714,6 @@ impl std::fmt::Debug for WireServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireServer")
             .field("addr", &self.addr)
-            .field("backend", &self.backend)
             .field("io_threads", &self.io_threads)
             .field(
                 "connections_accepted",

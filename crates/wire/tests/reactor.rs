@@ -1,7 +1,7 @@
 //! Reactor-specific behaviour over real loopback sockets: high fan-in
 //! without head-of-line blocking, slow-reader backpressure and eviction,
-//! the connection budget, per-app auth tokens, and drain-flush on the
-//! poll(2) fallback backend.
+//! the connection budget, per-app auth tokens, and drain-flush at
+//! shutdown.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,8 +12,8 @@ use ditto_apps::HistoApp;
 use ditto_core::ArchConfig;
 use ditto_serve::ServeConfig;
 use ditto_wire::{
-    frame::error_code, run_load, AdmissionConfig, AppRegistry, Backend, LoadGenConfig, Request,
-    Response, WireClient, WireError, WireServer, WireServerConfig,
+    frame::error_code, run_load, AdmissionConfig, AppRegistry, LoadGenConfig, Request, Response,
+    WireClient, WireError, WireServer, WireServerConfig,
 };
 
 const APP: u16 = 7;
@@ -253,14 +253,13 @@ fn auth_token_gates_submit_and_finalize() {
     server.shutdown();
 }
 
-/// The "no `Done` lost" shutdown guarantee on the poll(2) fallback:
-/// responses still queued in per-connection write buffers when shutdown
-/// begins are flushed before the sockets close.
+/// The "no `Done` lost" shutdown guarantee: responses still queued in
+/// per-connection write buffers when shutdown begins are flushed before
+/// the sockets close.
 #[test]
-fn shutdown_flushes_queued_dones_on_poll_backend() {
+fn shutdown_flushes_queued_dones() {
     const BATCHES: u64 = 64;
-    let server = boot(WireServerConfig::new().with_backend(Backend::Poll));
-    assert_eq!(server.backend(), Backend::Poll);
+    let server = boot(WireServerConfig::new());
     let addr = server.local_addr();
 
     let mut client = WireClient::connect(addr).expect("connect");

@@ -42,9 +42,8 @@ fn main() {
     let server = WireServer::bind("127.0.0.1:0", registry, WireServerConfig::new())
         .expect("bind wire server");
     println!(
-        "wire server listening on {} ({} backend, {} I/O thread(s), budget {} connections)",
+        "wire server listening on {} (epoll, {} I/O thread(s), budget {} connections)",
         server.local_addr(),
-        server.backend().label(),
         server.io_threads(),
         AdmissionConfig::new().max_connections,
     );
