@@ -326,22 +326,26 @@ where
 
     /// One balancing round with *replicated* state handoff: the inner
     /// cluster rebalances, handing each migration source leader's slice to
-    /// its target leader, then every applied handoff is mirrored on the
-    /// followers: source follower `i`'s slice moves to target follower
-    /// `i`, the source's log resets and the target's is marked incomplete.
-    /// A source that dies mid-handoff forfeits nothing — the inner cluster
-    /// applies none of its moves, its replica still covers the full
-    /// history and [`heal`](Self::heal) promotes it.
+    /// its target leader, then every handoff it recorded this round is
+    /// mirrored on the followers: source follower `i`'s slice moves to
+    /// target follower `i`, the source's log resets and the target's is
+    /// marked incomplete. A handoff that fails on either side is neither
+    /// applied nor recorded, and leaves the source leader holding its
+    /// whole history, so its followers still mirror it and
+    /// [`heal`](Self::heal) recovers the dead side from its replica.
+    ///
+    /// `ditto_ha_handoff_pause_us` times the leader handoff only; the
+    /// follower mirroring that follows also holds up admission (this same
+    /// thread admits) but is not in the sample.
     pub fn rebalance(&mut self) -> Vec<SlotMove> {
+        let recorded = self.inner.handoffs().len();
         let moves = self.inner.rebalance();
-        // The inner cluster hands each source's whole slice to the target
-        // of the first move off it.
-        let mut sources = Vec::new();
-        for mv in &moves {
-            if !sources.contains(&mv.from) {
-                sources.push(mv.from);
-                self.mirror_handoff(mv.from, mv.to);
-            }
+        let done: Vec<(usize, usize)> = self.inner.handoffs()[recorded..]
+            .iter()
+            .map(|h| (h.from, h.to))
+            .collect();
+        for (from, to) in done {
+            self.mirror_handoff(from, to);
         }
         moves
     }

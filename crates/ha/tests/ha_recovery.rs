@@ -10,7 +10,8 @@
 //!   `DITTO_KILL_SHARD`-style fault hook.
 //! * **crash during handoff**: the migration source dying mid-protocol
 //!   (after the balancer decided, before the install) forfeits nothing —
-//!   its replica still covers the full history.
+//!   its replica still covers the full history. A dead target forfeits
+//!   nothing either: the extracted slice goes back onto the source.
 //! * **kill right after a handoff**: either side of a completed replicated
 //!   handoff dies and its replica alone restores it, which holds only if
 //!   the followers mirrored the handoff exactly.
@@ -205,6 +206,40 @@ fn source_crash_during_handoff_is_covered_by_its_replica() {
 }
 
 #[test]
+fn target_crash_during_handoff_keeps_the_slice_on_its_source() {
+    // The other side of the hazard: the target is dead when the source's
+    // slice is already extracted. With every tuple pinned to shard 0,
+    // shards 1 and 2 read an empty window and the balancer picks shard 1,
+    // killed just before the round. The install fails, so the slice must
+    // go back onto shard 0, whose replica and log never gave it up. Then
+    // heal() recovers shard 1 from its own replica.
+    let (app, arch, mut ha) = balanced_histo(1);
+    let mut all = hot_batch(&ha);
+    ha.submit(all.clone());
+    ha.drain();
+    ha.kill_shard(1, "target died before the handoff install");
+    assert!(
+        ha.rebalance().is_empty(),
+        "a handoff onto a dead shard applies no move"
+    );
+    assert!(ha.take_handoffs().is_empty(), "and records none");
+    let promotions = ha.heal();
+    assert_eq!(promotions.len(), 1);
+    assert_eq!(promotions[0].dead, 1);
+    assert_eq!(promotions[0].source, RecoverySource::Replica);
+    for batch in split_into_batches(&zipf3(100), BATCH).into_iter().take(3) {
+        all.extend(batch.iter().copied());
+        ha.submit(batch);
+    }
+    ha.drain();
+    assert_eq!(
+        ha.finish().output,
+        single(app, &all, &arch),
+        "a handoff onto a dead target lost or doubled tuples"
+    );
+}
+
+#[test]
 fn replicated_rebalance_moves_state_and_keeps_logs_honest() {
     // A full replicated handoff driven by the balancer: hot traffic pinned
     // to shard 0 forces a migration; the source's slice moves to the
@@ -307,21 +342,27 @@ fn balanced_histo(replicas: usize) -> (HistoApp, ArchConfig, HaCluster<HistoApp>
     (app, arch, ha)
 }
 
-/// Pins hot traffic to shard 0 until the balancer hands state off once;
-/// returns every tuple submitted and the handoff reports of that round.
-fn force_one_handoff(ha: &mut HaCluster<HistoApp>) -> (Vec<Tuple>, Vec<HandoffReport>) {
+/// A batch of 2 000 tuples over 32 keys that all route to shard 0.
+fn hot_batch(ha: &HaCluster<HistoApp>) -> Vec<Tuple> {
     let hot_keys: Vec<u64> = (0u64..)
         .filter(|&k| ha.router().shard_of_key(k) == 0)
         .take(32)
         .collect();
+    hot_keys
+        .iter()
+        .cycle()
+        .take(2_000)
+        .map(|&k| Tuple::from_key(k))
+        .collect()
+}
+
+/// Pins hot traffic to shard 0 until the balancer hands state off once;
+/// returns every tuple submitted and the handoff reports of that round.
+fn force_one_handoff(ha: &mut HaCluster<HistoApp>) -> (Vec<Tuple>, Vec<HandoffReport>) {
+    let batch = hot_batch(ha);
     let mut all = Vec::new();
     for _ in 0..8 {
-        let batch: Vec<Tuple> = hot_keys
-            .iter()
-            .cycle()
-            .take(2_000)
-            .map(|&k| Tuple::from_key(k))
-            .collect();
+        let batch = batch.clone();
         all.extend(batch.iter().copied());
         ha.submit(batch);
         ha.drain();

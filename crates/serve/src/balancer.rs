@@ -89,7 +89,8 @@ impl ShardBalancer {
     }
 
     /// One balancing round: observe this window's per-shard processed
-    /// counts, and if skew persists return the slot moves to apply.
+    /// counts, and if skew persists return the slot moves to apply — all
+    /// off the round's one hot shard.
     ///
     /// `shard_window` holds tuples processed per shard since the last round
     /// (from the shards' live per-PE counters); `table` supplies per-slot

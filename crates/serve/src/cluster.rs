@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use datagen::Tuple;
@@ -19,7 +19,8 @@ use crate::doorbell::Doorbell;
 use crate::metrics::{AdmissionSnapshot, ClusterSnapshot, ShardSnapshot};
 use crate::router::{RoutingTable, SlotMove, DEFAULT_SLOTS};
 use crate::shard::{
-    panic_message, spawn_shard, ShardCommand, ShardEvent, ShardEvents, ShardFinish, ShardHandle,
+    panic_message, spawn_shard, InstallSlot, ShardCommand, ShardEvent, ShardEvents, ShardFinish,
+    ShardHandle,
 };
 
 /// How long the cluster waits on a shard reply or completion event before
@@ -262,9 +263,10 @@ pub struct HandoffReport {
 
 /// The result of extracting a shard's accumulated slice mid-serve.
 pub struct ShardStates<A: DittoApp> {
-    /// The `M` post-merge PriPE states.
+    /// The `M` post-merge PriPE states, covering every tuple admitted to
+    /// the shard up to the extraction instant.
     pub states: Vec<A::State>,
-    /// Tuples the slice covers.
+    /// Tuples the slice covers (the engine's processed count).
     pub tuples: u64,
     /// Cycles the shard stepped to reach its admission watermark.
     pub catch_up_cycles: u64,
@@ -998,8 +1000,8 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// [`handoff`](Self::handoff), so a subsequently retired source loses
     /// nothing. This is the one place handoffs happen and are recorded
     /// ([`take_handoffs`](Self::take_handoffs), `ditto_ha_handoffs`,
-    /// `ditto_ha_handoff_pause_us`); `ditto-ha` only mirrors the applied
-    /// moves onto its followers afterwards.
+    /// `ditto_ha_handoff_pause_us`); `ditto-ha` only mirrors the recorded
+    /// handoffs onto its followers afterwards.
     pub fn rebalance(&mut self) -> Vec<SlotMove> {
         self.poll();
         if self.balancer.is_none() {
@@ -1014,26 +1016,16 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         self.last_shard_tuples = snaps.iter().map(|s| s.tuples).collect();
         let balancer = self.balancer.as_mut().expect("checked above");
         let moves = balancer.rebalance(&window, &mut self.router);
-        // Group the round's moves by source shard (one balancer round moves
-        // slots off a single hot shard, but stay general): extraction is
-        // whole-slice, so one extract per source covers every move off it,
-        // installed into the first move's target. A source that dies
-        // mid-handoff forfeits its group — the recovery layer owns it now.
-        let mut by_source: Vec<(usize, Vec<SlotMove>)> = Vec::new();
-        for mv in moves {
-            match by_source.iter_mut().find(|(s, _)| *s == mv.from) {
-                Some((_, group)) => group.push(mv),
-                None => by_source.push((mv.from, vec![mv])),
-            }
+        // Every move of a round leaves the one hot shard, and extraction is
+        // whole-slice: one handoff, into the first move's target, carries
+        // them all. A failed handoff applies none of them.
+        let Some(&first) = moves.first() else {
+            return moves;
+        };
+        match self.handoff(first.from, first.to, &moves) {
+            Ok(_) => moves,
+            Err(_) => Vec::new(),
         }
-        let mut applied = Vec::new();
-        for (from, group) in by_source {
-            let to = group[0].to;
-            if self.handoff(from, to, &group).is_ok() {
-                applied.extend(group);
-            }
-        }
-        applied
     }
 
     /// Pauses `shard` at its admission watermark (catch-up), extracts its
@@ -1046,26 +1038,17 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// extracting — the crash-during-handoff path.
     pub fn extract_shard(&mut self, shard: usize) -> Result<ShardStates<A>, ShardFailure> {
         self.poll();
-        if let Some(d) = &self.dead[shard] {
-            return Err(ShardFailure {
-                shard,
-                message: d.message.clone(),
-            });
-        }
         let (tx, rx) = std::sync::mpsc::channel();
-        if self.handles[shard]
-            .commands
-            .send(ShardCommand::Extract { reply: tx })
-            .is_err()
+        if self.dead[shard].is_some()
+            || self.handles[shard]
+                .commands
+                .send(ShardCommand::Extract { reply: tx })
+                .is_err()
         {
             return Err(self.await_failure(shard));
         }
         match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
-            Ok(ex) => Ok(ShardStates {
-                states: ex.states,
-                tuples: ex.tuples,
-                catch_up_cycles: ex.catch_up_cycles,
-            }),
+            Ok(states) => Ok(states),
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(self.await_failure(shard)),
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                 panic!("shard {shard} extract timed out")
@@ -1081,22 +1064,26 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         shard: usize,
         states: Vec<A::State>,
     ) -> Result<(), ShardFailure> {
+        self.install_from(shard, &Arc::new(Mutex::new(Some(states))))
+    }
+
+    /// [`install_shard`](Self::install_shard) from a slot the shard
+    /// empties when it folds the slice in: a shard that dies first leaves
+    /// the slice in the slot.
+    fn install_from(&mut self, shard: usize, slice: &InstallSlot<A>) -> Result<(), ShardFailure> {
         self.poll();
-        if let Some(d) = &self.dead[shard] {
-            return Err(ShardFailure {
-                shard,
-                message: d.message.clone(),
-            });
-        }
         let (tx, rx) = std::sync::mpsc::channel();
-        if self.handles[shard]
-            .commands
-            .send(ShardCommand::Install { states, reply: tx })
-            .is_err()
-        {
-            return Err(self.await_failure(shard));
-        }
-        match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
+        let install = ShardCommand::Install {
+            slice: Arc::clone(slice),
+            reply: tx,
+        };
+        let reply =
+            if self.dead[shard].is_none() && self.handles[shard].commands.send(install).is_ok() {
+                rx.recv_timeout(SHARD_REPLY_TIMEOUT)
+            } else {
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+            };
+        match reply {
             Ok(_cycle) => Ok(()),
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(self.await_failure(shard)),
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
@@ -1109,12 +1096,17 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// it on `to`, then apply the slot moves so future traffic follows the
     /// state. The pause (catch-up + extract + install, no admissions
     /// interleaved — the admitter is this same thread) is recorded in the
-    /// `ditto_ha_handoff_pause_us` histogram.
+    /// `ditto_ha_handoff_pause_us` histogram. It covers the leader shards
+    /// only: `ditto-ha` mirrors the handoff on its followers afterwards,
+    /// outside the sample.
     ///
-    /// On `Err` the routing moves are *not* applied and the extracted slice
-    /// is not lost: extraction only succeeds atomically with the reply, so
-    /// a source that died still holds nothing and a target that died gets
-    /// recovered by the failure path like any other dead shard.
+    /// On `Err` the routing moves are *not* applied, nothing is recorded
+    /// and the extracted slice is not lost. A source that dies while
+    /// extracting gives up nothing: extraction succeeds atomically with
+    /// the reply. If the target is dead, the slice goes back onto the
+    /// source, which then holds its whole history again (and still matches
+    /// any mirror of it); the failure path recovers the target like any
+    /// other dead shard.
     pub fn handoff(
         &mut self,
         from: usize,
@@ -1125,7 +1117,16 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         let extract = self.extract_shard(from)?;
         let tuples_moved = extract.tuples;
         let catch_up_cycles = extract.catch_up_cycles;
-        self.install_shard(to, extract.states)?;
+        let slice = Arc::new(Mutex::new(Some(extract.states)));
+        if let Err(failure) = self.install_from(to, &slice) {
+            // The source was just paused and admits nothing in between, so
+            // folding the slice back restores it exactly. If the source
+            // died meanwhile, it is one more dead shard to recover.
+            if let Some(states) = slice.lock().expect("install slot lock").take() {
+                let _ = self.install_shard(from, states);
+            }
+            return Err(failure);
+        }
         for mv in moves {
             self.router.apply(*mv);
         }
@@ -1151,6 +1152,12 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Takes the handoff reports accumulated since the last call.
     pub fn take_handoffs(&mut self) -> Vec<HandoffReport> {
         std::mem::take(&mut self.handoffs)
+    }
+
+    /// The reports [`take_handoffs`](Self::take_handoffs) would return,
+    /// left in place.
+    pub fn handoffs(&self) -> &[HandoffReport] {
+        &self.handoffs
     }
 
     /// Lifetime handoff count.

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -20,9 +20,14 @@ use ditto_core::{ArchConfig, DittoApp, ExecutionReport, PersistentPipeline};
 use ditto_obs::{MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal, SpanStage};
 
 use crate::batch::BatchId;
+use crate::cluster::ShardStates;
 use crate::doorbell::Doorbell;
 use crate::metrics::ShardSnapshot;
 use crate::queue::SharedQueue;
+
+/// The slice an `Install` carries. The shard takes it out, so a shard that
+/// dies before it gets there leaves the slice for the cluster to reclaim.
+pub(crate) type InstallSlot<A> = Arc<Mutex<Option<Vec<<A as DittoApp>::State>>>>;
 
 /// Commands a cluster sends to a shard thread.
 pub(crate) enum ShardCommand<A: DittoApp> {
@@ -45,11 +50,11 @@ pub(crate) enum ShardCommand<A: DittoApp> {
     /// Catch the engine up to its admission watermark, then extract the
     /// accumulated PriPE slice (the engine keeps serving from fresh
     /// buffers) — the source half of a state handoff.
-    Extract { reply: Sender<ShardExtract<A>> },
+    Extract { reply: Sender<ShardStates<A>> },
     /// Fold a previously extracted slice into this engine's PriPE buffers —
     /// the target half of a state handoff. Replies with the install cycle.
     Install {
-        states: Vec<A::State>,
+        slice: InstallSlot<A>,
         reply: Sender<u64>,
     },
     /// Fault injection: panic the shard thread with `message`, the
@@ -63,18 +68,6 @@ pub(crate) enum ShardCommand<A: DittoApp> {
 pub(crate) struct ShardFinish<A: DittoApp> {
     pub pri_states: Vec<A::State>,
     pub report: ExecutionReport,
-}
-
-/// A shard's reply to `Extract`: the accumulated PriPE slice plus what the
-/// catch-up to the admission watermark cost.
-pub(crate) struct ShardExtract<A: DittoApp> {
-    /// The `M` post-merge PriPE states, covering every tuple admitted to
-    /// this shard up to the extraction instant.
-    pub states: Vec<A::State>,
-    /// Tuples the slice covers (the engine's processed count).
-    pub tuples: u64,
-    /// Cycles stepped to reach the admission watermark before extracting.
-    pub catch_up_cycles: u64,
 }
 
 /// Event streamed from a shard thread to the cluster: either one sub-batch
@@ -309,14 +302,19 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
                 self.catch_up();
                 self.complete_ready();
                 let states = self.pipeline.extract_slots();
-                let _ = reply.send(ShardExtract {
+                let _ = reply.send(ShardStates {
                     states,
                     tuples: self.pipeline.processed(),
                     catch_up_cycles: self.pipeline.cycle() - before,
                 });
                 None
             }
-            ShardCommand::Install { states, reply } => {
+            ShardCommand::Install { slice, reply } => {
+                let states = slice
+                    .lock()
+                    .expect("install slot lock")
+                    .take()
+                    .expect("a slice is installed once");
                 self.pipeline.install_slots(states);
                 let _ = reply.send(self.pipeline.cycle());
                 None
