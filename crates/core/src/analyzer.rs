@@ -1,7 +1,7 @@
 //! The skew analyzer (§V-D): Equation 2 over a sampled workload.
 
+use crate::DittoApp;
 use datagen::{sample, Tuple};
-use ditto_core::DittoApp;
 
 /// Chooses the number of SecPEs from a random sample of the dataset.
 ///
@@ -108,7 +108,7 @@ impl SkewAnalyzer {
     /// # Example
     ///
     /// ```
-    /// use ditto_framework::SkewAnalyzer;
+    /// use ditto_core::SkewAnalyzer;
     /// use ditto_core::apps::CountPerKey;
     /// use datagen::UniformGenerator;
     ///
@@ -131,8 +131,8 @@ impl SkewAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::CountPerKey;
     use datagen::{UniformGenerator, ZipfGenerator};
-    use ditto_core::apps::CountPerKey;
 
     #[test]
     fn equation2_uniform_is_zero() {

@@ -40,9 +40,10 @@ impl<V> Routed<V> {
 /// * [`finalize`](DittoApp::finalize) — assemble the M PriPE buffers into
 ///   the application output.
 ///
-/// The initiation intervals feed the framework's Equation 1 tuning: a
-/// HISTO-style PE that reads and writes its buffer each tuple has
-/// `ii_pri() == 2` (the paper's motivating example).
+/// The initiation intervals feed Equation 1 (`ditto_plan`'s
+/// `PlannerOptions::equation1`): a HISTO-style PE that reads and writes
+/// its buffer each tuple has `ii_pri() == 2` (the paper's motivating
+/// example).
 pub trait DittoApp: Send + Sync {
     /// Payload type routed from PrePEs to destination PEs.
     type Value: Clone + Default + Send + 'static;

@@ -34,10 +34,11 @@ pub enum Requeue {
 
 /// Configuration of one generated implementation.
 ///
-/// `n_pre`/`m_pri` come from the framework's Equation 1 tuning; `x_sec`
-/// selects the skew-handling capacity (the paper generates variants with
-/// X = 0..M−1 and the skew analyzer picks one). The remaining knobs model
-/// channel depths and the runtime-profiler parameters.
+/// `n_pre`/`m_pri` come from Equation 1; `x_sec` selects the
+/// skew-handling capacity (the paper generates variants with X = 0..M−1
+/// and the skew analyzer picks one; `ditto_plan`'s `Planner::select`
+/// runs both steps). The remaining knobs model channel depths and the
+/// runtime-profiler parameters.
 ///
 /// # Example
 ///

@@ -60,6 +60,8 @@
 //!   generation (§IV-C3, Fig. 5) and throughput-drop triggered rescheduling
 //!   (§IV-B) including the kernel re-enqueue overhead the paper measures in
 //!   Fig. 9.
+//! * [`SkewAnalyzer`] — the §V-D skew analyzer: Equation 2 over a sampled
+//!   per-PriPE workload, the SecPE count an implementation must provide.
 //!
 //! # Example
 //!
@@ -82,6 +84,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod analyzer;
 mod app;
 pub mod apps;
 mod arch;
@@ -99,6 +102,7 @@ pub mod reader;
 mod report;
 pub mod routing;
 
+pub use analyzer::SkewAnalyzer;
 pub use app::{DittoApp, MergeableOutput, Routed};
 pub use arch::{PersistentPipeline, RunOutcome, SkewObliviousPipeline};
 pub use config::{ArchConfig, Requeue};

@@ -72,13 +72,6 @@ pub const KNOWN: &[EnvKnob] = &[
                  planner searches configurations",
     },
     EnvKnob {
-        name: "DITTO_PLAN_BUDGET",
-        consumer: "ditto-plan (search)",
-        default: "0.85",
-        effect: "resource budget as a utilisation fraction: candidate configurations whose \
-                 estimated logic/RAM/DSP utilisation exceeds it on any axis are rejected",
-    },
-    EnvKnob {
         name: "DITTO_PLAN_TRACE_OUT",
         consumer: "plan_deploy example",
         default: "unset (no export)",

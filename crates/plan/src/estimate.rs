@@ -24,12 +24,18 @@ impl WorkloadModel {
     /// PriPE count of the profiled pipeline. A trace with no processed
     /// tuples yields the uniform distribution.
     pub fn from_trace(trace: &CountsTrace, reference_m: u32) -> Self {
-        let w = trace.pri_workloads(reference_m as usize);
-        let total: u64 = w.iter().sum();
+        Self::from_counts(&trace.pri_workloads(reference_m as usize))
+    }
+
+    /// Reduces a per-PriPE tuple histogram to shares; the reference M is
+    /// its length. All-zero counts yield the uniform distribution.
+    pub(crate) fn from_counts(counts: &[u64]) -> Self {
+        let reference_m = counts.len() as u32;
+        let total: u64 = counts.iter().sum();
         let shares = if total == 0 {
             vec![1.0 / reference_m as f64; reference_m as usize]
         } else {
-            w.iter().map(|&x| x as f64 / total as f64).collect()
+            counts.iter().map(|&x| x as f64 / total as f64).collect()
         };
         WorkloadModel {
             shares,

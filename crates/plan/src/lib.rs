@@ -15,8 +15,15 @@
 //!    SecPE scheduler to predict the steady-state rate ([`predict_rate`]),
 //!    prices each shape on each device through `fpga_model` (memoised —
 //!    shapes are repeated fragments of the search space, see
-//!    [`MemoStats`]), and picks the best point under the
-//!    `DITTO_PLAN_BUDGET` utilisation budget ([`Planner`]).
+//!    [`MemoStats`]), and picks the best point under a utilisation budget
+//!    ([`Planner::plan`]).
+//!
+//! The same search answers the paper's own selection (§V, Fig. 6):
+//! [`PlannerOptions::equation1`] is Equation 1's search space — one lane
+//! count, one PriPE count M and the M generated variants X = 0..M−1 — and
+//! [`Planner::select`] samples the dataset, applies Equation 2
+//! (`ditto_core::SkewAnalyzer`) and returns the feasible variant with the
+//! fewest SecPEs that covers the recommendation.
 //!
 //! The output is a ready-to-deploy `ArchConfig` plus a machine-readable
 //! [`DeploymentPlan`] report; [`validate`] closes the loop by simulating
@@ -56,5 +63,5 @@ mod planner;
 mod validate;
 
 pub use estimate::{predict_rate, RatePrediction, WorkloadModel};
-pub use planner::{budget_from_env, Candidate, DeploymentPlan, MemoStats, Planner, PlannerOptions};
+pub use planner::{Candidate, DeploymentPlan, MemoStats, Planner, PlannerOptions};
 pub use validate::{validate, Validation};

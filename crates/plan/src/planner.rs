@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 
-use ditto_core::{ArchConfig, MAX_DEST_PES};
+use datagen::Tuple;
+use ditto_core::{ArchConfig, DittoApp, SkewAnalyzer, MAX_DEST_PES};
 use ditto_obs::CountsTrace;
 use fpga_model::{
     AppCostProfile, Device, FrequencyModel, PipelineShape, ResourceEstimate, ResourceModel,
@@ -37,20 +38,59 @@ pub struct PlannerOptions {
     pub mem_tuples_per_cycle: f64,
 }
 
+/// Tuples the paper's memory interface supplies per cycle: `Wmem / Wtuple`,
+/// 8-byte tuples on a 64-byte (512-bit) interface.
+const PAPER_MEM_TUPLES_PER_CYCLE: u32 = 8;
+
 impl PlannerOptions {
     /// The default search: the paper's lane/PE axis (4–16 lanes, 8–32
-    /// PriPEs, 0–15 SecPEs) on the paper's Arria 10 GX 1150, with the
-    /// budget taken from `DITTO_PLAN_BUDGET` (default 0.85).
+    /// PriPEs, 0–15 SecPEs) on the paper's Arria 10 GX 1150 under an 85 %
+    /// utilisation budget.
     pub fn paper_search() -> Self {
         PlannerOptions {
-            budget: budget_from_env(),
+            budget: 0.85,
             lanes: vec![4, 8, 16],
             pri_pes: vec![8, 16, 32],
             sec_pes: vec![0, 1, 2, 4, 8, 15],
             devices: vec![Device::arria10_gx1150()],
             ii_pre: 1,
             ii_pri: 2,
-            mem_tuples_per_cycle: 8.0,
+            mem_tuples_per_cycle: f64::from(PAPER_MEM_TUPLES_PER_CYCLE),
+        }
+    }
+
+    /// The paper's system generation (§V-C). Equation 1,
+    /// `N_pre / II_pre = N_pri / II_pri = Wmem / Wtuple`, fixes one lane
+    /// count and one PriPE count M; the search covers the M generated
+    /// variants with X = 0..M−1 SecPEs on the GX 1150 at a 100 % budget —
+    /// the paper builds every variant the device holds.
+    /// [`Planner::select`] picks among them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either II is zero.
+    ///
+    /// ```
+    /// use ditto_plan::PlannerOptions;
+    ///
+    /// let opts = PlannerOptions::equation1(1, 2); // II_pre = 1, II_pri = 2
+    /// assert_eq!((opts.lanes, opts.pri_pes), (vec![8], vec![16]));
+    /// assert_eq!(opts.sec_pes, (0..16).collect::<Vec<_>>());
+    /// ```
+    pub fn equation1(ii_pre: u32, ii_pri: u32) -> Self {
+        assert!(
+            ii_pre > 0 && ii_pri > 0,
+            "initiation intervals must be nonzero"
+        );
+        let m = PAPER_MEM_TUPLES_PER_CYCLE * ii_pri;
+        PlannerOptions {
+            budget: 1.0,
+            lanes: vec![PAPER_MEM_TUPLES_PER_CYCLE * ii_pre],
+            pri_pes: vec![m],
+            sec_pes: (0..m).collect(),
+            ii_pre,
+            ii_pri,
+            ..Self::paper_search()
         }
     }
 
@@ -67,27 +107,12 @@ impl PlannerOptions {
         self.budget = budget;
         self
     }
-
-    /// Overrides the application initiation intervals.
-    pub fn with_ii(mut self, ii_pre: u32, ii_pri: u32) -> Self {
-        self.ii_pre = ii_pre;
-        self.ii_pri = ii_pri;
-        self
-    }
 }
 
 impl Default for PlannerOptions {
     fn default() -> Self {
         Self::paper_search()
     }
-}
-
-/// The `DITTO_PLAN_BUDGET` utilisation budget (default 0.85).
-pub fn budget_from_env() -> f64 {
-    std::env::var("DITTO_PLAN_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.85)
 }
 
 /// One priced point of the search space.
@@ -138,6 +163,10 @@ pub struct DeploymentPlan {
     pub reference_m: u32,
     /// Utilisation budget applied.
     pub budget: f64,
+    /// The SecPE count Equation 2 recommended, for a
+    /// [`select`](Planner::select) query; the chosen X is the smallest
+    /// searched X at or above it.
+    pub recommended_x: Option<u32>,
     /// The winning candidate.
     pub chosen: Candidate,
     /// Ready-to-deploy configuration for the winner.
@@ -161,6 +190,9 @@ impl DeploymentPlan {
         out.push_str(&format!("  \"trace\": \"{}\",\n", self.trace_label));
         out.push_str(&format!("  \"reference_m\": {},\n", self.reference_m));
         out.push_str(&format!("  \"budget\": {},\n", self.budget));
+        if let Some(x) = self.recommended_x {
+            out.push_str(&format!("  \"recommended_x\": {x},\n"));
+        }
         out.push_str(&format!(
             "  \"memo\": {{\"lookups\": {}, \"hits\": {}}},\n",
             self.memo.lookups, self.memo.hits
@@ -263,8 +295,9 @@ impl Planner {
     ///
     /// # Panics
     ///
-    /// Panics if no candidate fits the budget on any device — raise
-    /// `DITTO_PLAN_BUDGET` or extend the device list.
+    /// Panics if no candidate fits the budget on any device — raise it
+    /// with [`with_budget`](PlannerOptions::with_budget) or extend the
+    /// device list.
     pub fn plan(
         &mut self,
         trace: &CountsTrace,
@@ -273,8 +306,113 @@ impl Planner {
         opts: &PlannerOptions,
     ) -> DeploymentPlan {
         let workload = WorkloadModel::from_trace(trace, reference_m);
-        let mut candidates = Vec::new();
+        let candidates = self.search(&workload, profile, opts);
+        let chosen = candidates
+            .iter()
+            .filter(|c| c.feasible())
+            .fold(None::<&Candidate>, |best, c| match best {
+                None => Some(c),
+                Some(b) if c.mtps > b.mtps * 1.01 => Some(c),
+                Some(b) if c.mtps > b.mtps * 0.99 && c.mtps_per_kalm > b.mtps_per_kalm => Some(c),
+                Some(b) => Some(b),
+            })
+            .unwrap_or_else(|| {
+                panic!(
+                    "no candidate fits the {:.0}% budget on {} device(s); raise it with \
+                     `with_budget` or extend the device list",
+                    opts.budget * 100.0,
+                    opts.devices.len()
+                )
+            })
+            .clone();
+        DeploymentPlan {
+            app: profile.name,
+            trace_label: trace.label.clone(),
+            reference_m,
+            budget: opts.budget,
+            recommended_x: None,
+            config: ArchConfig::new(chosen.shape.n_pre, chosen.shape.m_pri, chosen.shape.x_sec),
+            chosen,
+            candidates,
+            memo: self.stats,
+        }
+    }
 
+    /// The paper's implementation selection (Fig. 6, §V-D): `analyzer`
+    /// samples `data` and routes the sample through `app.preprocess` at
+    /// the searched PriPE count M, Equation 2 recommends a SecPE count,
+    /// and the choice is the feasible candidate with the fewest SecPEs
+    /// among those with X ≥ the recommendation — the variant that "saves
+    /// the BRAM usage without significantly compromising the
+    /// performance". The sampled counts also drive each candidate's rate
+    /// prediction; a sample with no tuples predicts the uniform
+    /// distribution and recommends X = 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `opts` searches exactly one PriPE count (Equation 1
+    /// fixes it, see [`PlannerOptions::equation1`]), or if no feasible
+    /// candidate provides the recommended SecPEs.
+    ///
+    /// ```
+    /// use datagen::ZipfGenerator;
+    /// use ditto_core::{apps::CountPerKey, DittoApp, SkewAnalyzer};
+    /// use ditto_plan::{Planner, PlannerOptions};
+    /// use fpga_model::AppCostProfile;
+    ///
+    /// let data = ZipfGenerator::new(0.0, 1 << 20, 9).take_vec(50_000);
+    /// let app = CountPerKey::new(16);
+    /// let plan = Planner::new().select(
+    ///     &app,
+    ///     &data,
+    ///     &SkewAnalyzer::paper(),
+    ///     &AppCostProfile::histo(),
+    ///     &PlannerOptions::equation1(app.ii_pre(), app.ii_pri()),
+    /// );
+    /// assert_eq!(plan.config.x_sec, 0); // uniform data: cheapest variant
+    /// ```
+    pub fn select<A: DittoApp>(
+        &mut self,
+        app: &A,
+        data: &[Tuple],
+        analyzer: &SkewAnalyzer,
+        profile: &AppCostProfile,
+        opts: &PlannerOptions,
+    ) -> DeploymentPlan {
+        let &[m] = opts.pri_pes.as_slice() else {
+            panic!("selection searches one PriPE count, got {:?}", opts.pri_pes)
+        };
+        let counts = analyzer.sampled_workloads(app, data, m);
+        let recommended_x = analyzer.recommend_from_workloads(&counts, m);
+        let candidates = self.search(&WorkloadModel::from_counts(&counts), profile, opts);
+        let chosen = candidates
+            .iter()
+            .filter(|c| c.feasible() && c.shape.x_sec >= recommended_x)
+            .min_by_key(|c| c.shape.x_sec)
+            .unwrap_or_else(|| panic!("no feasible candidate has X >= {recommended_x}"))
+            .clone();
+        DeploymentPlan {
+            app: profile.name,
+            trace_label: format!("{}-tuple sample", counts.iter().sum::<u64>()),
+            reference_m: m,
+            budget: opts.budget,
+            recommended_x: Some(recommended_x),
+            config: ArchConfig::new(chosen.shape.n_pre, chosen.shape.m_pri, chosen.shape.x_sec),
+            chosen,
+            candidates,
+            memo: self.stats,
+        }
+    }
+
+    /// Prices every shape × device point of `opts` against `workload`, in
+    /// search order.
+    fn search(
+        &mut self,
+        workload: &WorkloadModel,
+        profile: &AppCostProfile,
+        opts: &PlannerOptions,
+    ) -> Vec<Candidate> {
+        let mut candidates = Vec::new();
         for device in &opts.devices {
             for &n in &opts.lanes {
                 for &m in &opts.pri_pes {
@@ -288,7 +426,7 @@ impl Planner {
                         let shape = PipelineShape::new(n, m, x);
                         let est = self.estimate_cached(device, shape, profile);
                         let prediction = predict_rate(
-                            &workload,
+                            workload,
                             shape,
                             opts.ii_pre,
                             opts.ii_pri,
@@ -320,42 +458,15 @@ impl Planner {
                 }
             }
         }
-
-        let chosen = candidates
-            .iter()
-            .filter(|c| c.feasible())
-            .fold(None::<&Candidate>, |best, c| match best {
-                None => Some(c),
-                Some(b) if c.mtps > b.mtps * 1.01 => Some(c),
-                Some(b) if c.mtps > b.mtps * 0.99 && c.mtps_per_kalm > b.mtps_per_kalm => Some(c),
-                Some(b) => Some(b),
-            })
-            .unwrap_or_else(|| {
-                panic!(
-                    "no candidate fits the {:.0}% budget on {} device(s)",
-                    opts.budget * 100.0,
-                    opts.devices.len()
-                )
-            })
-            .clone();
-
-        let config = ArchConfig::new(chosen.shape.n_pre, chosen.shape.m_pri, chosen.shape.x_sec);
-        DeploymentPlan {
-            app: profile.name,
-            trace_label: trace.label.clone(),
-            reference_m,
-            budget: opts.budget,
-            chosen,
-            config,
-            candidates,
-            memo: self.stats,
-        }
+        candidates
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datagen::ZipfGenerator;
+    use ditto_core::apps::CountPerKey;
 
     fn trace_with_workloads(w: &[u64]) -> CountsTrace {
         let mut t = CountsTrace::new("test");
@@ -426,6 +537,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "raise it with `with_budget`")]
+    fn an_empty_feasible_set_names_the_budget_override() {
+        let opts = PlannerOptions::paper_search().with_budget(0.01);
+        let trace = trace_with_workloads(&[100; 32]);
+        Planner::new().plan(&trace, 32, &AppCostProfile::histo(), &opts);
+    }
+
+    #[test]
     fn memo_reuses_estimates_across_planning_calls() {
         let mut planner = Planner::new();
         let opts = PlannerOptions::paper_search();
@@ -467,6 +586,107 @@ mod tests {
             json.matches("\"label\"").count(),
             plan.candidates.len() + 1,
             "one row per candidate plus the chosen block"
+        );
+    }
+
+    #[test]
+    fn equation1_with_paper_numbers() {
+        // 8-byte tuples on a 64-byte interface; II_pre = 1, II_pri = 2:
+        // "the system sets the number of PriPEs to 16 on our platform".
+        let opts = PlannerOptions::equation1(1, 2);
+        assert_eq!((opts.lanes, opts.pri_pes), (vec![8], vec![16]));
+        assert_eq!(opts.budget, 1.0);
+        let opts = PlannerOptions::equation1(2, 4);
+        assert_eq!((opts.lanes, opts.pri_pes), (vec![16], vec![32]));
+    }
+
+    #[test]
+    #[should_panic(expected = "initiation intervals must be nonzero")]
+    fn equation1_rejects_a_zero_ii() {
+        let _ = PlannerOptions::equation1(1, 0);
+    }
+
+    fn select_for(alpha: f64) -> DeploymentPlan {
+        let data = ZipfGenerator::new(alpha, 1 << 18, 21).take_vec(60_000);
+        Planner::new().select(
+            &CountPerKey::new(16),
+            &data,
+            &SkewAnalyzer::paper(),
+            &AppCostProfile::histo(),
+            &PlannerOptions::equation1(1, 2),
+        )
+    }
+
+    #[test]
+    fn selection_searches_the_m_generated_variants() {
+        let plan = select_for(0.0);
+        let xs: Vec<u32> = plan.candidates.iter().map(|c| c.shape.x_sec).collect();
+        assert_eq!(xs, (0..16).collect::<Vec<_>>());
+        assert!(plan.candidates.iter().all(|c| c.feasible()));
+        // Resource estimates grow with X.
+        assert!(plan.candidates[15].estimate.ram_blocks > plan.candidates[0].estimate.ram_blocks);
+    }
+
+    #[test]
+    fn uniform_selects_base() {
+        let plan = select_for(0.0);
+        assert_eq!(plan.config.x_sec, 0);
+        assert_eq!(plan.recommended_x, Some(0));
+        assert!(plan.to_json().contains("\"recommended_x\": 0"));
+    }
+
+    #[test]
+    fn extreme_skew_selects_nearly_full() {
+        // α = 3 concentrates ~83% of tuples on one PriPE; Equation 2 asks
+        // for most of the M-1 SecPEs (the all-one-key worst case asks for
+        // exactly M-1).
+        let plan = select_for(3.0);
+        assert!(plan.config.x_sec >= 10, "x = {}", plan.config.x_sec);
+    }
+
+    #[test]
+    fn selection_never_underprovisions() {
+        for &alpha in &[0.0, 0.75, 1.25, 2.0, 3.0] {
+            let plan = select_for(alpha);
+            let recommended = plan.recommended_x.expect("select records it");
+            assert!(
+                plan.config.x_sec >= recommended,
+                "α={alpha}: x {} < recommended {recommended}",
+                plan.config.x_sec
+            );
+        }
+    }
+
+    #[test]
+    fn bram_grows_with_selected_x() {
+        let base = select_for(0.0);
+        let full = select_for(3.0);
+        assert!(full.chosen.estimate.ram_blocks > base.chosen.estimate.ram_blocks);
+    }
+
+    #[test]
+    fn empty_sample_selects_the_base_variant() {
+        let plan = Planner::new().select(
+            &CountPerKey::new(16),
+            &[],
+            &SkewAnalyzer::paper(),
+            &AppCostProfile::histo(),
+            &PlannerOptions::equation1(1, 2),
+        );
+        assert_eq!(plan.recommended_x, Some(0));
+        assert_eq!(plan.config.x_sec, 0);
+        assert_eq!(plan.chosen.prediction.binding(), "input", "uniform model");
+    }
+
+    #[test]
+    #[should_panic(expected = "one PriPE count")]
+    fn selection_needs_equation1s_single_m() {
+        let _ = Planner::new().select(
+            &CountPerKey::new(16),
+            &[],
+            &SkewAnalyzer::paper(),
+            &AppCostProfile::histo(),
+            &PlannerOptions::paper_search(),
         );
     }
 

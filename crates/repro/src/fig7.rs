@@ -7,10 +7,9 @@ use std::io::{self, Write};
 use datagen::ZipfGenerator;
 use ditto_apps::HllApp;
 use ditto_core::{ArchConfig, SkewObliviousPipeline};
-use ditto_framework::SkewAnalyzer;
 use fpga_model::{mtps, AppCostProfile, PipelineShape, TABLE3};
 
-use crate::{alpha_sweep, freq_of, header, par_map, row, Claim, Claims, Target};
+use crate::{alpha_sweep, freq_of, header, par_map, row, select_table3, Claim, Claims, Target};
 
 /// The implementations of Fig. 7 are the rows of [`TABLE3`]; these index it.
 const P16: usize = 0;
@@ -44,7 +43,6 @@ impl Target for Fig7 {
     fn measure(tuples: usize) -> Self {
         let precision = 14u32; // 16384 registers
         let profile = AppCostProfile::hll();
-        let analyzer = SkewAnalyzer::paper();
         // Every (α, configuration) point is an independent engine.
         let rows = par_map(&alpha_sweep(), |&alpha| {
             let seed = 90 + (alpha * 4.0) as u64;
@@ -60,11 +58,12 @@ impl Target for Fig7 {
                 let rep = SkewObliviousPipeline::run_dataset(app, data.clone(), &cfg).report;
                 mtps(rep.tuples_per_cycle(), freq_of(n, m, x, &profile))
             });
-            let recommended_x = analyzer.recommend(&HllApp::new(precision, 16), &data, 16);
-            let pick = (0..TABLE3.len())
-                .filter(|&c| c != P32 && x_of(c) >= recommended_x)
-                .min_by_key(|&c| x_of(c))
-                .expect("16P+15S always qualifies");
+            let plan = select_table3(&HllApp::new(precision, 16), &data, &profile);
+            let recommended_x = plan.recommended_x.expect("a selection records it");
+            let pick = TABLE3
+                .iter()
+                .position(|row| row.shape == plan.chosen.shape)
+                .expect("the selection searches Table III's 16P variants");
             Fig7Row {
                 alpha,
                 mtps,

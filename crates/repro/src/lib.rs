@@ -32,6 +32,9 @@ mod table3;
 
 use std::io::{self, Write};
 
+use datagen::Tuple;
+use ditto_core::{DittoApp, SkewAnalyzer};
+use ditto_plan::{DeploymentPlan, Planner, PlannerOptions};
 use fpga_model::{AppCostProfile, PipelineShape, ResourceEstimate, ResourceModel};
 
 /// The paper's dataset size (26 M tuples, §II).
@@ -193,6 +196,17 @@ pub fn run(invocation: &Invocation, out: &mut dyn Write) -> io::Result<Vec<Claim
 /// The Zipf-factor sweep of Figs. 2b and 7: 0 to 3 in steps of 0.25.
 fn alpha_sweep() -> Vec<f64> {
     (0..=12).map(|i| f64::from(i) * 0.25).collect()
+}
+
+/// The paper's implementation selection (Fig. 6) for `app` over `data`,
+/// among Table III's generated variants: Equation 1's shape with
+/// X ∈ {0, 1, 2, 4, 8, 15} SecPEs.
+fn select_table3<A: DittoApp>(app: &A, data: &[Tuple], profile: &AppCostProfile) -> DeploymentPlan {
+    let opts = PlannerOptions {
+        sec_pes: vec![0, 1, 2, 4, 8, 15],
+        ..PlannerOptions::equation1(app.ii_pre(), app.ii_pri())
+    };
+    Planner::new().select(app, data, &SkewAnalyzer::paper(), profile, &opts)
 }
 
 /// Modelled clock for a configuration running `profile`.

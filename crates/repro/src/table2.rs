@@ -14,19 +14,12 @@ use datagen::{Tuple, UniformGenerator, ZipfGenerator};
 use ditto_apps::{run_pagerank, DataPartitionApp, HhdApp, HistoApp, HllApp};
 use ditto_baselines::{PriorDesign, StaticReplicationDesign};
 use ditto_core::{ArchConfig, DittoApp, SkewObliviousPipeline};
-use ditto_framework::SkewAnalyzer;
 use ditto_graph::generate;
 use fpga_model::AppCostProfile;
 
-use crate::{estimate_of, freq_of, header, par_map, Claim, Claims, Target, PAPER_TUPLES};
-
-/// Smallest generated variant (the paper's Fig. 7 sweep) covering `rec`.
-fn pick_x(rec: u32) -> u32 {
-    [0u32, 1, 2, 4, 8, 15]
-        .into_iter()
-        .find(|&x| x >= rec)
-        .unwrap_or(15)
-}
+use crate::{
+    estimate_of, freq_of, header, par_map, select_table3, Claim, Claims, Target, PAPER_TUPLES,
+};
 
 /// Projects a measured run to paper scale: cycles/tuple × 26 M + overhead,
 /// and converts to MT/s at the design's clock.
@@ -144,7 +137,7 @@ fn block(idx: usize, tuples: usize) -> Vec<Row> {
                 std::sync::Arc::new(vec![sketches::Fixed::ZERO; g.vertex_count()]),
                 16,
             );
-            let x = pick_x(SkewAnalyzer::paper().recommend(&probe, &edges, 16));
+            let x = select_table3(&probe, &edges, &profile).config.x_sec;
             let ours = run_pagerank(&g, 0.85, 2, &ArchConfig::paper(x));
             let chen = run_pagerank(&g, 0.85, 2, &ArchConfig::paper(0));
             let ours_mteps = ours.edges_per_cycle() * freq_of(8, 16, x, &profile);
@@ -182,9 +175,10 @@ fn block(idx: usize, tuples: usize) -> Vec<Row> {
             let cold = ZipfGenerator::new(0.0, 1 << 24, 39).take_vec(tuples.min(400_000) / 2);
             let hot = Tuple::from_key(0xbeef);
             let data: Vec<Tuple> = cold.into_iter().flat_map(|t| [t, hot]).collect();
-            let x = pick_x(SkewAnalyzer::paper().recommend(&app, &data, 16));
+            let profile = AppCostProfile::hhd();
+            let x = select_table3(&app, &data, &profile).config.x_sec;
             let cfg = ArchConfig::paper(x).with_pe_entries(app.pe_entries());
-            let ours = ours_mtps(app, data, &cfg, &AppCostProfile::hhd());
+            let ours = ours_mtps(app, data, &cfg, &profile);
             vec![Row::versus(
                 PriorDesign::tong_hhd(),
                 19,

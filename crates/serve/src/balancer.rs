@@ -3,7 +3,7 @@
 //! The paper's runtime profiler detects hot *PEs* from live workload
 //! counters and reschedules SecPEs (§IV-B); the balancer lifts the same
 //! loop one level up: it watches per-shard processed-tuple windows (summed
-//! from each shard's per-PE counters), runs the framework's Equation 2
+//! from each shard's per-PE counters), runs the skew analyzer's Equation 2
 //! ([`SkewAnalyzer::recommend_from_workloads`]) over the *shard* population
 //! to decide whether the cluster is skewed, smooths the signal with the
 //! [`StreamSkewPredictor`], and when skew persists migrates hash slots from
@@ -16,8 +16,9 @@
 //! heaviest movable slots off the overloaded shard until its expected load
 //! is back near the cluster mean.
 
-use ditto_framework::{SkewAnalyzer, StreamSkewPredictor};
+use ditto_core::SkewAnalyzer;
 
+use crate::predictor::StreamSkewPredictor;
 use crate::router::{RoutingTable, SlotMove};
 
 /// Balancer tuning.

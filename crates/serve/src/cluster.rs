@@ -7,8 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use datagen::Tuple;
-use ditto_core::{ArchConfig, DittoApp, ExecutionReport, MergeableOutput};
-use ditto_framework::SkewAnalyzer;
+use ditto_core::{ArchConfig, DittoApp, ExecutionReport, MergeableOutput, SkewAnalyzer};
 use ditto_obs::{
     LogHistogram, MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal, SpanStage, NO_SHARD,
 };

@@ -34,7 +34,7 @@
 //!   migration unit.
 //! * [`ShardBalancer`] — the paper's profiler loop lifted to cluster
 //!   granularity: Equation 2 over live per-shard workload windows
-//!   (via `ditto-framework`'s [`SkewAnalyzer`]), smoothed by the
+//!   (via `ditto-core`'s [`SkewAnalyzer`]), smoothed by the
 //!   [`StreamSkewPredictor`], migrating slots off hot shards. Intra-shard
 //!   single-key skew stays the job of each shard's own SecPEs.
 //! * Cross-shard **merge/finalize**: [`Cluster::finish`] folds every
@@ -53,8 +53,7 @@
 //!   missed by the cluster. Keys whose true counts reach the candidate
 //!   threshold are caught by both.
 //!
-//! [`SkewAnalyzer`]: ditto_framework::SkewAnalyzer
-//! [`StreamSkewPredictor`]: ditto_framework::StreamSkewPredictor
+//! [`SkewAnalyzer`]: ditto_core::SkewAnalyzer
 //!
 //! # Example
 //!
@@ -89,6 +88,7 @@ mod batch;
 mod cluster;
 mod doorbell;
 mod metrics;
+mod predictor;
 mod queue;
 mod router;
 mod shard;
@@ -102,6 +102,7 @@ pub use doorbell::Doorbell;
 pub use metrics::{
     AdmissionSnapshot, ClusterSnapshot, LatencyRecorder, LatencyStats, ShardSnapshot,
 };
+pub use predictor::StreamSkewPredictor;
 pub use queue::{QueueSource, SharedQueue};
 pub use router::{RoutingTable, SlotMove, DEFAULT_SLOTS};
 

@@ -9,7 +9,7 @@
 //! margin, so a stream that has been mildly skewed for a while can be
 //! served by a smaller (cheaper) implementation.
 
-use crate::SkewAnalyzer;
+use ditto_core::SkewAnalyzer;
 
 /// EWMA-based predictor of the SecPE requirement of a stream.
 ///
@@ -20,7 +20,7 @@ use crate::SkewAnalyzer;
 /// # Example
 ///
 /// ```
-/// use ditto_framework::StreamSkewPredictor;
+/// use ditto_serve::StreamSkewPredictor;
 ///
 /// let mut p = StreamSkewPredictor::new(16, 0.3, 1.0);
 /// // A stream that keeps needing ~4 SecPEs...

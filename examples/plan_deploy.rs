@@ -14,7 +14,7 @@
 //!    onto every candidate shape, replays the runtime's SecPE scheduler to
 //!    predict the steady-state rate, prices shapes on the device through
 //!    the resource model (memoised across calls), and picks the best
-//!    throughput under the `DITTO_PLAN_BUDGET` utilisation budget.
+//!    throughput under the default 85 % utilisation budget.
 //! 3. **Validation** — the chosen `ArchConfig` is simulated on the same
 //!    dataset; the example asserts the prediction lands within ±25 %.
 //! 4. With `DITTO_PLAN_TRACE_OUT=/path.json`, the profiled phases are

@@ -5,8 +5,9 @@
 //! ```
 //!
 //! 1. Generate a Zipf-skewed dataset.
-//! 2. Let the framework tune the pipeline (Equation 1), analyze the skew
-//!    (Equation 2) and select an implementation.
+//! 2. Select an implementation: Equation 1 fixes the pipeline shape and
+//!    the M SecPE variants, Equation 2 analyzes a sample of the data, and
+//!    the planner picks the cheapest variant that covers the skew.
 //! 3. Run the selected implementation cycle-accurately and compare it with
 //!    the no-skew-handling baseline.
 
@@ -18,34 +19,36 @@ fn main() {
     let data = ZipfGenerator::new(alpha, 1 << 20, 7).take_vec(1_000_000);
     println!("dataset: {} tuples, Zipf α = {alpha}", data.len());
 
-    // 2. Framework: tune, analyze, select.
+    // 2. Tune, analyze, select.
     let app = HistoApp::new(32_768, 16);
-    let imp = select_implementation(
+    let plan = Planner::new().select(
         &app,
         &data,
-        &Platform::intel_pac_a10(),
-        &AppCostProfile::histo(),
         &SkewAnalyzer::paper(),
+        &AppCostProfile::histo(),
+        &PlannerOptions::equation1(app.ii_pre(), app.ii_pri()),
     );
     println!(
         "selected implementation: {} (Equation 2 recommended X = {})",
-        imp.config.label(),
-        imp.recommended_x
+        plan.config.label(),
+        plan.recommended_x.expect("a selection records it")
     );
-    println!("modelled resources:      {}", imp.estimate.table_row());
+    println!(
+        "modelled resources:      {}",
+        plan.chosen.estimate.table_row()
+    );
 
     // 3. Run selected vs baseline.
-    let cfg = imp.config.clone().with_pe_entries(app.pe_entries());
+    let cfg = plan.config.clone().with_pe_entries(app.pe_entries());
     let selected = SkewObliviousPipeline::run_dataset(app.clone(), data.clone(), &cfg);
     let baseline = routing_noskew::run(app.clone(), data.clone(), &cfg);
 
-    let sel_mtps = mtps(selected.report.tuples_per_cycle(), imp.estimate.freq_mhz);
-    let base_freq = ResourceModel::arria10()
-        .estimate(
-            PipelineShape::new(cfg.n_pre, cfg.m_pri, 0),
-            &AppCostProfile::histo(),
-        )
-        .freq_mhz;
+    let sel_mtps = mtps(
+        selected.report.tuples_per_cycle(),
+        plan.chosen.estimate.freq_mhz,
+    );
+    let base = plan.candidates.iter().find(|c| c.shape.x_sec == 0);
+    let base_freq = base.expect("X = 0 is generated").estimate.freq_mhz;
     let base_mtps = mtps(baseline.report.tuples_per_cycle(), base_freq);
 
     println!("\n{:<22} {:>10} {:>12}", "", "MT/s", "imbalance");

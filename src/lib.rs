@@ -10,9 +10,8 @@
 //! * [`hls_sim`] — the execution substrate (cycle-level kernels, bounded
 //!   channels, memory models);
 //! * [`core`] (`ditto-core`) — the skew-oblivious architecture: PrePEs,
-//!   data routing, mappers, PriPEs/SecPEs, runtime profiler, merger;
-//! * [`framework`] (`ditto-framework`) — Equation 1 tuning, SecPE variant
-//!   generation, the Equation 2 skew analyzer and implementation selection;
+//!   data routing, mappers, PriPEs/SecPEs, runtime profiler, merger, and
+//!   the Equation 2 skew analyzer;
 //! * [`apps`] (`ditto-apps`) — HISTO, DP, PR, HLL and HHD;
 //! * [`baselines`] (`ditto-baselines`) — the designs the paper compares
 //!   against;
@@ -27,10 +26,10 @@
 //! * [`obs`] (`ditto-obs`) — cross-layer observability: the metrics
 //!   registry, bucketed latency histograms, the batch-span tracing journal
 //!   and the Prometheus/binary exposition codecs;
-//! * [`plan`] (`ditto-plan`) — the two-pass deployment planner: replays a
+//! * [`plan`] (`ditto-plan`) — the deployment planner: replays a
 //!   counts-tracing profile (`ditto_core::profile_counts`) against the
 //!   resource model to pick a deployable `ArchConfig` under a utilisation
-//!   budget;
+//!   budget, and runs the paper's Equation 1/2 implementation selection;
 //! * [`sketches`], [`graph`], [`datagen`], [`fpga_model`] — algorithmic,
 //!   graph, dataset and resource-model substrates.
 //!
@@ -42,19 +41,19 @@
 //! // A skewed dataset: Zipf(2.0) over 2^20 keys.
 //! let data = ZipfGenerator::new(2.0, 1 << 20, 42).take_vec(30_000);
 //!
-//! // Let the framework pick an implementation for it...
+//! // Let Equations 1 and 2 pick an implementation for it...
 //! let app = HistoApp::new(4096, 16);
-//! let imp = select_implementation(
+//! let plan = Planner::new().select(
 //!     &app,
 //!     &data,
-//!     &Platform::intel_pac_a10(),
-//!     &AppCostProfile::histo(),
 //!     &SkewAnalyzer::paper(),
+//!     &AppCostProfile::histo(),
+//!     &PlannerOptions::equation1(app.ii_pre(), app.ii_pri()),
 //! );
-//! assert!(imp.config.x_sec > 0, "skewed data should get SecPEs");
+//! assert!(plan.config.x_sec > 0, "skewed data should get SecPEs");
 //!
 //! // ...and run it cycle-accurately.
-//! let cfg = imp.config.clone().with_pe_entries(app.pe_entries());
+//! let cfg = plan.config.clone().with_pe_entries(app.pe_entries());
 //! let outcome = SkewObliviousPipeline::run_dataset(app, data, &cfg);
 //! assert_eq!(outcome.output.iter().sum::<u64>(), 30_000);
 //! ```
@@ -66,7 +65,6 @@ pub use datagen;
 pub use ditto_apps as apps;
 pub use ditto_baselines as baselines;
 pub use ditto_core as core;
-pub use ditto_framework as framework;
 pub use ditto_graph as graph;
 pub use ditto_ha as ha;
 pub use ditto_obs as obs;
@@ -88,10 +86,8 @@ pub mod prelude {
     };
     pub use ditto_core::{
         ArchConfig, DittoApp, ExecutionReport, MergeableOutput, PersistentPipeline, Requeue,
-        Routed, RunOutcome, SchedulingPlan, SkewObliviousPipeline, SliceOptions, StatSnapshot,
-    };
-    pub use ditto_framework::{
-        select_implementation, Implementation, Platform, SkewAnalyzer, SystemGenerator,
+        Routed, RunOutcome, SchedulingPlan, SkewAnalyzer, SkewObliviousPipeline, SliceOptions,
+        StatSnapshot,
     };
     pub use ditto_graph::{generate, pagerank, Csr};
     pub use ditto_ha::{BatchLog, HaCluster, Promotion, RecoverySource};

@@ -1,32 +1,31 @@
-//! End-to-end integration: the full framework workflow (tune → analyze →
+//! End-to-end integration: the paper's workflow (Equation 1 → Equation 2 →
 //! select → run) for every application, validated against host references.
 
 use ditto::prelude::*;
 
 #[test]
 fn equation1_tuning_matches_paper_platform() {
-    let platform = Platform::intel_pac_a10();
     // HISTO-style apps: II_pre = 1, II_pri = 2 -> 8 PrePEs, 16 PriPEs.
-    let t = SystemGenerator::tune(1, 2, &platform);
-    assert_eq!((t.n_pre, t.m_pri), (8, 16));
+    let opts = PlannerOptions::equation1(1, 2);
+    assert_eq!((opts.lanes, opts.pri_pes), (vec![8], vec![16]));
     // DP: II_pri = 1 -> 8 PriPEs.
-    let t = SystemGenerator::tune(1, 1, &platform);
-    assert_eq!((t.n_pre, t.m_pri), (8, 8));
+    let opts = PlannerOptions::equation1(1, 1);
+    assert_eq!((opts.lanes, opts.pri_pes), (vec![8], vec![8]));
 }
 
 #[test]
 fn histo_selected_implementation_is_correct_and_fast() {
     let data = ZipfGenerator::new(2.0, 1 << 20, 11).take_vec(60_000);
     let app = HistoApp::new(4_096, 16);
-    let imp = select_implementation(
+    let plan = Planner::new().select(
         &app,
         &data,
-        &Platform::intel_pac_a10(),
-        &AppCostProfile::histo(),
         &SkewAnalyzer::paper(),
+        &AppCostProfile::histo(),
+        &PlannerOptions::equation1(app.ii_pre(), app.ii_pri()),
     );
-    assert!(imp.config.x_sec >= imp.recommended_x);
-    let cfg = imp.config.clone().with_pe_entries(app.pe_entries());
+    assert!(plan.config.x_sec >= plan.recommended_x.expect("select records it"));
+    let cfg = plan.config.clone().with_pe_entries(app.pe_entries());
     let selected = SkewObliviousPipeline::run_dataset(app.clone(), data.clone(), &cfg);
     assert_eq!(selected.output, app.reference(&data));
 
@@ -37,6 +36,46 @@ fn histo_selected_implementation_is_correct_and_fast() {
         selected.report.tuples_per_cycle(),
         baseline.report.tuples_per_cycle()
     );
+}
+
+/// The paper's selection (Fig. 6) pinned by value for HLL at M = 16, over
+/// both the M generated variants and Table III's six (Fig. 7's ticks).
+/// The literals were computed with the standalone selection this planner
+/// query replaced, so a change to the sampling, to Equation 2 or to the
+/// smallest-covering-variant rule fails here.
+#[test]
+fn selection_is_pinned_by_value() {
+    let app = HllApp::new(14, 16);
+    let all = PlannerOptions::equation1(app.ii_pre(), app.ii_pri());
+    let table3 = PlannerOptions {
+        sec_pes: vec![0, 1, 2, 4, 8, 15],
+        ..all.clone()
+    };
+    // (α, Equation 2's X, pick among X = 0..15, pick among Table III's)
+    let pins = [
+        (0.0, 0, 0, 0),
+        (1.0, 2, 2, 2),
+        (1.5, 5, 5, 8),
+        (2.0, 11, 11, 15),
+        (3.0, 12, 12, 15),
+    ];
+    for (alpha, recommended, all_x, table3_x) in pins {
+        let seed = 90 + (alpha * 4.0) as u64;
+        let data = ZipfGenerator::new(alpha, 1 << 16, seed).take_vec(200_000);
+        for (opts, x) in [(&all, all_x), (&table3, table3_x)] {
+            let plan = Planner::new().select(
+                &app,
+                &data,
+                &SkewAnalyzer::paper(),
+                &AppCostProfile::hll(),
+                opts,
+            );
+            assert_eq!(plan.recommended_x, Some(recommended), "α = {alpha}");
+            let variants = opts.sec_pes.len();
+            let pick = PipelineShape::new(8, 16, x);
+            assert_eq!(plan.chosen.shape, pick, "α = {alpha}, {variants} variants");
+        }
+    }
 }
 
 #[test]

@@ -202,12 +202,19 @@ fn hll_merge_lattice() {
 /// BRAM-vs-robustness trade-off frontier.
 #[test]
 fn variant_frontier_is_monotone() {
-    let model = ResourceModel::arria10();
-    let profile = AppCostProfile::hll();
-    let tuning = SystemGenerator::tune(1, 2, &Platform::intel_pac_a10());
-    let variants = SystemGenerator::variants(tuning, &profile, &model);
-    for pair in variants.windows(2) {
-        assert!(pair[1].1.ram_blocks >= pair[0].1.ram_blocks);
-        assert!(pair[1].0.x_sec == pair[0].0.x_sec + 1);
+    let app = HllApp::new(12, 16);
+    let data = UniformGenerator::new(1 << 20, 5).take_vec(10_000);
+    let opts = PlannerOptions::equation1(app.ii_pre(), app.ii_pri());
+    let plan = Planner::new().select(
+        &app,
+        &data,
+        &SkewAnalyzer::paper(),
+        &AppCostProfile::hll(),
+        &opts,
+    );
+    let xs: Vec<u32> = plan.candidates.iter().map(|c| c.shape.x_sec).collect();
+    assert_eq!(xs, (0..16).collect::<Vec<_>>(), "X = 0..M-1 without gaps");
+    for pair in plan.candidates.windows(2) {
+        assert!(pair[1].estimate.ram_blocks >= pair[0].estimate.ram_blocks);
     }
 }

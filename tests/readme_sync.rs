@@ -78,6 +78,10 @@ fn readme_names_nothing_that_was_retired() {
         "--bin hotpath",
         "--bin fig",
         "--bin table",
+        "ditto-framework", // folded into ditto-plan and ditto-core
+        "SystemGenerator",
+        "select_implementation",
+        "DITTO_PLAN_BUDGET",
     ];
     for name in retired {
         assert!(!README.contains(name), "README still mentions `{name}`");
