@@ -1,6 +1,6 @@
 //! Data partitioning (DP) — radix partitioning with a hash fan-out.
 
-use ditto_core::{DittoApp, MergeableOutput, Routed, Tuple};
+use ditto_core::{DittoApp, Routed, Tuple};
 use sketches::hash::radix_bits;
 
 /// Radix data partitioning: splits the input into `fan_out` partitions by
@@ -133,19 +133,6 @@ impl DittoApp for DataPartitionApp {
             }
         }
         out
-    }
-}
-
-impl MergeableOutput for DataPartitionApp {
-    /// Concatenates each partition's staged tuples (the non-decomposable
-    /// merge: every instance wrote to "its own memory space"). The combined
-    /// partition contents are order-insensitive — equal to a single-instance
-    /// run as per-partition multisets.
-    fn merge_outputs(&self, acc: &mut Self::Output, part: Self::Output) {
-        debug_assert_eq!(acc.len(), part.len(), "fan-out must match");
-        for (a, p) in acc.iter_mut().zip(part) {
-            a.extend(p);
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use ditto_core::{DittoApp, MergeableOutput, Routed, Tuple};
+use ditto_core::{DittoApp, Routed, Tuple};
 use sketches::{murmur3_u64, CountMinSketch};
 
 /// Heavy-hitter detection with a count-min sketch.
@@ -160,27 +160,6 @@ impl DittoApp for HhdApp {
             .collect();
         hitters.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hitters
-    }
-}
-
-impl MergeableOutput for HhdApp {
-    /// Combines heavy-hitter reports from instances that saw disjoint *key*
-    /// shares (a key-hash router guarantees this): entries are unioned,
-    /// keeping the larger estimate for a key reported twice, and re-sorted
-    /// into the canonical estimate-descending order.
-    ///
-    /// Note that unlike the state-level merge (which sums CMS cells and is
-    /// exact), output-level merging cannot resurrect a key whose per-instance
-    /// estimate stayed below the threshold — use it only under key-disjoint
-    /// routing.
-    fn merge_outputs(&self, acc: &mut Vec<(u64, u64)>, part: Vec<(u64, u64)>) {
-        for (key, est) in part {
-            match acc.iter_mut().find(|(k, _)| *k == key) {
-                Some(entry) => entry.1 = entry.1.max(est),
-                None => acc.push((key, est)),
-            }
-        }
-        acc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Histogram building (HISTO) — the paper's motivating application (§II).
 
-use ditto_core::{DittoApp, MergeableOutput, Routed, Tuple};
+use ditto_core::{DittoApp, Routed, Tuple};
 use sketches::murmur3_u64;
 
 /// Equi-width histogram building over `bins` bins.
@@ -115,16 +115,6 @@ impl DittoApp for HistoApp {
             }
         }
         out
-    }
-}
-
-impl MergeableOutput for HistoApp {
-    /// Bin counts over disjoint input shares add element-wise.
-    fn merge_outputs(&self, acc: &mut Vec<u64>, part: Vec<u64>) {
-        debug_assert_eq!(acc.len(), part.len(), "histogram widths must match");
-        for (a, p) in acc.iter_mut().zip(part) {
-            *a += p;
-        }
     }
 }
 

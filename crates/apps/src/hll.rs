@@ -1,6 +1,6 @@
 //! HyperLogLog (HLL) — cardinality estimation with murmur3 (Table I).
 
-use ditto_core::{DittoApp, MergeableOutput, Routed, Tuple};
+use ditto_core::{DittoApp, Routed, Tuple};
 use sketches::{murmur3_u64, HyperLogLog};
 
 /// HyperLogLog cardinality estimation.
@@ -128,14 +128,6 @@ impl DittoApp for HllApp {
             }
         }
         hll
-    }
-}
-
-impl MergeableOutput for HllApp {
-    /// HLL union: element-wise register maximum — exact for any input
-    /// split, duplicated keys included.
-    fn merge_outputs(&self, acc: &mut HyperLogLog, part: HyperLogLog) {
-        acc.merge(&part);
     }
 }
 

@@ -2,9 +2,7 @@
 
 use std::sync::Arc;
 
-use ditto_core::{
-    ArchConfig, DittoApp, ExecutionReport, MergeableOutput, Routed, SkewObliviousPipeline, Tuple,
-};
+use ditto_core::{ArchConfig, DittoApp, ExecutionReport, Routed, SkewObliviousPipeline, Tuple};
 use ditto_graph::Csr;
 use sketches::Fixed;
 
@@ -103,18 +101,6 @@ impl DittoApp for PageRankApp {
             }
         }
         sums
-    }
-}
-
-impl MergeableOutput for PageRankApp {
-    /// Per-vertex gathered sums over disjoint edge shares add — fixed-point
-    /// addition is exact and associative, so any sharding of the edge list
-    /// combines to the single-instance result bit-for-bit.
-    fn merge_outputs(&self, acc: &mut Vec<Fixed>, part: Vec<Fixed>) {
-        debug_assert_eq!(acc.len(), part.len(), "vertex counts must match");
-        for (a, p) in acc.iter_mut().zip(part) {
-            *a += p;
-        }
     }
 }
 

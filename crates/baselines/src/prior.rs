@@ -39,7 +39,7 @@ pub struct PriorDesign {
 }
 
 impl PriorDesign {
-    /// Jiang et al. [12] — HLS HISTO, static dispatch, replicated bins,
+    /// Jiang et al. \[12\] — HLS HISTO, static dispatch, replicated bins,
     /// double-buffered (hence 2M× per-PE BRAM vs Ditto's interleaved bins).
     pub fn jiang_histo() -> Self {
         PriorDesign {
@@ -54,7 +54,7 @@ impl PriorDesign {
         }
     }
 
-    /// Wang et al. [18] — HLS multikernel DP with channels; run-time data
+    /// Wang et al. \[18\] — HLS multikernel DP with channels; run-time data
     /// dependency forces II ≈ 2.4 per kernel on skew-free input.
     pub fn wang_dp() -> Self {
         PriorDesign {
@@ -69,7 +69,7 @@ impl PriorDesign {
         }
     }
 
-    /// Kara et al. [17] — RTL partitioner on a memory system with different
+    /// Kara et al. \[17\] — RTL partitioner on a memory system with different
     /// random-access performance (Table II does not normalise it); 16
     /// cache-line writers at II = 1.
     pub fn kara_dp() -> Self {
@@ -85,7 +85,7 @@ impl PriorDesign {
         }
     }
 
-    /// Zhou et al. [21] — HitGraph, RTL edge-centric PR: partition-at-a-time
+    /// Zhou et al. \[21\] — HitGraph, RTL edge-centric PR: partition-at-a-time
     /// processing with full edge streaming.
     pub fn zhou_pr() -> Self {
         PriorDesign {
@@ -100,7 +100,7 @@ impl PriorDesign {
         }
     }
 
-    /// Kulkarni et al. [20] — RTL HLL: fully unrolled murmur pipelines that
+    /// Kulkarni et al. \[20\] — RTL HLL: fully unrolled murmur pipelines that
     /// already saturate the memory interface, at the higher clock RTL
     /// closes (hence Ditto's 0.9×).
     pub fn kulkarni_hll() -> Self {
@@ -116,7 +116,7 @@ impl PriorDesign {
         }
     }
 
-    /// Tong et al. [19] — RTL sketch design: a few replicated pipelines,
+    /// Tong et al. \[19\] — RTL sketch design: a few replicated pipelines,
     /// each II = 1, merged in hardware; cannot scale to the full interface
     /// width because the sketch is not range-partitioned.
     pub fn tong_hhd() -> Self {

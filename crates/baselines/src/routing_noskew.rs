@@ -1,4 +1,4 @@
-//! Plain data routing without skew handling (Chen et al. [8]).
+//! Plain data routing without skew handling (Chen et al. \[8\]).
 //!
 //! The Fig. 8 baseline and the `16P` bar of Fig. 7: the Ditto pipeline with
 //! X = 0 SecPEs. Provided as helpers so the experiment harness names the
@@ -18,7 +18,7 @@ pub fn baseline_config(config: &ArchConfig) -> ArchConfig {
     cfg
 }
 
-/// Runs the no-skew-handling data-routing design (Chen et al. [8]) over a
+/// Runs the no-skew-handling data-routing design (Chen et al. \[8\]) over a
 /// dataset: the architecture the paper's §IV extends.
 ///
 /// # Example

@@ -1,10 +1,10 @@
-//! Cycle pins for the two simulated baselines, captured on the per-kernel
-//! engine (one `StaticPe` kernel per lane, reader over plain channels)
-//! before they moved onto a `lane` channel bank and one bank kernel: the
-//! bank schedule may change `kernel_steps` and nothing else.
+//! Cycle pins for the simulated static-replication baseline, captured on
+//! the per-kernel engine (one `StaticPe` kernel per lane, reader over plain
+//! channels) before it moved onto a `lane` channel bank and one bank
+//! kernel: the bank schedule may change `kernel_steps` and nothing else.
 
 use datagen::{Tuple, UniformGenerator, ZipfGenerator};
-use ditto_baselines::{SinglePeDesign, StaticReplicationDesign};
+use ditto_baselines::StaticReplicationDesign;
 use ditto_core::apps::CountPerKey;
 use ditto_core::ChannelTotals;
 
@@ -21,16 +21,6 @@ fn totals(pushes: u64, full_stalls: u64, max_occupancy_sum: u64) -> ChannelTotal
         pops: pushes,
         full_stalls,
         max_occupancy_sum,
-    }
-}
-
-#[test]
-fn single_pe_matches_per_kernel_engine() {
-    for data in datasets() {
-        let out = SinglePeDesign::new(1).run(CountPerKey::new(1), data);
-        assert_eq!(out.report.cycles, 3_027);
-        assert_eq!(out.report.per_pe_processed, vec![3_003]);
-        assert_eq!(out.report.channel_totals, totals(3_003, 0, 2));
     }
 }
 

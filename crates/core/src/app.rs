@@ -84,40 +84,6 @@ pub trait DittoApp: Send + Sync {
     fn finalize(&self, pri_states: Vec<Self::State>) -> Self::Output;
 }
 
-/// Applications whose *outputs* can be combined across independent pipeline
-/// instances.
-///
-/// [`DittoApp::merge`] folds *states* (one SecPE partial into its PriPE
-/// buffer, or one shard's PriPE buffer into another's — the cross-shard
-/// merge path uses it for exact results). `MergeableOutput` additionally
-/// folds *finalized outputs*, which is what a serving layer needs when each
-/// shard finalizes locally (partial results streamed to clients, per-shard
-/// result caching) and a combined view is assembled later.
-///
-/// For decomposable applications the two paths agree exactly (element-wise
-/// sum/max commutes with `finalize`); for non-decomposable ones (data
-/// partitioning) the combined output is order-insensitive — equal as
-/// per-partition multisets.
-pub trait MergeableOutput: DittoApp {
-    /// Folds `part` (another instance's output over a disjoint share of the
-    /// input) into `acc`.
-    fn merge_outputs(&self, acc: &mut Self::Output, part: Self::Output);
-
-    /// Combines any number of partial outputs; returns `None` for an empty
-    /// set (no shards produced output).
-    fn combine_outputs<I: IntoIterator<Item = Self::Output>>(
-        &self,
-        parts: I,
-    ) -> Option<Self::Output> {
-        let mut iter = parts.into_iter();
-        let mut acc = iter.next()?;
-        for part in iter {
-            self.merge_outputs(&mut acc, part);
-        }
-        Some(acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

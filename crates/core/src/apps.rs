@@ -4,7 +4,7 @@
 //! the specs here are deliberately tiny so `ditto-core` can be tested and
 //! benchmarked in isolation.
 
-use crate::{DittoApp, MergeableOutput, Routed, Tuple};
+use crate::{DittoApp, Routed, Tuple};
 
 /// Counts tuples per destination PE — the simplest possible decomposable
 /// application (a 1-bin histogram per PE). Routing is `key mod M`, exactly
@@ -69,14 +69,6 @@ impl DittoApp for CountPerKey {
 
     fn finalize(&self, pri_states: Vec<u64>) -> Vec<u64> {
         pri_states
-    }
-}
-
-impl MergeableOutput for CountPerKey {
-    fn merge_outputs(&self, acc: &mut Vec<u64>, part: Vec<u64>) {
-        for (a, p) in acc.iter_mut().zip(part) {
-            *a += p;
-        }
     }
 }
 
@@ -152,14 +144,6 @@ impl DittoApp for ModHistogram {
     }
 }
 
-impl MergeableOutput for ModHistogram {
-    fn merge_outputs(&self, acc: &mut Vec<u64>, part: Vec<u64>) {
-        for (a, p) in acc.iter_mut().zip(part) {
-            *a += p;
-        }
-    }
-}
-
 /// Recovers M from the per-PE entry count (`entries = ceil(bins / M)`).
 ///
 /// Kept crate-public for the test apps only; real applications carry M in
@@ -186,16 +170,6 @@ mod tests {
         let mut a = 5u64;
         app.merge(&mut a, &7);
         assert_eq!(a, 12);
-    }
-
-    #[test]
-    fn mergeable_outputs_combine_elementwise() {
-        let app = CountPerKey::new(2);
-        let combined = app
-            .combine_outputs(vec![vec![1, 2], vec![10, 20], vec![100, 200]])
-            .expect("non-empty");
-        assert_eq!(combined, vec![111, 222]);
-        assert_eq!(app.combine_outputs(Vec::new()), None);
     }
 
     #[test]

@@ -103,7 +103,7 @@ mod report;
 pub mod routing;
 
 pub use analyzer::SkewAnalyzer;
-pub use app::{DittoApp, MergeableOutput, Routed};
+pub use app::{DittoApp, Routed};
 pub use arch::{PersistentPipeline, RunOutcome, SkewObliviousPipeline};
 pub use config::{ArchConfig, Requeue};
 pub use control::{Control, ControlId, SecPhase};

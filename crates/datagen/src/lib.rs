@@ -5,7 +5,7 @@
 //!
 //! * [`ZipfGenerator`] — Zipf-distributed 8-byte tuples (the paper profiles
 //!   HISTO on 26 M tuples under Zipf factors α ∈ [0, 3], citing the hash-join
-//!   workload methodology of Balkesen et al. [13]);
+//!   workload methodology of Balkesen et al. \[13\]);
 //! * [`UniformGenerator`] — the uniform datasets of the Table II comparison;
 //! * [`EvolvingZipfStream`] — the Fig. 9 online scenario: an α = 3 stream
 //!   whose hot key set rotates every Δt (the "seed of the dataset generator"

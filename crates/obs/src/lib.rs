@@ -18,7 +18,7 @@
 //! * [`counts`] — the counts-tracing data model ([`CountsTrace`]): the
 //!   profiling half of the two-pass deployment planner, exported through
 //!   the same registry/journal/codec plane.
-//! * [`env`] — the documented catalog of `DITTO_*` overrides.
+//! * [`env`](mod@env) — the documented catalog of `DITTO_*` overrides.
 //!
 //! Zero dependencies; `#![forbid(unsafe_code)]`.
 

@@ -2,12 +2,12 @@
 //! balancing and the cross-shard merge/finalize path.
 
 use std::collections::HashMap;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use datagen::Tuple;
-use ditto_core::{ArchConfig, DittoApp, ExecutionReport, MergeableOutput, SkewAnalyzer};
+use ditto_core::{ArchConfig, DittoApp, ExecutionReport, SkewAnalyzer};
 use ditto_obs::{
     LogHistogram, MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal, SpanStage, NO_SHARD,
 };
@@ -330,16 +330,12 @@ pub struct Cluster<A: DittoApp + Clone + 'static> {
     handoffs: Vec<HandoffReport>,
     handoffs_total: u64,
     handoff_pause_us: LogHistogram,
-    /// PriPE count / buffer entries per shard — for synthesizing fresh
-    /// (empty) states when a failed-over shard must still report.
-    m_pri: u32,
-    pe_entries: usize,
 }
 
 impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Boots `config.shards` shard threads, each serving a clone of `app`.
     pub fn new(app: A, config: &ServeConfig) -> Self {
-        let (event_tx, events) = std::sync::mpsc::channel();
+        let (event_tx, events) = mpsc::channel();
         let doorbell = Arc::new(OnceLock::new());
         let event_tx = ShardEvents::new(event_tx, Arc::clone(&doorbell));
         let handles = (0..config.shards)
@@ -390,8 +386,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             handoffs: Vec::new(),
             handoffs_total: 0,
             handoff_pause_us: LogHistogram::new(),
-            m_pri: config.arch.m_pri,
-            pe_entries: config.arch.pe_entries,
         }
     }
 
@@ -508,7 +502,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                         kept[shard] = copy;
                     }
                 }
-                Err(std::sync::mpsc::SendError(cmd)) => {
+                Err(mpsc::SendError(cmd)) => {
                     // The shard's command channel is gone: wait for its
                     // death notice (the drop-guard sends it while the
                     // thread unwinds), stash the sub-batch for a recovery
@@ -519,7 +513,13 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                         let lost = tuples.len() as u64;
                         self.tuples_lost += lost;
                         self.lost_parts.push((id, shard, tuples));
-                        self.resolve_undelivered(id, shard, lost);
+                        self.pending
+                            .get_mut(&id)
+                            .expect("undelivered shard keeps its batch pending")
+                            .tuples -= lost;
+                        if let Some(done) = self.release(id, shard) {
+                            self.complete_unannounced(done);
+                        }
                     }
                 }
             }
@@ -527,30 +527,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         self.queue_depth_peak = self.queue_depth_peak.max(self.live_depth());
         self.poll();
         (id, kept)
-    }
-
-    /// Releases `batch` from waiting on `shard` after its `lost`-tuple
-    /// sub-batch could not be delivered, completing the batch if no other
-    /// shard still owes it a completion.
-    fn resolve_undelivered(&mut self, batch: BatchId, shard: usize, lost: u64) {
-        let done = {
-            let p = self
-                .pending
-                .get_mut(&batch)
-                .expect("undelivered shard keeps its batch pending");
-            p.tuples -= lost;
-            p.shards.retain(|&s| s != shard);
-            p.shards.is_empty()
-        };
-        if done {
-            let p = self.pending.remove(&batch).expect("present");
-            self.complete_unannounced(CompletedBatch {
-                id: batch,
-                tuples: p.tuples,
-                latency_cycles: p.worst_cycles,
-                wall: p.worst_wall,
-            });
-        }
     }
 
     /// Tuples admitted, not lost to a shard death, and not yet completed.
@@ -654,7 +630,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     pub fn try_drain(&mut self) -> Result<(), ShardFailure> {
         self.poll();
         loop {
-            if let Some(f) = self.first_failure() {
+            if let Some(f) = self.unrecovered().next() {
                 return Err(f);
             }
             if self.pending.is_empty() {
@@ -685,9 +661,9 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         }
     }
 
-    /// The lowest-indexed dead shard not yet recovered, if any.
-    fn first_failure(&self) -> Option<ShardFailure> {
-        self.dead.iter().enumerate().find_map(|(shard, d)| {
+    /// Death notices of the dead, unrecovered shards, lowest index first.
+    fn unrecovered(&self) -> impl Iterator<Item = ShardFailure> + '_ {
+        self.dead.iter().enumerate().filter_map(|(shard, d)| {
             d.as_ref().filter(|d| !d.recovered).map(|d| ShardFailure {
                 shard,
                 message: d.message.clone(),
@@ -699,16 +675,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// events first). A recovery layer polls this before each admission.
     pub fn failed_shards(&mut self) -> Vec<ShardFailure> {
         self.poll();
-        self.dead
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, d)| {
-                d.as_ref().filter(|d| !d.recovered).map(|d| ShardFailure {
-                    shard,
-                    message: d.message.clone(),
-                })
-            })
-            .collect()
+        self.unrecovered().collect()
     }
 
     /// `true` once `shard`'s thread has died (recovered or not).
@@ -735,24 +702,14 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                 wall,
             } => {
                 self.shard_batches_done[shard] += 1;
-                let done = {
-                    let p = self
-                        .pending
-                        .get_mut(&batch)
-                        .expect("completion for unknown batch");
-                    p.worst_cycles = p.worst_cycles.max(latency_cycles);
-                    p.worst_wall = p.worst_wall.max(wall);
-                    p.shards.retain(|&s| s != shard);
-                    p.shards.is_empty()
-                };
-                if done {
-                    let p = self.pending.remove(&batch).expect("present");
-                    self.record_completion(CompletedBatch {
-                        id: batch,
-                        tuples: p.tuples,
-                        latency_cycles: p.worst_cycles,
-                        wall: p.worst_wall,
-                    });
+                let p = self
+                    .pending
+                    .get_mut(&batch)
+                    .expect("completion for unknown batch");
+                p.worst_cycles = p.worst_cycles.max(latency_cycles);
+                p.worst_wall = p.worst_wall.max(wall);
+                if let Some(done) = self.release(batch, shard) {
+                    self.record_completion(done);
                 }
             }
             ShardEvent::Failed { shard, message } => {
@@ -764,6 +721,89 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                 }
             }
         }
+    }
+
+    /// Releases pending `batch` from waiting on `shard`, and completes it
+    /// once no other shard still owes it a sub-batch.
+    fn release(&mut self, batch: BatchId, shard: usize) -> Option<CompletedBatch> {
+        let p = self
+            .pending
+            .get_mut(&batch)
+            .expect("released batch is pending");
+        p.shards.retain(|&s| s != shard);
+        if !p.shards.is_empty() {
+            return None;
+        }
+        let p = self.pending.remove(&batch).expect("present");
+        Some(CompletedBatch {
+            id: batch,
+            tuples: p.tuples,
+            latency_cycles: p.worst_cycles,
+            wall: p.worst_wall,
+        })
+    }
+
+    /// Sends `command` to `shard` unless it is known dead. A command that
+    /// is not delivered is dropped, which hangs up its reply channel.
+    fn send(&self, shard: usize, command: ShardCommand<A>) {
+        if self.dead[shard].is_none() {
+            let _ = self.handles[shard].commands.send(command);
+        }
+    }
+
+    /// One round trip to `shard`: `command` carries the reply sender.
+    /// Returns the shard's failure notice if it is dead or dies before it
+    /// replies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live shard does not reply within the reply timeout.
+    fn ask<R>(
+        &mut self,
+        shard: usize,
+        what: &str,
+        command: impl FnOnce(Sender<R>) -> ShardCommand<A>,
+    ) -> Result<R, ShardFailure> {
+        self.poll();
+        let (tx, rx) = mpsc::channel();
+        self.send(shard, command(tx));
+        match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
+            Ok(reply) => Ok(reply),
+            Err(RecvTimeoutError::Disconnected) => Err(self.await_failure(shard)),
+            Err(RecvTimeoutError::Timeout) => panic!("shard {shard} {what} timed out"),
+        }
+    }
+
+    /// One round trip to every live shard. Every command goes out before
+    /// any reply is awaited, so the shards answer in parallel. Replies come
+    /// back in shard order, `None` for a shard that is dead or dies before
+    /// it replies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live shard does not reply within the reply timeout.
+    fn ask_live<R>(
+        &mut self,
+        what: &str,
+        command: impl Fn(Sender<R>) -> ShardCommand<A>,
+    ) -> Vec<Option<R>> {
+        self.poll();
+        let replies: Vec<Receiver<R>> = (0..self.handles.len())
+            .map(|shard| {
+                let (tx, rx) = mpsc::channel();
+                self.send(shard, command(tx));
+                rx
+            })
+            .collect();
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(shard, rx)| match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
+                Ok(reply) => Some(reply),
+                Err(RecvTimeoutError::Disconnected) => None,
+                Err(RecvTimeoutError::Timeout) => panic!("shard {shard} {what} timed out"),
+            })
+            .collect()
     }
 
     fn record_completion(&mut self, batch: CompletedBatch) {
@@ -799,47 +839,25 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         std::mem::take(&mut self.completed)
     }
 
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        let replies: Vec<_> = self
-            .handles
-            .iter()
-            .enumerate()
-            .map(|(shard, h)| {
-                if self.dead[shard].is_some() {
-                    return None;
-                }
-                let (tx, rx) = std::sync::mpsc::channel();
-                h.commands
-                    .send(ShardCommand::Snapshot { reply: tx })
-                    .ok()
-                    .map(|()| rx)
-            })
-            .collect();
+    fn shard_snapshots(&mut self) -> Vec<ShardSnapshot> {
+        let replies = self.ask_live("snapshot", |reply| ShardCommand::Snapshot { reply });
         replies
             .into_iter()
             .enumerate()
-            .map(|(shard, rx)| {
-                match rx.map(|rx| rx.recv_timeout(SHARD_REPLY_TIMEOUT)) {
-                    Some(Ok(snap)) => snap,
-                    Some(Err(std::sync::mpsc::RecvTimeoutError::Timeout)) => {
-                        panic!("shard {shard} snapshot timed out")
-                    }
-                    // A dead shard reports a tombstone row; its history
-                    // lives on in whichever shard inherited its state.
-                    Some(Err(std::sync::mpsc::RecvTimeoutError::Disconnected)) | None => {
-                        ShardSnapshot {
-                            shard,
-                            cycles: 0,
-                            tuples: 0,
-                            queue_depth: 0,
-                            reschedules: 0,
-                            plans_generated: 0,
-                            per_pe_processed: Vec::new(),
-                            batches_completed: self.shard_batches_done[shard],
-                            batches_pending: 0,
-                        }
-                    }
-                }
+            .map(|(shard, snap)| {
+                // A dead shard reports a tombstone row; its history lives
+                // on in whichever shard inherited its state.
+                snap.unwrap_or_else(|| ShardSnapshot {
+                    shard,
+                    cycles: 0,
+                    tuples: 0,
+                    queue_depth: 0,
+                    reschedules: 0,
+                    plans_generated: 0,
+                    per_pe_processed: Vec::new(),
+                    batches_completed: self.shard_batches_done[shard],
+                    batches_pending: 0,
+                })
             })
             .collect()
     }
@@ -847,7 +865,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// A point-in-time view of the whole cluster (synchronously snapshots
     /// every shard).
     pub fn snapshot(&mut self) -> ClusterSnapshot {
-        self.poll();
         let shards = self.shard_snapshots();
         self.assemble_snapshot(shards)
     }
@@ -875,32 +892,10 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Synchronously round-trips to every live shard thread, like
     /// [`snapshot`](Self::snapshot); dead shards contribute nothing.
     pub fn metrics(&mut self) -> MetricsSnapshot {
-        self.poll();
-        let replies: Vec<_> = self
-            .handles
-            .iter()
-            .enumerate()
-            .map(|(shard, h)| {
-                if self.dead[shard].is_some() {
-                    return None;
-                }
-                let (tx, rx) = std::sync::mpsc::channel();
-                h.commands
-                    .send(ShardCommand::Metrics { reply: tx })
-                    .ok()
-                    .map(|()| rx)
-            })
-            .collect();
+        let replies = self.ask_live("metrics", |reply| ShardCommand::Metrics { reply });
         let mut merged = self.cluster_metrics();
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let Some(rx) = rx else { continue };
-            match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
-                Ok(snap) => merged.merge(&snap),
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    panic!("shard {shard} metrics timed out")
-                }
-            }
+        for snap in replies.iter().flatten() {
+            merged.merge(snap);
         }
         merged
     }
@@ -959,33 +954,9 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Events already drained are gone; buffering capacity comes from
     /// [`ServeConfig::journal_capacity`].
     pub fn take_journal(&mut self) -> Vec<SpanEvent> {
-        self.poll();
-        let replies: Vec<_> = self
-            .handles
-            .iter()
-            .enumerate()
-            .map(|(shard, h)| {
-                if self.dead[shard].is_some() {
-                    return None;
-                }
-                let (tx, rx) = std::sync::mpsc::channel();
-                h.commands
-                    .send(ShardCommand::Journal { reply: tx })
-                    .ok()
-                    .map(|()| rx)
-            })
-            .collect();
+        let replies = self.ask_live("journal", |reply| ShardCommand::Journal { reply });
         let mut events = self.journal.drain();
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let Some(rx) = rx else { continue };
-            match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
-                Ok(mut shard_events) => events.append(&mut shard_events),
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    panic!("shard {shard} journal timed out")
-                }
-            }
-        }
+        events.extend(replies.into_iter().flatten().flatten());
         events
     }
 
@@ -1036,23 +1007,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Returns the failure notice instead if the shard is (or dies while)
     /// extracting — the crash-during-handoff path.
     pub fn extract_shard(&mut self, shard: usize) -> Result<ShardStates<A>, ShardFailure> {
-        self.poll();
-        let (tx, rx) = std::sync::mpsc::channel();
-        if self.dead[shard].is_some()
-            || self.handles[shard]
-                .commands
-                .send(ShardCommand::Extract { reply: tx })
-                .is_err()
-        {
-            return Err(self.await_failure(shard));
-        }
-        match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
-            Ok(states) => Ok(states),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(self.await_failure(shard)),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("shard {shard} extract timed out")
-            }
-        }
+        self.ask(shard, "extract", |reply| ShardCommand::Extract { reply })
     }
 
     /// Folds an extracted slice into `shard`'s live PriPE states via the
@@ -1070,25 +1025,12 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// empties when it folds the slice in: a shard that dies first leaves
     /// the slice in the slot.
     fn install_from(&mut self, shard: usize, slice: &InstallSlot<A>) -> Result<(), ShardFailure> {
-        self.poll();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let install = ShardCommand::Install {
-            slice: Arc::clone(slice),
-            reply: tx,
-        };
-        let reply =
-            if self.dead[shard].is_none() && self.handles[shard].commands.send(install).is_ok() {
-                rx.recv_timeout(SHARD_REPLY_TIMEOUT)
-            } else {
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
-            };
-        match reply {
-            Ok(_cycle) => Ok(()),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(self.await_failure(shard)),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("shard {shard} install timed out")
-            }
-        }
+        let slice = Arc::clone(slice);
+        self.ask(shard, "install", |reply| ShardCommand::Install {
+            slice,
+            reply,
+        })
+        .map(|_cycle| ())
     }
 
     /// One complete state handoff: pause + extract `from`'s slice, install
@@ -1208,19 +1150,8 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         let mut ids: Vec<BatchId> = self.pending.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
-            let done = {
-                let p = self.pending.get_mut(&id).expect("present");
-                p.shards.retain(|&s| s != dead);
-                p.shards.is_empty()
-            };
-            if done {
-                let p = self.pending.remove(&id).expect("present");
-                self.complete_unannounced(CompletedBatch {
-                    id,
-                    tuples: p.tuples,
-                    latency_cycles: p.worst_cycles,
-                    wall: p.worst_wall,
-                });
+            if let Some(done) = self.release(id, dead) {
+                self.complete_unannounced(done);
             }
         }
         moves
@@ -1228,55 +1159,29 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
 
     /// Collects every shard's terminal state (drains each shard engine to
     /// quiescence in parallel), absorbing all remaining completion events.
+    /// Recovered-dead shards contribute `None`.
     ///
-    /// Failure diagnosis joins the dead thread where possible, so the
-    /// panic names the *shard's* failure (its payload), not just the
-    /// broken channel it left behind.
+    /// # Panics
+    ///
+    /// Panics if a shard is dead and unrecovered, or dies before it
+    /// finishes; the panic carries the shard's own panic message.
     fn collect_finishes(&mut self) -> Vec<Option<ShardFinish<A>>> {
         self.poll();
         // An unrecovered death is fatal here: finishing would silently drop
         // its accumulated slice. Recovered deaths are fine — their state
         // already lives in the inheritor (or the caller accepted the loss).
-        if let Some(f) = self.first_failure() {
+        if let Some(f) = self.unrecovered().next() {
             panic!("cannot finish: {f} (recover the shard or promote a replica first)");
         }
-        let mut handles: Vec<Option<ShardHandle<A>>> = self.handles.drain(..).map(Some).collect();
-        // Fan the Finish command out first so all live shards drain
-        // concurrently; recovered-dead shards contribute `None`.
-        let replies: Vec<_> = handles
-            .iter()
-            .enumerate()
-            .map(|(shard, h)| {
-                if self.dead[shard].is_some() {
-                    return None;
-                }
-                let (tx, rx) = std::sync::mpsc::channel();
-                h.as_ref()
-                    .expect("handle present before collection")
-                    .commands
-                    .send(ShardCommand::Finish { reply: tx })
-                    .ok()
-                    .map(|()| rx)
-            })
-            .collect();
-        let mut finishes = Vec::with_capacity(handles.len());
-        for (shard, rx) in replies.into_iter().enumerate() {
-            if self.dead[shard].is_some() {
-                finishes.push(None);
-                continue;
-            }
-            let Some(rx) = rx else {
-                // Channel gone racing the finish: a fresh, unrecovered death.
+        let finishes = self.ask_live("finish", |reply| ShardCommand::Finish { reply });
+        for (shard, finish) in finishes.iter().enumerate() {
+            let recovered = self.dead[shard].as_ref().is_some_and(|d| d.recovered);
+            if finish.is_none() && !recovered {
                 let f = self.await_failure(shard);
                 panic!("cannot finish: {f}");
-            };
-            match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
-                Ok(f) => finishes.push(Some(f)),
-                Err(_) => report_shard_death(shard, handles[shard].take().expect("handle present")),
             }
         }
-        for (shard, handle) in handles.into_iter().enumerate() {
-            let Some(handle) = handle else { continue };
+        for (shard, handle) in self.handles.drain(..).enumerate() {
             if let Err(payload) = handle.thread.join() {
                 // A recovered shard's thread ended in the panic whose notice
                 // we already handled; anything else is a new failure.
@@ -1380,70 +1285,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             snapshot,
         }
     }
-
-    /// Shuts the cluster down with each shard finalizing *locally*,
-    /// returning one output per shard — the shape a serving layer uses when
-    /// partial results are consumed per shard (result caching, incremental
-    /// clients). Combine them with
-    /// [`MergeableOutput::combine_outputs`] when a global view is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard thread died or its engine failed to drain.
-    pub fn finish_per_shard(mut self) -> (Vec<A::Output>, Vec<ExecutionReport>, ClusterSnapshot)
-    where
-        A: MergeableOutput,
-    {
-        let finishes = self.collect_finishes();
-        let mut outputs = Vec::with_capacity(finishes.len());
-        let mut reports = Vec::with_capacity(finishes.len());
-        for (shard, f) in finishes.into_iter().enumerate() {
-            match f {
-                Some(f) => {
-                    outputs.push(self.app.finalize(f.pri_states));
-                    reports.push(f.report);
-                }
-                None => {
-                    // A failed-over shard finalizes empty states so the
-                    // per-shard output vector keeps its indexing.
-                    let fresh = (0..self.m_pri)
-                        .map(|_| self.app.new_state(self.pe_entries))
-                        .collect();
-                    outputs.push(self.app.finalize(fresh));
-                    reports.push(self.failed_over_report(shard));
-                }
-            }
-        }
-        let snapshot = self.outcome_snapshot(&reports);
-        (outputs, reports, snapshot)
-    }
-}
-
-/// Diagnoses a shard that failed to reply to `Finish`: if its thread
-/// already ended, join it and propagate the panic payload (or report the
-/// silent exit); if it is still alive it is wedged, and joining would hang
-/// — say so instead.
-fn report_shard_death<A: ditto_core::DittoApp>(shard: usize, handle: ShardHandle<A>) -> ! {
-    // A dropped command channel slightly precedes thread exit while the
-    // panic unwinds; give it a moment so the payload is joinable.
-    for _ in 0..50 {
-        if handle.thread.is_finished() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if handle.thread.is_finished() {
-        match handle.thread.join() {
-            Err(payload) => panic!(
-                "shard {shard} failed to finish: shard thread panicked: {}",
-                panic_message(payload.as_ref())
-            ),
-            Ok(()) => {
-                panic!("shard {shard} failed to finish: shard thread exited without replying")
-            }
-        }
-    }
-    panic!("shard {shard} failed to finish within the reply timeout (thread alive — deadlocked?)");
 }
 
 impl<A: DittoApp + Clone + 'static> std::fmt::Debug for Cluster<A> {
@@ -1785,6 +1626,38 @@ mod tests {
         let outcome = cluster.finish();
         assert_eq!(outcome.reports[1].label, "shard1:failed-over");
         assert!(outcome.reports[1].completed);
+    }
+
+    #[test]
+    fn an_unrecovered_dead_shard_answers_every_round_trip() {
+        let mut cluster = Cluster::new(
+            CountPerKey::new(4),
+            &ServeConfig::new(2, ArchConfig::new(2, 4, 1)),
+        );
+        cluster.submit((0..600u64).map(Tuple::from_key).collect());
+        cluster.drain();
+        let served = cluster.snapshot().shards[0].batches_completed;
+        assert!(served > 0, "shard 0 served nothing before the kill");
+        let failure = cluster.kill_shard(0, "left for dead");
+
+        // Every round trip returns at once: none waits out the reply
+        // timeout on the corpse.
+        let snap = cluster.snapshot();
+        let tomb = &snap.shards[0];
+        assert_eq!((tomb.cycles, tomb.batches_completed), (0, served));
+        assert!(snap.shards[1].cycles > 0);
+
+        let metrics = cluster.metrics();
+        let tuples = |shard: &str| metrics.get("ditto_serve_tuples_total", &[("shard", shard)]);
+        assert!(tuples("0").is_none(), "a dead shard contributes no metrics");
+        assert!(tuples("1").is_some_and(|m| m.value.scalar() > 0));
+
+        let journal = cluster.take_journal();
+        assert!(journal.iter().any(|e| e.shard == 1));
+        assert!(journal.iter().all(|e| e.shard != 0));
+
+        assert_eq!(cluster.extract_shard(0).err(), Some(failure.clone()));
+        assert_eq!(cluster.install_shard(0, vec![0; 4]), Err(failure));
     }
 
     #[test]

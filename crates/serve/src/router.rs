@@ -133,8 +133,8 @@ impl RoutingTable {
         parts
     }
 
-    /// Admitted tuples per slot since the last [`take_window`]
-    /// (Self::take_window) call.
+    /// Admitted tuples per slot since the last
+    /// [`take_window`](Self::take_window) call.
     pub fn slot_window(&self) -> &[u64] {
         &self.slot_window
     }

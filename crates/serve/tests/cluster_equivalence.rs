@@ -9,7 +9,7 @@ use std::sync::Arc;
 use datagen::{Tuple, UniformGenerator, ZipfGenerator};
 use ditto_apps::{DataPartitionApp, HhdApp, HistoApp, HllApp, PageRankApp};
 use ditto_core::apps::CountPerKey;
-use ditto_core::{ArchConfig, DittoApp, MergeableOutput, SkewObliviousPipeline};
+use ditto_core::{ArchConfig, DittoApp, SkewObliviousPipeline};
 use ditto_serve::{split_into_batches, BalancerConfig, Cluster, ServeConfig};
 use sketches::Fixed;
 
@@ -133,28 +133,6 @@ fn equivalence_holds_across_shard_counts() {
         let sharded = serve(app.clone(), &data, &config);
         assert_eq!(sharded, alone, "diverged at {shards} shards");
     }
-}
-
-#[test]
-fn per_shard_outputs_combine_to_the_same_result() {
-    // The output-level merge path (MergeableOutput) agrees with the
-    // state-level one for a decomposable app.
-    let app = HistoApp::new(256, 8);
-    let arch = ArchConfig::new(4, 8, 3).with_pe_entries(app.pe_entries());
-    let data = zipf3(61);
-    let config = ServeConfig::new(SHARDS, arch.clone());
-
-    let mut cluster = Cluster::new(app.clone(), &config);
-    for batch in split_into_batches(&data, BATCH) {
-        cluster.submit(batch);
-    }
-    cluster.drain();
-    let (outputs, reports, snapshot) = cluster.finish_per_shard();
-    assert_eq!(outputs.len(), SHARDS);
-    assert_eq!(reports.len(), SHARDS);
-    assert_eq!(snapshot.tuples_processed(), TUPLES as u64);
-    let combined = app.combine_outputs(outputs).expect("non-empty");
-    assert_eq!(combined, single(app, &data, &arch));
 }
 
 #[test]

@@ -81,13 +81,10 @@ pub mod prelude {
     pub use ditto_apps::{
         run_pagerank, DataPartitionApp, HhdApp, HistoApp, HllApp, PageRankApp, PageRankResult,
     };
-    pub use ditto_baselines::{
-        routing_noskew, PriorDesign, SinglePeDesign, StaticReplicationDesign,
-    };
+    pub use ditto_baselines::{routing_noskew, PriorDesign, StaticReplicationDesign};
     pub use ditto_core::{
-        ArchConfig, DittoApp, ExecutionReport, MergeableOutput, PersistentPipeline, Requeue,
-        Routed, RunOutcome, SchedulingPlan, SkewAnalyzer, SkewObliviousPipeline, SliceOptions,
-        StatSnapshot,
+        ArchConfig, DittoApp, ExecutionReport, PersistentPipeline, Requeue, Routed, RunOutcome,
+        SchedulingPlan, SkewAnalyzer, SkewObliviousPipeline, SliceOptions, StatSnapshot,
     };
     pub use ditto_graph::{generate, pagerank, Csr};
     pub use ditto_ha::{BatchLog, HaCluster, Promotion, RecoverySource};

@@ -82,6 +82,9 @@ fn readme_names_nothing_that_was_retired() {
         "SystemGenerator",
         "select_implementation",
         "DITTO_PLAN_BUDGET",
+        "MergeableOutput", // one merge: `Cluster::finish` through `DittoApp::merge`
+        "finish_per_shard",
+        "SinglePeDesign", // Table II prices Tong et al. with `PriorDesign`
     ];
     for name in retired {
         assert!(!README.contains(name), "README still mentions `{name}`");
