@@ -117,7 +117,9 @@ impl SkewObliviousPipeline {
         // cycles each, plus generous pipeline/profiling slack.
         let budget = tuples * (u64::from(app.ii_pri()) + 2) + 500_000;
         let source = SliceSource::new(data, Tuple::PAPER_WIDTH_BYTES, MemoryModel::new(64, 16));
-        Self::run_source(app, Box::new(source), config, budget, true)
+        let mut built = PersistentPipeline::new(app, Box::new(source), config);
+        built.expect_drained(budget);
+        built.finish()
     }
 
     /// Runs `app` over an arbitrary source for exactly `cycles` cycles
@@ -129,25 +131,8 @@ impl SkewObliviousPipeline {
         config: &ArchConfig,
         cycles: u64,
     ) -> RunOutcome<A::Output> {
-        Self::run_source(app, source, config, cycles, false)
-    }
-
-    /// Shared driver. With `drain = true` the run ends at quiescence (or
-    /// panics at the cycle budget); with `drain = false` it runs exactly
-    /// `cycles` cycles.
-    pub fn run_source<A: DittoApp + 'static>(
-        app: A,
-        source: Box<dyn StreamSource<Tuple>>,
-        config: &ArchConfig,
-        cycles: u64,
-        drain: bool,
-    ) -> RunOutcome<A::Output> {
         let mut built = PersistentPipeline::new(app, source, config);
-        if drain {
-            built.expect_drained(cycles);
-        } else {
-            built.step_cycles(cycles);
-        }
+        built.step_cycles(cycles);
         built.finish()
     }
 }

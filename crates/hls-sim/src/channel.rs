@@ -1,42 +1,41 @@
-//! Bounded, latency-aware FIFO channels living in the engine's channel
-//! arena.
+//! Bounded FIFO channels living in the engine's channel arena.
 //!
 //! A channel models an HLS `cl_channel`: a hardware FIFO with a fixed
 //! capacity (the paper sizes PE input queues at a few hundred entries) and a
-//! visibility latency of at least one cycle, so that a value written in
-//! cycle `c` is readable in `c + latency` at the earliest. Producers observe
-//! backpressure through [`SimContext::try_send`](crate::SimContext::try_send)
-//! returning [`SendError::Full`](SendError).
+//! visibility latency of [`DEFAULT_LATENCY`] cycles, so that a value written
+//! in cycle `c` is readable in `c + DEFAULT_LATENCY` at the earliest.
+//! Producers observe backpressure through [`BankView::try_send`] returning
+//! [`SendError`].
 //!
-//! Unlike the original `Rc<RefCell<…>>` handle design, channels are owned by
-//! the [`Engine`](crate::Engine)'s arena and kernels hold plain-`Copy`
-//! [`SenderId`]/[`ReceiverId`] handles, resolved through the
+//! Channels are owned by the [`Engine`](crate::Engine)'s arena and kernels
+//! hold plain-`Copy` handles ([`ChannelBankId`], [`BcastSenderId`],
+//! [`BcastReceiverId`]), resolved through the
 //! [`SimContext`](crate::SimContext) passed to every `step`. This removes
 //! all per-access reference counting and interior-mutability checks from the
-//! hot path and makes the whole engine `Send`.
+//! hot path and makes the whole engine `Send`. The arena has two kinds of
+//! slot.
 //!
-//! The arena also provides a *broadcast* channel
-//! ([`BcastSenderId`]/[`BcastReceiverId`]): one producer fanning the same
-//! value out to `R` reader taps, each with its own FIFO view, cursor and
-//! statistics. It behaves exactly like `R` independent channels that happen
-//! to receive identical atomic pushes — which is precisely the combiner's
-//! wide-word duplication in the paper's Fig. 3 — but stores each value once
-//! instead of `R` times, in a fixed power-of-two ring. Each item carries a
-//! **tag**, the taps that must see its payload: a kernel serving every tap
+//! A *channel bank* ([`ChannelBankId`]) is `len` fully independent FIFOs
+//! behind **one** arena slot, because one kernel serves all of them (the
+//! paper's module arrays: N lanes, M+X PE input queues). The kernel resolves
+//! the slot once per step
+//! ([`SimContext::bank_with`](crate::SimContext::bank_with)) and works on
+//! the members through a [`BankView`]; statistics report one row per member.
+//! A one-member bank is the point-to-point FIFO.
+//!
+//! A *broadcast* channel ([`BcastSenderId`]/[`BcastReceiverId`]) is one
+//! producer fanning the same value out to `R` reader taps, each with its own
+//! FIFO view, cursor and statistics. It behaves exactly like `R` independent
+//! FIFOs that happen to receive identical atomic pushes — which is precisely
+//! the combiner's wide-word duplication in the paper's Fig. 3 — but stores
+//! each value once instead of `R` times, in a fixed power-of-two ring. Each
+//! item carries a **tag**, the taps that must see its payload: a kernel
+//! serving every tap
 //! ([`SimContext::bcast_recv_taps`](crate::SimContext::bcast_recv_taps))
 //! pops on all ready taps in one branch-free pass and is handed the item
 //! only on tagged ones; untagged taps pop it silently, with the same
 //! statistics — like the paper's decoders, which all consume every word
 //! and forward only matching records.
-//!
-//! A *channel bank* ([`ChannelBankId`]) is the opposite grouping: `len`
-//! fully independent plain FIFOs that sit behind **one** arena slot because
-//! one kernel serves all of them (the paper's module arrays: N lanes, M+X PE
-//! input queues). The kernel resolves the slot once per step
-//! ([`SimContext::bank_with`](crate::SimContext::bank_with)) and works on
-//! the members through a [`BankView`]; statistics still report one row per
-//! member, named and positioned exactly like `len` plain channels created
-//! in a row.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -45,7 +44,9 @@ use std::marker::PhantomData;
 
 use crate::Cycle;
 
-/// Default visibility latency for newly created channels, in cycles.
+/// Visibility latency of every channel, in cycles: an item pushed at cycle
+/// `c` can be popped at `c + DEFAULT_LATENCY` or later. Bank members and
+/// broadcast taps alike.
 pub const DEFAULT_LATENCY: u64 = 1;
 
 /// Raw arena index of a channel; obtained from the typed id handles and used
@@ -66,19 +67,6 @@ impl<T> fmt::Display for SendError<T> {
 }
 
 impl<T: fmt::Debug> std::error::Error for SendError<T> {}
-
-/// Producer handle of an arena channel. Plain `Copy` data; resolved through
-/// the [`SimContext`](crate::SimContext).
-pub struct SenderId<T> {
-    pub(crate) idx: u32,
-    pub(crate) _marker: PhantomData<fn(T)>,
-}
-
-/// Consumer handle of an arena channel.
-pub struct ReceiverId<T> {
-    pub(crate) idx: u32,
-    pub(crate) _marker: PhantomData<fn() -> T>,
-}
 
 /// Producer handle of a broadcast channel.
 pub struct BcastSenderId<T> {
@@ -102,7 +90,7 @@ pub struct BcastGroupId<T> {
     pub(crate) _marker: PhantomData<fn() -> T>,
 }
 
-/// Handle of a channel bank: `len` plain FIFOs behind one arena slot,
+/// Handle of a channel bank: `len` FIFOs behind one arena slot,
 /// created by [`Engine::channel_bank`](crate::Engine::channel_bank). Both
 /// the producing and the consuming kernel hold the same handle and address
 /// members by index.
@@ -128,26 +116,10 @@ macro_rules! impl_id_traits {
     };
 }
 
-impl_id_traits!(SenderId);
-impl_id_traits!(ReceiverId);
 impl_id_traits!(BcastSenderId);
 impl_id_traits!(BcastReceiverId);
 impl_id_traits!(BcastGroupId);
 impl_id_traits!(ChannelBankId);
-
-impl<T> SenderId<T> {
-    /// The raw arena index (for wake subscriptions).
-    pub fn raw(&self) -> RawChannelId {
-        self.idx
-    }
-}
-
-impl<T> ReceiverId<T> {
-    /// The raw arena index (for wake subscriptions).
-    pub fn raw(&self) -> RawChannelId {
-        self.idx
-    }
-}
 
 impl<T> BcastSenderId<T> {
     /// The raw arena index (for wake subscriptions).
@@ -176,7 +148,7 @@ impl<T> ChannelBankId<T> {
 /// A point-in-time snapshot of a channel's lifetime statistics.
 ///
 /// Produced by [`SimContext::channel_stats`](crate::SimContext::channel_stats)
-/// (one entry per plain channel, one per broadcast reader tap); used by the
+/// (one entry per bank member, one per broadcast reader tap); used by the
 /// experiment harness to report stall behaviour (e.g. how skew fills a hot
 /// PE's queue).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,7 +178,7 @@ impl ChannelStats {
 
 /// Allocation-free sum of every channel's statistics, folded with the same
 /// per-reader expansion as [`SimContext::channel_stats`]
-/// (one row per plain channel, one per broadcast reader tap) but without
+/// (one row per bank member, one per broadcast reader tap) but without
 /// cloning any debug name. This is what a periodic observability publish
 /// reads: the full [`ChannelStats`] snapshot costs one `String` per
 /// channel per call, which a per-poll cadence cannot afford.
@@ -231,11 +203,10 @@ pub(crate) struct QueueSlot<T> {
     pub(crate) visible_at: Cycle,
 }
 
-/// Storage of one plain single-reader channel.
+/// Storage of one single-reader FIFO: a bank member.
 pub(crate) struct ChannelCore<T> {
     pub(crate) name: String,
     pub(crate) capacity: usize,
-    pub(crate) latency: u64,
     pub(crate) queue: VecDeque<QueueSlot<T>>,
     /// Visibility time of the head item; `Cycle::MAX` when empty.
     front_at: Cycle,
@@ -246,12 +217,11 @@ pub(crate) struct ChannelCore<T> {
 }
 
 impl<T> ChannelCore<T> {
-    pub(crate) fn new(name: &str, capacity: usize, latency: u64) -> Self {
+    pub(crate) fn new(name: &str, capacity: usize) -> Self {
         assert!(capacity > 0, "channel {name:?} must have nonzero capacity");
         ChannelCore {
             name: name.to_owned(),
             capacity,
-            latency,
             queue: VecDeque::with_capacity(capacity.min(4096)),
             front_at: Cycle::MAX,
             pushes: 0,
@@ -273,7 +243,7 @@ impl<T> ChannelCore<T> {
             self.full_stalls += 1;
             return Err(SendError(value));
         }
-        let visible_at = cy + self.latency;
+        let visible_at = cy + DEFAULT_LATENCY;
         self.queue.push_back(QueueSlot { value, visible_at });
         if self.queue.len() == 1 {
             self.front_at = visible_at;
@@ -343,7 +313,6 @@ impl<T> ChannelCore<T> {
 pub(crate) struct BroadcastCore<T> {
     name_prefix: String,
     capacity: usize,
-    latency: u64,
     /// Ring slots minus one.
     mask: u64,
     values: Box<[Option<T>]>,
@@ -357,7 +326,7 @@ pub(crate) struct BroadcastCore<T> {
 }
 
 impl<T> BroadcastCore<T> {
-    pub(crate) fn new(name_prefix: &str, readers: usize, capacity: usize, latency: u64) -> Self {
+    pub(crate) fn new(name_prefix: &str, readers: usize, capacity: usize) -> Self {
         assert!(
             capacity > 0,
             "broadcast {name_prefix:?} must have nonzero capacity"
@@ -370,7 +339,6 @@ impl<T> BroadcastCore<T> {
         BroadcastCore {
             name_prefix: name_prefix.to_owned(),
             capacity,
-            latency,
             mask: slots as u64 - 1,
             values: (0..slots).map(|_| None).collect(),
             visible_at: vec![0; slots].into_boxed_slice(),
@@ -410,7 +378,7 @@ impl<T> BroadcastCore<T> {
         }
         let slot = self.slot(self.head);
         self.values[slot] = Some(value);
-        self.visible_at[slot] = cy + self.latency;
+        self.visible_at[slot] = cy + DEFAULT_LATENCY;
         self.tags[slot] = tag;
         self.head += 1;
         for (max, &c) in self.max_occupancy.iter_mut().zip(&self.cursors) {
@@ -540,12 +508,15 @@ impl<T> BankView<'_, T> {
         self.members.len()
     }
 
-    /// [`SimContext::try_send`](crate::SimContext::try_send) on member `i`.
+    /// Attempts to push `value` into member `i` at cycle `cy`; it becomes
+    /// visible at `cy + DEFAULT_LATENCY`.
     ///
     /// # Errors
     ///
     /// Returns [`SendError`] holding the value when member `i` is at
-    /// capacity; the attempt is counted as a full stall of that member.
+    /// capacity; the producing kernel should treat that as a pipeline stall
+    /// and retry on a later cycle. The attempt is counted as a full stall
+    /// of that member.
     #[inline]
     pub fn try_send(&mut self, cy: Cycle, i: usize, value: T) -> Result<(), SendError<T>> {
         let result = self.members[i].try_send(cy, value);
@@ -553,7 +524,9 @@ impl<T> BankView<'_, T> {
         result
     }
 
-    /// [`SimContext::try_recv`](crate::SimContext::try_recv) on member `i`.
+    /// Pops member `i`'s oldest item if one is visible at cycle `cy`;
+    /// `None` when the member is empty *or* its head was pushed less than
+    /// [`DEFAULT_LATENCY`] cycles ago.
     #[inline]
     pub fn try_recv(&mut self, cy: Cycle, i: usize) -> Option<T> {
         let result = self.members[i].try_recv(cy);
@@ -603,10 +576,9 @@ impl<T> BankView<'_, T> {
     }
 }
 
-/// Type-erased arena slot: the concrete `ChannelCore<T>`,
-/// `Vec<ChannelCore<T>>` (a bank) or `BroadcastCore<T>` behind a plain
-/// `dyn Any` (one `TypeId` compare per access, no extra virtual hop), plus
-/// monomorphised statistics reporters.
+/// Type-erased arena slot: the concrete `Vec<ChannelCore<T>>` (a bank) or
+/// `BroadcastCore<T>` behind a plain `dyn Any` (one `TypeId` compare per
+/// access, no extra virtual hop), plus monomorphised statistics reporters.
 pub(crate) struct ArenaSlot {
     pub(crate) core: Box<dyn Any + Send>,
     stats_fn: fn(&dyn Any, &mut Vec<ChannelStats>),
@@ -614,24 +586,7 @@ pub(crate) struct ArenaSlot {
 }
 
 impl ArenaSlot {
-    pub(crate) fn plain<T: Send + 'static>(core: ChannelCore<T>) -> Self {
-        fn report<T: Send + 'static>(any: &dyn Any, out: &mut Vec<ChannelStats>) {
-            let core = any.downcast_ref::<ChannelCore<T>>().expect("slot type");
-            out.push(core.stats());
-        }
-        fn totals<T: Send + 'static>(any: &dyn Any, agg: &mut ChannelAggregate) {
-            let core = any.downcast_ref::<ChannelCore<T>>().expect("slot type");
-            core.accumulate(agg);
-        }
-        ArenaSlot {
-            core: Box::new(core),
-            stats_fn: report::<T>,
-            totals_fn: totals::<T>,
-        }
-    }
-
-    /// A channel bank: reports one row per member, in member order — the
-    /// rows `members.len()` plain channels created in a row would.
+    /// A channel bank: reports one row per member, in member order.
     pub(crate) fn bank<T: Send + 'static>(members: Vec<ChannelCore<T>>) -> Self {
         fn report<T: Send + 'static>(any: &dyn Any, out: &mut Vec<ChannelStats>) {
             let members = any
@@ -688,7 +643,7 @@ mod tests {
 
     #[test]
     fn core_fifo_order_is_preserved() {
-        let mut ch = ChannelCore::new("t", 8, DEFAULT_LATENCY);
+        let mut ch = ChannelCore::new("t", 8);
         for i in 0..5 {
             ch.try_send(0, i).unwrap();
         }
@@ -700,17 +655,17 @@ mod tests {
 
     #[test]
     fn core_latency_hides_fresh_items() {
-        let mut ch = ChannelCore::new("t", 4, 3);
+        let mut ch = ChannelCore::new("t", 4);
         ch.try_send(5, 42).unwrap();
-        assert_eq!(ch.try_recv(5), None);
-        assert_eq!(ch.try_recv(7), None);
-        assert!(!ch.can_recv(7));
-        assert_eq!(ch.try_recv(8), Some(42));
+        assert_eq!(ch.try_recv(5 + DEFAULT_LATENCY - 1), None);
+        assert!(!ch.can_recv(5 + DEFAULT_LATENCY - 1));
+        assert_eq!(ch.front_visible_at(), Some(5 + DEFAULT_LATENCY));
+        assert_eq!(ch.try_recv(5 + DEFAULT_LATENCY), Some(42));
     }
 
     #[test]
     fn core_full_channel_rejects_and_counts_stalls() {
-        let mut ch = ChannelCore::new("t", 2, 1);
+        let mut ch = ChannelCore::new("t", 2);
         ch.try_send(0, 'a').unwrap();
         ch.try_send(0, 'b').unwrap();
         assert_eq!(ch.try_send(0, 'c'), Err(SendError('c')));
@@ -725,12 +680,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonzero capacity")]
     fn core_zero_capacity_panics() {
-        let _ = ChannelCore::<u8>::new("bad", 0, 1);
+        let _ = ChannelCore::<u8>::new("bad", 0);
     }
 
     #[test]
     fn broadcast_readers_see_every_item_once() {
-        let mut b = BroadcastCore::new("w", 3, 4, 1);
+        let mut b = BroadcastCore::new("w", 3, 4);
         b.try_send(0, ALL, 7u32).unwrap();
         b.try_send(0, ALL, 8u32).unwrap();
         for r in 0..3 {
@@ -749,7 +704,7 @@ mod tests {
 
     #[test]
     fn broadcast_slowest_reader_gates_capacity() {
-        let mut b = BroadcastCore::new("w", 2, 2, 1);
+        let mut b = BroadcastCore::new("w", 2, 2);
         b.try_send(0, ALL, 1u8).unwrap();
         b.try_send(0, ALL, 2u8).unwrap();
         // Reader 0 drains fully; reader 1 does not move.
@@ -768,16 +723,17 @@ mod tests {
 
     #[test]
     fn broadcast_latency_applies_per_item() {
-        let mut b = BroadcastCore::new("w", 2, 4, 2);
+        let mut b = BroadcastCore::new("w", 2, 4);
         b.try_send(10, ALL, 5u8).unwrap();
-        assert_eq!(b.tap_front_visible_at(0), Some(12));
-        assert_eq!(b.recv_map(11, 0, |&v| v), None);
-        assert_eq!(b.recv_map(12, 0, |&v| v), Some(5));
+        let at = 10 + DEFAULT_LATENCY;
+        assert_eq!(b.tap_front_visible_at(0), Some(at));
+        assert_eq!(b.recv_map(at - 1, 0, |&v| v), None);
+        assert_eq!(b.recv_map(at, 0, |&v| v), Some(5));
     }
 
     #[test]
     fn broadcast_per_reader_stats() {
-        let mut b = BroadcastCore::new("word", 2, 8, 1);
+        let mut b = BroadcastCore::new("word", 2, 8);
         b.try_send(0, ALL, 1u8).unwrap();
         b.try_send(0, ALL, 2u8).unwrap();
         b.recv_map(5, 0, |_| ()).unwrap();

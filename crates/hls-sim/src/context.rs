@@ -5,7 +5,7 @@ use crate::channel::{ArenaSlot, BroadcastCore, ChannelCore};
 use crate::state::StateArena;
 use crate::{
     BankView, BcastGroupId, BcastReceiverId, BcastSenderId, ChannelAggregate, ChannelBankId,
-    ChannelStats, CounterId, Cycle, RawChannelId, ReceiverId, SendError, SenderId, StateId,
+    ChannelStats, CounterId, Cycle, RawChannelId, SendError, StateId,
 };
 
 /// Wake subscribers of one channel event, compact in the (overwhelmingly
@@ -83,7 +83,7 @@ impl SimContext {
         }
     }
 
-    /// Registers a channel slot (plain channel, bank or broadcast group).
+    /// Registers a channel slot (bank or broadcast group).
     pub(crate) fn add_channel(&mut self, ch: ArenaSlot) -> RawChannelId {
         let id = self.channels.len() as RawChannelId;
         self.channels.push(ch);
@@ -106,22 +106,6 @@ impl SimContext {
             "wake subscription references unknown channel {ch}"
         );
         self.on_pop[ch as usize].add(kernel);
-    }
-
-    #[inline]
-    fn chan<T: Send + 'static>(&self, idx: u32) -> &ChannelCore<T> {
-        self.channels[idx as usize]
-            .core
-            .downcast_ref::<ChannelCore<T>>()
-            .expect("channel id used with mismatched payload type")
-    }
-
-    #[inline]
-    fn chan_mut<T: Send + 'static>(&mut self, idx: u32) -> &mut ChannelCore<T> {
-        self.channels[idx as usize]
-            .core
-            .downcast_mut::<ChannelCore<T>>()
-            .expect("channel id used with mismatched payload type")
     }
 
     #[inline]
@@ -218,66 +202,6 @@ impl SimContext {
             self.current_kernel,
             &mut self.self_woken,
         );
-    }
-
-    // ---- plain channels -------------------------------------------------
-
-    /// Attempts to push `value` at cycle `cy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] holding the value if the FIFO is at capacity;
-    /// the producing kernel should treat that as a pipeline stall and retry
-    /// on a later cycle. Each failed attempt is counted as a *full stall* in
-    /// the channel statistics.
-    #[inline]
-    pub fn try_send<T: Send + 'static>(
-        &mut self,
-        cy: Cycle,
-        tx: SenderId<T>,
-        value: T,
-    ) -> Result<(), SendError<T>> {
-        let result = self.chan_mut::<T>(tx.idx).try_send(cy, value);
-        if result.is_ok() {
-            self.fire_push(tx.idx);
-        }
-        result
-    }
-
-    /// Pops the oldest item if one is visible at cycle `cy`.
-    ///
-    /// Returns `None` when the FIFO is empty *or* its head was pushed less
-    /// than `latency` cycles ago.
-    #[inline]
-    pub fn try_recv<T: Send + 'static>(&mut self, cy: Cycle, rx: ReceiverId<T>) -> Option<T> {
-        let result = self.chan_mut::<T>(rx.idx).try_recv(cy);
-        if result.is_some() {
-            self.fire_pop(rx.idx);
-        }
-        result
-    }
-
-    /// Returns `true` when at least one item can be pushed through `tx`.
-    #[inline]
-    pub fn can_send<T: Send + 'static>(&self, tx: SenderId<T>) -> bool {
-        self.chan::<T>(tx.idx).has_room()
-    }
-
-    /// Returns `true` when the FIFO holds no items at all (visible or not).
-    #[inline]
-    pub fn is_empty<T: Send + 'static>(&self, rx: ReceiverId<T>) -> bool {
-        self.chan::<T>(rx.idx).queue.is_empty()
-    }
-
-    /// Visibility time of the FIFO's head item, or `None` when empty.
-    ///
-    /// Items queue with non-decreasing visibility, so this is the earliest
-    /// cycle at which any receive through `rx` can succeed — the per-channel
-    /// event a [`Kernel::hold_until`](crate::Kernel::hold_until)
-    /// implementation bounds its horizon with.
-    #[inline]
-    pub fn recv_visible_at<T: Send + 'static>(&self, rx: ReceiverId<T>) -> Option<Cycle> {
-        self.chan::<T>(rx.idx).front_visible_at()
     }
 
     // ---- broadcast channels --------------------------------------------
@@ -391,7 +315,7 @@ impl SimContext {
 
     /// Visibility time of the item at this tap's cursor, or `None` when the
     /// tap buffers nothing — the broadcast analogue of
-    /// [`recv_visible_at`](Self::recv_visible_at) for
+    /// [`bank_recv_visible_at`](Self::bank_recv_visible_at) for
     /// [`Kernel::hold_until`](crate::Kernel::hold_until) bounds.
     #[inline]
     pub fn bcast_recv_visible_at<T: Send + 'static>(
@@ -448,8 +372,12 @@ impl SimContext {
         self.bank::<T>(id.idx)[i].has_room()
     }
 
-    /// Visibility time of member `i`'s head item, or `None` when empty —
-    /// [`recv_visible_at`](Self::recv_visible_at) for a bank member.
+    /// Visibility time of member `i`'s head item, or `None` when empty.
+    ///
+    /// Items queue with non-decreasing visibility, so this is the earliest
+    /// cycle at which any receive on the member can succeed — the
+    /// per-FIFO event a [`Kernel::hold_until`](crate::Kernel::hold_until)
+    /// implementation bounds its horizon with.
     #[inline]
     pub fn bank_recv_visible_at<T: Send + 'static>(
         &self,

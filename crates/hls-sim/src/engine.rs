@@ -3,7 +3,7 @@
 use crate::channel::{ArenaSlot, BroadcastCore, ChannelCore};
 use crate::{
     BcastReceiverId, BcastSenderId, ChannelBankId, ChannelStats, CounterId, Cycle, Kernel,
-    KernelId, Progress, ReceiverId, SenderId, SimContext, StateId, DEFAULT_LATENCY,
+    KernelId, Progress, SimContext, StateId,
 };
 use std::marker::PhantomData;
 
@@ -93,9 +93,8 @@ impl Engine {
 
     /// Enables or disables steady-state fast-forward (default: off).
     ///
-    /// With fast-forward on, the run loops ([`run_cycles`](Self::run_cycles),
-    /// [`run_until`](Self::run_until),
-    /// [`run_until_quiescent`](Self::run_until_quiescent)) call
+    /// With fast-forward on, both run loops ([`run_cycles`](Self::run_cycles)
+    /// and [`run_until_quiescent`](Self::run_until_quiescent)) call
     /// [`fast_forward_now`](Self::fast_forward_now) before each cycle and
     /// jump the clock across cycle ranges every awake kernel proves to be a
     /// no-op — observationally identical to stepping through them (cycles,
@@ -120,68 +119,24 @@ impl Engine {
         self.ff_cycles_skipped
     }
 
-    /// Creates a channel with the given debug `name` and `capacity`, using
-    /// the default visibility latency of one cycle, and returns its typed
-    /// endpoint handles.
+    /// Creates a **channel bank**: `len` independent FIFOs of `capacity`
+    /// each behind one arena slot, for module arrays one kernel serves as a
+    /// unit. Member `i` is named `{prefix}{first + i}`, and the bank reports
+    /// its `len` statistics rows at this creation position — so
+    /// `channel_stats()` and `channel_aggregate()` read exactly as if `len`
+    /// one-member banks had been created here in a row. Kernels reach the
+    /// members through [`SimContext::bank_with`]; wake subscriptions are
+    /// bank-level (a push into any member is one push event of the bank).
+    ///
+    /// A one-member bank (`channel_bank(name, 0, 1, capacity)`) is the
+    /// point-to-point FIFO. A bank may be empty (`len == 0`): it reports no
+    /// rows and has no member to address.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero — a zero-capacity FIFO cannot transfer
-    /// data under stall-on-full semantics.
-    pub fn channel<T: Send + 'static>(
-        &mut self,
-        name: &str,
-        capacity: usize,
-    ) -> (SenderId<T>, ReceiverId<T>) {
-        self.channel_with_latency(name, capacity, DEFAULT_LATENCY)
-    }
-
-    /// Creates a channel with an explicit visibility `latency` in cycles.
-    ///
-    /// A latency of zero permits same-cycle forwarding (useful for purely
-    /// combinational adapters); hardware FIFOs use at least one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn channel_with_latency<T: Send + 'static>(
-        &mut self,
-        name: &str,
-        capacity: usize,
-        latency: u64,
-    ) -> (SenderId<T>, ReceiverId<T>) {
-        let idx = self.ctx.add_channel(ArenaSlot::plain(ChannelCore::<T>::new(
-            name, capacity, latency,
-        )));
-        (
-            SenderId {
-                idx,
-                _marker: PhantomData,
-            },
-            ReceiverId {
-                idx,
-                _marker: PhantomData,
-            },
-        )
-    }
-
-    /// Creates a **channel bank**: `len` independent plain FIFOs of
-    /// `capacity` each (default latency) behind one arena slot, for module
-    /// arrays one kernel serves as a unit. Member `i` is named
-    /// `{prefix}{first + i}`, and the bank reports its `len` statistics
-    /// rows at this creation position — so `channel_stats()` and
-    /// `channel_aggregate()` read exactly as if `len` plain channels had
-    /// been created here in a row. Kernels reach the members through
-    /// [`SimContext::bank_with`]; wake subscriptions are bank-level (a
-    /// push into any member is one push event of the bank).
-    ///
-    /// A bank may be empty (`len == 0`): it reports no rows and has no
-    /// member to address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or `len` exceeds 64 (member masks are
-    /// single words).
+    /// data under stall-on-full semantics — or `len` exceeds 64 (member
+    /// masks are single words).
     pub fn channel_bank<T: Send + 'static>(
         &mut self,
         prefix: &str,
@@ -191,7 +146,7 @@ impl Engine {
     ) -> ChannelBankId<T> {
         assert!(len <= 64, "bank {prefix:?} supports at most 64 members");
         let members = (first..first + len)
-            .map(|i| ChannelCore::<T>::new(&format!("{prefix}{i}"), capacity, DEFAULT_LATENCY))
+            .map(|i| ChannelCore::<T>::new(&format!("{prefix}{i}"), capacity))
             .collect();
         ChannelBankId {
             idx: self.ctx.add_channel(ArenaSlot::bank::<T>(members)),
@@ -202,7 +157,7 @@ impl Engine {
 
     /// Creates a broadcast channel fanning each pushed value out to
     /// `readers` taps (each a FIFO view named `{prefix}{reader}` with its
-    /// own `capacity` and statistics), with the default latency.
+    /// own `capacity` and statistics).
     ///
     /// # Panics
     ///
@@ -213,7 +168,7 @@ impl Engine {
         readers: usize,
         capacity: usize,
     ) -> (BcastSenderId<T>, Vec<BcastReceiverId<T>>) {
-        let core = BroadcastCore::<T>::new(name_prefix, readers, capacity, DEFAULT_LATENCY);
+        let core = BroadcastCore::<T>::new(name_prefix, readers, capacity);
         let idx = self.ctx.add_channel(ArenaSlot::broadcast(core));
         let tx = BcastSenderId {
             idx,
@@ -257,11 +212,13 @@ impl Engine {
     /// scheduler, and the kernel starts awake. Returns the kernel's id,
     /// usable with [`SimContext::wake_kernel`].
     pub fn add_kernel<K: Kernel + 'static>(&mut self, kernel: K) -> KernelId {
-        self.add_boxed(Box::new(kernel))
+        self.register(Box::new(kernel))
     }
 
-    /// Registers an already-boxed kernel, returning its id.
-    pub fn add_boxed(&mut self, kernel: Box<dyn Kernel>) -> KernelId {
+    /// The body of [`add_kernel`](Self::add_kernel), kept out of the
+    /// generic function so it is compiled once rather than once per kernel
+    /// type.
+    fn register(&mut self, kernel: Box<dyn Kernel>) -> KernelId {
         let idx = self.kernels.len() as u32;
         let ws = kernel.wake_set();
         for ch in ws.on_push {
@@ -476,44 +433,6 @@ impl Engine {
         }
     }
 
-    /// Runs until `done(ctx)` returns `true`, checking after every cycle, or
-    /// until `max_cycles` have elapsed in this call. The predicate receives
-    /// the [`SimContext`] so it can observe arena counters and state
-    /// registers directly.
-    ///
-    /// Returns a [`RunReport`] whose `completed` flag distinguishes the two
-    /// outcomes.
-    pub fn run_until<F: FnMut(&SimContext) -> bool>(
-        &mut self,
-        max_cycles: u64,
-        mut done: F,
-    ) -> RunReport {
-        let start = self.cycle;
-        while self.cycle - start < max_cycles {
-            if self.fast_forward {
-                // The context is frozen across a jump (the skipped steps
-                // are no-ops), so the predicate — false after the previous
-                // step — stays false throughout the gap: one post-jump
-                // check covers every skipped cycle.
-                self.fast_forward_now(max_cycles - (self.cycle - start));
-                if self.cycle - start >= max_cycles {
-                    break;
-                }
-            }
-            self.step();
-            if done(&self.ctx) {
-                return RunReport {
-                    cycles: self.cycle - start,
-                    completed: true,
-                };
-            }
-        }
-        RunReport {
-            cycles: self.cycle - start,
-            completed: false,
-        }
-    }
-
     /// `true` when every quiescence gate (typically the sources) reports
     /// idle. While any gate still has data the pipeline cannot be
     /// quiescent, so this cheap check short-circuits the full scan.
@@ -675,27 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_on_condition() {
-        let mut e = Engine::new();
-        let hits = e.counter();
-        e.add_kernel(CountTo { n: 5, hits });
-        let rep = e.run_until(100, |ctx| ctx.counter(hits) == 5);
-        assert!(rep.completed);
-        assert_eq!(rep.cycles, 5);
-        assert_eq!(e.cycle(), 5);
-    }
-
-    #[test]
-    fn run_until_times_out() {
-        let mut e = Engine::new();
-        let hits = e.counter();
-        e.add_kernel(CountTo { n: u64::MAX, hits });
-        let rep = e.run_until(10, |_| false);
-        assert!(!rep.completed);
-        assert_eq!(rep.cycles, 10);
-    }
-
-    #[test]
     fn quiescence_requires_settle_window() {
         let mut e = Engine::new();
         let hits = e.counter();
@@ -743,7 +641,7 @@ mod tests {
     #[test]
     fn sleeping_kernel_is_skipped_until_woken() {
         struct Sleeper {
-            rx: ReceiverId<u32>,
+            rx: ChannelBankId<u32>,
             steps: CounterId,
             got: CounterId,
         }
@@ -753,29 +651,35 @@ mod tests {
             }
             fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
                 ctx.counter_incr(self.steps);
-                if let Some(v) = ctx.try_recv(cy, self.rx) {
+                if let Some(v) = ctx.bank_with(self.rx, |rx| rx.try_recv(cy, 0)) {
                     ctx.counter_add(self.got, u64::from(v));
                     Progress::Busy
-                } else if ctx.is_empty(self.rx) {
+                } else if ctx.bank_is_empty(self.rx, 0) {
                     Progress::Sleep
                 } else {
                     Progress::Busy
                 }
             }
             fn wake_set(&self) -> crate::WakeSet {
-                crate::WakeSet::new().after_push_on(self.rx)
+                crate::WakeSet::new().after_push_on_bank(self.rx)
             }
         }
         let mut e = Engine::new();
-        let (tx, rx) = e.channel::<u32>("in", 4);
+        let link = e.channel_bank::<u32>("in", 0, 1, 4);
         let steps = e.counter();
         let got = e.counter();
-        e.add_kernel(Sleeper { rx, steps, got });
+        e.add_kernel(Sleeper {
+            rx: link,
+            steps,
+            got,
+        });
         e.run_cycles(50);
         let step_count = |e: &Engine| e.context().counter(steps);
         assert_eq!(step_count(&e), 1, "parked after the first no-op step");
         // Push from outside any kernel: wakes the sleeper.
-        e.context_mut().try_send(50, tx, 7).unwrap();
+        e.context_mut()
+            .bank_with(link, |tx| tx.try_send(50, 0, 7))
+            .unwrap();
         e.run_cycles(4);
         assert_eq!(e.context().counter(got), 7);
         // Busy on the recv cycle, one more no-op step, asleep again.
@@ -788,7 +692,7 @@ mod tests {
     #[test]
     fn wake_on_pop_releases_backpressured_producer() {
         struct Producer {
-            tx: SenderId<u32>,
+            tx: ChannelBankId<u32>,
             sent: CounterId,
             steps: CounterId,
         }
@@ -798,8 +702,9 @@ mod tests {
             }
             fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
                 ctx.counter_incr(self.steps);
-                if ctx.can_send(self.tx) {
-                    ctx.try_send(cy, self.tx, 1).expect("checked");
+                if ctx.bank_can_send(self.tx, 0) {
+                    ctx.bank_with(self.tx, |tx| tx.try_send(cy, 0, 1))
+                        .expect("checked");
                     ctx.counter_incr(self.sent);
                     Progress::Busy
                 } else {
@@ -807,14 +712,18 @@ mod tests {
                 }
             }
             fn wake_set(&self) -> crate::WakeSet {
-                crate::WakeSet::new().after_pop_on(self.tx)
+                crate::WakeSet::new().after_pop_on_bank(self.tx)
             }
         }
         let mut e = Engine::new();
-        let (tx, rx) = e.channel::<u32>("out", 2);
+        let link = e.channel_bank::<u32>("out", 0, 1, 2);
         let sent = e.counter();
         let steps = e.counter();
-        e.add_kernel(Producer { tx, sent, steps });
+        e.add_kernel(Producer {
+            tx: link,
+            sent,
+            steps,
+        });
         e.run_cycles(20);
         assert_eq!(e.context().counter(sent), 2, "filled the FIFO then parked");
         assert_eq!(
@@ -823,7 +732,10 @@ mod tests {
             "two sends + one parking no-op"
         );
         // Drain one item: the producer wakes and refills.
-        assert_eq!(e.context_mut().try_recv(20, rx), Some(1));
+        assert_eq!(
+            e.context_mut().bank_with(link, |rx| rx.try_recv(20, 0)),
+            Some(1)
+        );
         e.run_cycles(5);
         assert_eq!(e.context().counter(sent), 3);
     }
@@ -853,7 +765,7 @@ mod tests {
     fn engine_is_send() {
         fn assert_send<T: Send>(_t: &T) {}
         let mut e = Engine::new();
-        let (_tx, _rx) = e.channel::<u64>("x", 4);
+        let _ = e.channel_bank::<u64>("x", 0, 1, 4);
         let hits = e.counter();
         e.add_kernel(CountTo { n: 1, hits });
         assert_send(&e);

@@ -1,9 +1,6 @@
 //! The [`Kernel`] trait: one hardware module, stepped once per cycle.
 
-use crate::{
-    BcastReceiverId, BcastSenderId, ChannelBankId, Cycle, RawChannelId, ReceiverId, SenderId,
-    SimContext,
-};
+use crate::{BcastReceiverId, BcastSenderId, ChannelBankId, Cycle, RawChannelId, SimContext};
 
 /// What a kernel reports back to the engine's idle-set scheduler after one
 /// `step`.
@@ -43,10 +40,13 @@ impl Progress {
 ///
 /// Build one from the kernel's channel handles:
 ///
-/// * [`after_push_on`](WakeSet::after_push_on) — wake when a value is pushed
-///   into a channel the kernel *reads* (new input available);
-/// * [`after_pop_on`](WakeSet::after_pop_on) — wake when a value is popped
-///   from a channel the kernel *writes* (backpressure released).
+/// * [`after_push_on_bank`](WakeSet::after_push_on_bank) /
+///   [`after_push_on_bcast`](WakeSet::after_push_on_bcast) — wake when a
+///   value is pushed into a channel the kernel *reads* (new input
+///   available);
+/// * [`after_pop_on_bank`](WakeSet::after_pop_on_bank) /
+///   [`after_pop_on_bcast`](WakeSet::after_pop_on_bcast) — wake when a value
+///   is popped from a channel the kernel *writes* (backpressure released).
 #[derive(Debug, Clone, Default)]
 pub struct WakeSet {
     pub(crate) on_push: Vec<RawChannelId>,
@@ -57,12 +57,6 @@ impl WakeSet {
     /// An empty wake set (a kernel that never sleeps needs no more).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Wake after a push into the channel read through `rx`.
-    pub fn after_push_on<T>(mut self, rx: ReceiverId<T>) -> Self {
-        self.on_push.push(rx.raw());
-        self
     }
 
     /// Wake after a push into the broadcast group read through `rx`.
@@ -80,12 +74,6 @@ impl WakeSet {
     /// Wake after a pop from any member of `bank`.
     pub fn after_pop_on_bank<T>(mut self, bank: ChannelBankId<T>) -> Self {
         self.on_pop.push(bank.idx);
-        self
-    }
-
-    /// Wake after a pop from the channel written through `tx`.
-    pub fn after_pop_on<T>(mut self, tx: SenderId<T>) -> Self {
-        self.on_pop.push(tx.raw());
         self
     }
 
@@ -180,7 +168,8 @@ pub trait Kernel: Send {
 /// Folds one input FIFO into a [`Kernel::hold_until`] horizon.
 ///
 /// `visible_at` is the visibility time of the FIFO's head item
-/// ([`SimContext::recv_visible_at`] and friends): an empty FIFO leaves
+/// ([`SimContext::bank_recv_visible_at`],
+/// [`SimContext::bcast_recv_visible_at`]): an empty FIFO leaves
 /// `earliest` unchanged (only a push event can change it), an item still in
 /// flight at `cy` bounds the horizon at its visibility time, and an item
 /// consumable this cycle yields `None` — the kernel has work now, so
@@ -194,49 +183,9 @@ pub fn hold_past(earliest: Cycle, visible_at: Option<Cycle>, cy: Cycle) -> Optio
     }
 }
 
-impl<K: Kernel + ?Sized> Kernel for Box<K> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
-        (**self).step(cy, ctx)
-    }
-
-    fn is_idle(&self, ctx: &SimContext) -> bool {
-        (**self).is_idle(ctx)
-    }
-
-    fn wake_set(&self) -> WakeSet {
-        (**self).wake_set()
-    }
-
-    fn hold_until(&self, cy: Cycle, ctx: &SimContext) -> Option<Cycle> {
-        (**self).hold_until(cy, ctx)
-    }
-
-    fn is_quiescence_gate(&self) -> bool {
-        (**self).is_quiescence_gate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Nop(u32);
-    impl Kernel for Nop {
-        fn name(&self) -> &str {
-            "nop"
-        }
-        fn step(&mut self, _cy: Cycle, _ctx: &mut SimContext) -> Progress {
-            self.0 += 1;
-            Progress::Busy
-        }
-        fn is_idle(&self, _ctx: &SimContext) -> bool {
-            true
-        }
-    }
 
     #[test]
     fn hold_past_folds_one_fifo() {
@@ -244,16 +193,5 @@ mod tests {
         assert_eq!(hold_past(40, Some(12), 10), Some(12), "in flight: bound");
         assert_eq!(hold_past(11, Some(12), 10), Some(11), "keeps the minimum");
         assert_eq!(hold_past(40, Some(10), 10), None, "work this cycle");
-    }
-
-    #[test]
-    fn boxed_kernel_delegates() {
-        let mut engine = crate::Engine::new();
-        let ctx = engine.context_mut();
-        let mut k: Box<dyn Kernel> = Box::new(Nop(0));
-        assert_eq!(k.step(0, ctx), Progress::Busy);
-        assert_eq!(k.name(), "nop");
-        assert!(k.is_idle(ctx));
-        assert!(k.wake_set().on_push.is_empty());
     }
 }

@@ -12,10 +12,11 @@
 //! The simulator is deliberately simple and fully deterministic:
 //!
 //! * channels live in a typed **channel arena** owned by the engine's
-//!   [`SimContext`]; kernels hold plain-`Copy` [`SenderId`]/[`ReceiverId`]
-//!   handles and resolve them through the context passed to `step` — no
-//!   reference counting or interior mutability on the hot path, and the
-//!   whole engine is `Send` so scenario sweeps parallelise across threads;
+//!   [`SimContext`]; kernels hold plain-`Copy` [`ChannelBankId`] and
+//!   broadcast ([`BcastSenderId`]/[`BcastReceiverId`]) handles and resolve
+//!   them through the context passed to `step` — no reference counting or
+//!   interior mutability on the hot path, and the whole engine is `Send`
+//!   so scenario sweeps parallelise across threads;
 //! * kernel *state* lives in a typed **state arena** next to the channels:
 //!   PE buffers, shared plans and counters are allocated at build time
 //!   ([`Engine::state`], [`Engine::counter`]) and addressed through `Copy`
@@ -24,9 +25,10 @@
 //!   cooperate on (a PE's private buffer, the scheduling plan) are just
 //!   registers both hold the id of;
 //! * a channel has a bounded capacity and a visibility latency — an item
-//!   pushed at cycle `c` can be popped at `c + latency` or later, and a full
-//!   channel makes the producer stall (this stall-on-full backpressure is the
-//!   single mechanism behind the paper's skew-induced throughput collapse);
+//!   pushed at cycle `c` can be popped at `c + `[`DEFAULT_LATENCY`] or
+//!   later, and a full channel makes the producer stall (this
+//!   stall-on-full backpressure is the single mechanism behind the paper's
+//!   skew-induced throughput collapse);
 //! * awake kernels are stepped in registration order, once per cycle; a
 //!   kernel whose step is provably a no-op until new channel activity can
 //!   return [`Progress::Sleep`] and is skipped until a subscribed event
@@ -44,18 +46,18 @@
 //!   `R` copies. A kernel serving *every* tap pops all ready taps in one
 //!   branch-free pass ([`SimContext::bcast_recv_taps`]); its callback runs
 //!   only on tagged taps, in tap order, and the pop wakes once;
-//! * a [channel bank](Engine::channel_bank) is `len` independent plain
-//!   FIFOs behind one arena slot, for the *arrays* of identical modules
-//!   real designs are built from (N lanes, M+X PE queues). One kernel
-//!   serves the whole array: it resolves the bank once per step
-//!   ([`SimContext::bank_with`]) and works on members by index through a
-//!   [`BankView`]. Statistics still report one row per member, named and
-//!   positioned like `len` plain channels created in a row, and wake
-//!   subscriptions are bank-level. Stepping an array's members back to
-//!   back in index order inside one kernel is the schedule of `len`
-//!   kernels registered in that order — the members only meet through
-//!   their own channels — so a banked pipeline differs from a per-module
-//!   one in `kernel_steps` and nothing else:
+//! * a [channel bank](Engine::channel_bank) is `len` independent FIFOs
+//!   behind one arena slot, for the *arrays* of identical modules real
+//!   designs are built from (N lanes, M+X PE queues); a one-member bank is
+//!   the point-to-point FIFO. One kernel serves the whole array: it
+//!   resolves the bank once per step ([`SimContext::bank_with`]) and works
+//!   on members by index through a [`BankView`]. Statistics still report
+//!   one row per member, named and positioned like `len` one-member banks
+//!   created in a row, and wake subscriptions are bank-level. Stepping an
+//!   array's members back to back in index order inside one kernel is the
+//!   schedule of `len` kernels registered in that order — the members only
+//!   meet through their own channels — so a banked pipeline differs from a
+//!   per-module one in `kernel_steps` and nothing else:
 //!
 //!   ```text
 //!   per module:  k0 k1 k2 … kN   (N boxed kernels, N×c arena slots, N wakes)
@@ -70,20 +72,19 @@
 //!
 //! # Example
 //!
-//! A two-stage pipeline: a producer streams numbers into a channel, a
-//! consumer accumulates them into an arena counter the harness reads back
-//! after the run.
+//! A two-stage pipeline: a producer streams numbers into a one-member bank
+//! (a point-to-point FIFO), a consumer accumulates them into an arena
+//! counter the harness reads back after the run.
 //!
 //! ```
-//! use hls_sim::{
-//!     CounterId, Cycle, Engine, Kernel, Progress, ReceiverId, SenderId, SimContext, WakeSet,
-//! };
+//! use hls_sim::{ChannelBankId, CounterId, Cycle, Engine, Kernel, Progress, SimContext, WakeSet};
 //!
-//! struct Producer { tx: SenderId<u64>, next: u64, count: u64 }
+//! struct Producer { tx: ChannelBankId<u64>, next: u64, count: u64 }
 //! impl Kernel for Producer {
 //!     fn name(&self) -> &str { "producer" }
 //!     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
-//!         if self.next < self.count && ctx.try_send(cy, self.tx, self.next).is_ok() {
+//!         let next = self.next;
+//!         if next < self.count && ctx.bank_with(self.tx, |tx| tx.try_send(cy, 0, next)).is_ok() {
 //!             self.next += 1;
 //!         }
 //!         if self.next == self.count { Progress::Sleep } else { Progress::Busy }
@@ -91,28 +92,28 @@
 //!     fn is_idle(&self, _ctx: &SimContext) -> bool { self.next == self.count }
 //! }
 //!
-//! struct Consumer { rx: ReceiverId<u64>, sum: CounterId }
+//! struct Consumer { rx: ChannelBankId<u64>, sum: CounterId }
 //! impl Kernel for Consumer {
 //!     fn name(&self) -> &str { "consumer" }
 //!     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
-//!         if let Some(v) = ctx.try_recv(cy, self.rx) {
+//!         if let Some(v) = ctx.bank_with(self.rx, |rx| rx.try_recv(cy, 0)) {
 //!             ctx.counter_add(self.sum, v);
 //!             Progress::Busy
-//!         } else if ctx.is_empty(self.rx) {
+//!         } else if ctx.bank_is_empty(self.rx, 0) {
 //!             Progress::Sleep // parked until the producer pushes again
 //!         } else {
 //!             Progress::Busy // item in flight, visible next cycle
 //!         }
 //!     }
-//!     fn is_idle(&self, ctx: &SimContext) -> bool { ctx.is_empty(self.rx) }
-//!     fn wake_set(&self) -> WakeSet { WakeSet::new().after_push_on(self.rx) }
+//!     fn is_idle(&self, ctx: &SimContext) -> bool { ctx.bank_is_empty(self.rx, 0) }
+//!     fn wake_set(&self) -> WakeSet { WakeSet::new().after_push_on_bank(self.rx) }
 //! }
 //!
 //! let mut engine = Engine::new();
-//! let (tx, rx) = engine.channel::<u64>("link", 4);
+//! let link = engine.channel_bank::<u64>("link", 0, 1, 4);
 //! let sum = engine.counter();
-//! engine.add_kernel(Producer { tx, next: 0, count: 10 });
-//! engine.add_kernel(Consumer { rx, sum });
+//! engine.add_kernel(Producer { tx: link, next: 0, count: 10 });
+//! engine.add_kernel(Consumer { rx: link, sum });
 //! let report = engine.run_until_quiescent(1_000);
 //! assert_eq!(engine.context().counter(sum), 45);
 //! assert!(report.cycles < 25);
@@ -131,7 +132,7 @@ mod stats;
 
 pub use channel::{
     BankView, BcastGroupId, BcastReceiverId, BcastSenderId, ChannelAggregate, ChannelBankId,
-    ChannelStats, RawChannelId, ReceiverId, SendError, SenderId, DEFAULT_LATENCY,
+    ChannelStats, RawChannelId, SendError, DEFAULT_LATENCY,
 };
 pub use context::SimContext;
 pub use engine::{Engine, RunReport};

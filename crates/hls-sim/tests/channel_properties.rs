@@ -1,9 +1,12 @@
 //! Property-style tests for channel FIFO semantics — the invariants every
 //! simulated pipeline relies on — driven by deterministic op sequences (the
 //! offline build has no proptest). Channels are driven directly through the
-//! engine's [`SimContext`], outside any kernel.
+//! engine's [`SimContext`], outside any kernel. The point-to-point FIFO is
+//! a one-member bank.
 
-use hls_sim::{Cycle, Engine, Kernel, Progress, SimContext, WakeSet};
+use hls_sim::{
+    ChannelBankId, Cycle, Engine, Kernel, Progress, SendError, SimContext, WakeSet, DEFAULT_LATENCY,
+};
 
 /// Deterministic 64-bit generator for op-sequence synthesis.
 fn splitmix(state: &mut u64) -> u64 {
@@ -14,6 +17,24 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A point-to-point FIFO: a one-member bank.
+fn fifo<T: Send + 'static>(engine: &mut Engine, name: &str, capacity: usize) -> ChannelBankId<T> {
+    engine.channel_bank(name, 0, 1, capacity)
+}
+
+fn send<T: Send + 'static>(
+    ctx: &mut SimContext,
+    cy: Cycle,
+    ch: ChannelBankId<T>,
+    value: T,
+) -> Result<(), SendError<T>> {
+    ctx.bank_with(ch, |v| v.try_send(cy, 0, value))
+}
+
+fn recv<T: Send + 'static>(ctx: &mut SimContext, cy: Cycle, ch: ChannelBankId<T>) -> Option<T> {
+    ctx.bank_with(ch, |v| v.try_recv(cy, 0))
+}
+
 /// Whatever interleaving of sends and receives happens, the received
 /// sequence is a prefix-order-preserving subsequence of the sent one.
 #[test]
@@ -22,18 +43,17 @@ fn fifo_order_under_arbitrary_interleaving() {
     for case in 0..128 {
         let ops = 1 + (splitmix(&mut s) % 199) as usize;
         let capacity = 1 + (splitmix(&mut s) % 15) as usize;
-        let latency = splitmix(&mut s) % 4;
         let mut engine = Engine::new();
-        let (tx, rx) = engine.channel_with_latency::<u64>("t", capacity, latency);
+        let ch = fifo::<u64>(&mut engine, "t", capacity);
         let ctx = engine.context_mut();
         let mut sent = 0u64;
         let mut received = Vec::new();
         for cy in 0..ops as u64 {
             if splitmix(&mut s).is_multiple_of(2) {
-                if ctx.try_send(cy, tx, sent).is_ok() {
+                if send(ctx, cy, ch, sent).is_ok() {
                     sent += 1;
                 }
-            } else if let Some(v) = ctx.try_recv(cy, rx) {
+            } else if let Some(v) = recv(ctx, cy, ch) {
                 received.push(v);
             }
         }
@@ -53,13 +73,13 @@ fn capacity_and_stats_invariants() {
         let ops = 1 + (splitmix(&mut s) % 199) as usize;
         let capacity = 1 + (splitmix(&mut s) % 7) as usize;
         let mut engine = Engine::new();
-        let (tx, rx) = engine.channel::<u64>("t", capacity);
+        let ch = fifo::<u64>(&mut engine, "t", capacity);
         let ctx = engine.context_mut();
         for cy in 0..ops as u64 {
             if splitmix(&mut s).is_multiple_of(2) {
-                let _ = ctx.try_send(cy, tx, cy);
+                let _ = send(ctx, cy, ch, cy);
             } else {
-                let _ = ctx.try_recv(cy, rx);
+                let _ = recv(ctx, cy, ch);
             }
             let st = &ctx.channel_stats()[0];
             assert!(st.occupancy <= capacity, "case {case}");
@@ -69,24 +89,23 @@ fn capacity_and_stats_invariants() {
     }
 }
 
-/// An item is never visible before its latency has elapsed.
+/// An item is never visible before its latency has elapsed, and is visible
+/// from then on.
 #[test]
 fn latency_is_respected() {
-    for latency in 0u64..8 {
-        for send_cy in [0u64, 1, 17, 99] {
-            let mut engine = Engine::new();
-            let (tx, rx) = engine.channel_with_latency::<u8>("t", 4, latency);
-            let ctx = engine.context_mut();
-            ctx.try_send(send_cy, tx, 1u8).unwrap();
-            if latency > 0 {
-                assert_eq!(ctx.try_recv(send_cy + latency - 1, rx), None);
-            }
-            assert_eq!(ctx.try_recv(send_cy + latency, rx), Some(1));
-        }
+    for send_cy in [0u64, 1, 17, 99] {
+        let mut engine = Engine::new();
+        let ch = fifo::<u8>(&mut engine, "t", 4);
+        let ctx = engine.context_mut();
+        send(ctx, send_cy, ch, 1u8).unwrap();
+        let at = send_cy + DEFAULT_LATENCY;
+        assert_eq!(ctx.bank_recv_visible_at(ch, 0), Some(at));
+        assert_eq!(recv(ctx, at - 1, ch), None);
+        assert_eq!(recv(ctx, at, ch), Some(1));
     }
 }
 
-/// Broadcast taps behave exactly like independent channels fed the same
+/// Broadcast taps behave exactly like independent FIFOs fed the same
 /// atomic pushes: per-tap FIFO order, per-tap latency, slowest-tap gating.
 #[test]
 fn broadcast_taps_mirror_plain_channels() {
@@ -147,14 +166,15 @@ impl Kernel for Sleeper {
     }
 }
 
-/// A channel bank of N members is N plain channels created at the same
-/// arena position: every operation returns what the plain channel's would,
+/// A channel bank of N members is N one-member banks created at the same
+/// arena position: every operation returns what the lone member's would,
 /// `channel_stats()` reads the same rows (names, order, every counter),
 /// `channel_aggregate()` the same totals, and one `bank_with` closure wakes
 /// the bank's push (pop) subscribers exactly when some member was pushed
-/// into (popped from) — what per-channel subscriptions to all N would do.
+/// into (popped from) — what subscriptions to all N one-member banks would
+/// do.
 #[test]
-fn channel_bank_matches_plain_channels_at_the_same_position() {
+fn channel_bank_matches_one_member_banks_at_the_same_position() {
     let mut s = 0xba4cu64;
     for case in 0..96 {
         let n = 1 + (splitmix(&mut s) % 9) as usize;
@@ -162,31 +182,31 @@ fn channel_bank_matches_plain_channels_at_the_same_position() {
         let capacity = 1 + (splitmix(&mut s) % 5) as usize;
 
         let mut banked = Engine::new();
-        let _ = banked.channel::<u64>("head", 2);
+        let _ = fifo::<u64>(&mut banked, "head", 2);
         let bank = banked.channel_bank::<u64>("m", first, n, capacity);
-        let _ = banked.channel::<u64>("tail", 2);
+        let _ = fifo::<u64>(&mut banked, "tail", 2);
         assert_eq!(bank.members(), n);
         let on_push = banked.add_kernel(Sleeper(WakeSet::new().after_push_on_bank(bank)));
         let on_pop = banked.add_kernel(Sleeper(WakeSet::new().after_pop_on_bank(bank)));
 
-        let mut plain = Engine::new();
-        let _ = plain.channel::<u64>("head", 2);
+        let mut single = Engine::new();
+        let _ = fifo::<u64>(&mut single, "head", 2);
         let members: Vec<_> = (0..n)
-            .map(|i| plain.channel::<u64>(&format!("m{}", first + i), capacity))
+            .map(|i| single.channel_bank::<u64>("m", first + i, 1, capacity))
             .collect();
-        let _ = plain.channel::<u64>("tail", 2);
+        let _ = fifo::<u64>(&mut single, "tail", 2);
         let (mut push_subs, mut pop_subs) = (WakeSet::new(), WakeSet::new());
-        for &(tx, rx) in &members {
-            push_subs = push_subs.after_push_on(rx);
-            pop_subs = pop_subs.after_pop_on(tx);
+        for &member in &members {
+            push_subs = push_subs.after_push_on_bank(member);
+            pop_subs = pop_subs.after_pop_on_bank(member);
         }
-        let plain_on_push = plain.add_kernel(Sleeper(push_subs));
-        let plain_on_pop = plain.add_kernel(Sleeper(pop_subs));
+        let single_on_push = single.add_kernel(Sleeper(push_subs));
+        let single_on_pop = single.add_kernel(Sleeper(pop_subs));
 
         for round in 0..80 {
             // One engine cycle parks every sleeper again.
             banked.step();
-            plain.step();
+            single.step();
             let cy = banked.cycle();
             // One closure = a random batch of member operations.
             let ops: Vec<(bool, usize, u64)> = (0..splitmix(&mut s) % 6)
@@ -210,48 +230,48 @@ fn channel_bank_matches_plain_channels_at_the_same_position() {
                     .collect();
                 results
             });
-            let ctx = plain.context_mut();
-            let plain_results: Vec<Option<u64>> = ops
+            let ctx = single.context_mut();
+            let single_results: Vec<Option<u64>> = ops
                 .iter()
-                .map(|&(send, i, v)| {
-                    if send {
-                        ctx.try_send(cy, members[i].0, v).err().map(|e| e.0)
+                .map(|&(is_send, i, v)| {
+                    if is_send {
+                        send(ctx, cy, members[i], v).err().map(|e| e.0)
                     } else {
-                        ctx.try_recv(cy, members[i].1)
+                        recv(ctx, cy, members[i])
                     }
                 })
                 .collect();
             let at = format!("case {case} round {round}");
-            assert_eq!(banked_results, plain_results, "{at}");
-            assert_eq!(banked.channel_stats(), plain.channel_stats(), "{at}");
+            assert_eq!(banked_results, single_results, "{at}");
+            assert_eq!(banked.channel_stats(), single.channel_stats(), "{at}");
             assert_eq!(
                 banked.context().channel_aggregate(),
-                plain.context().channel_aggregate(),
+                single.context().channel_aggregate(),
                 "{at}"
             );
-            for (i, &(tx, rx)) in members.iter().enumerate() {
-                let (b, p) = (banked.context(), plain.context());
-                assert_eq!(b.bank_is_empty(bank, i), p.is_empty(rx), "{at}");
-                assert_eq!(b.bank_can_send(bank, i), p.can_send(tx), "{at}");
+            for (i, &member) in members.iter().enumerate() {
+                let (b, p) = (banked.context(), single.context());
+                assert_eq!(b.bank_is_empty(bank, i), p.bank_is_empty(member, 0), "{at}");
+                assert_eq!(b.bank_can_send(bank, i), p.bank_can_send(member, 0), "{at}");
                 assert_eq!(
                     b.bank_recv_visible_at(bank, i),
-                    p.recv_visible_at(rx),
+                    p.bank_recv_visible_at(member, 0),
                     "{at}"
                 );
             }
             assert_eq!(
                 banked.kernel_awake(on_push),
-                plain.kernel_awake(plain_on_push),
+                single.kernel_awake(single_on_push),
                 "{at}: push wake"
             );
             assert_eq!(
                 banked.kernel_awake(on_pop),
-                plain.kernel_awake(plain_on_pop),
+                single.kernel_awake(single_on_pop),
                 "{at}: pop wake"
             );
             // The maintained active-set size agrees with the flags (checked
             // inside `active_kernels` in debug builds): one wake per event.
-            assert_eq!(banked.active_kernels(), plain.active_kernels(), "{at}");
+            assert_eq!(banked.active_kernels(), single.active_kernels(), "{at}");
         }
     }
 }
@@ -370,22 +390,19 @@ fn bank_masks_match_member_probes() {
 }
 
 /// The allocation-free `channel_aggregate` equals a fold of the full
-/// per-channel `channel_stats` snapshot, across random mixes of plain and
-/// broadcast channels under random traffic.
+/// per-channel `channel_stats` snapshot, across random mixes of one-member
+/// banks and broadcast channels under random traffic.
 #[test]
 fn channel_aggregate_matches_stats_fold() {
     let mut s = 0xa66au64;
     for case in 0..64 {
         let mut engine = Engine::new();
-        let plain = 1 + (splitmix(&mut s) % 4) as usize;
+        let fifos = 1 + (splitmix(&mut s) % 4) as usize;
         let bcast = (splitmix(&mut s) % 3) as usize;
-        let mut txs = Vec::new();
-        let mut rxs = Vec::new();
-        for i in 0..plain {
+        let mut chs = Vec::new();
+        for i in 0..fifos {
             let capacity = 1 + (splitmix(&mut s) % 7) as usize;
-            let (tx, rx) = engine.channel::<u64>(&format!("p{i}"), capacity);
-            txs.push(tx);
-            rxs.push(rx);
+            chs.push(fifo::<u64>(&mut engine, &format!("p{i}"), capacity));
         }
         let mut btxs = Vec::new();
         let mut brxs = Vec::new();
@@ -401,10 +418,10 @@ fn channel_aggregate_matches_stats_fold() {
             let roll = splitmix(&mut s);
             match roll % 4 {
                 0 => {
-                    let _ = ctx.try_send(cy, txs[roll as usize / 4 % plain], cy);
+                    let _ = send(ctx, cy, chs[roll as usize / 4 % fifos], cy);
                 }
                 1 => {
-                    let _ = ctx.try_recv(cy, rxs[roll as usize / 4 % plain]);
+                    let _ = recv(ctx, cy, chs[roll as usize / 4 % fifos]);
                 }
                 2 if bcast > 0 => {
                     let _ = ctx.bcast_try_send(cy, btxs[roll as usize / 4 % bcast], cy);

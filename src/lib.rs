@@ -102,8 +102,8 @@ pub mod prelude {
     };
     pub use fpga_model::{mteps, mtps, AppCostProfile, Device, PipelineShape, ResourceModel};
     pub use hls_sim::{
-        CounterId, Engine, Kernel, MemoryModel, Progress, ReceiverId, SenderId, SimContext,
-        SliceSource, StateId, StreamSource, WakeSet,
+        ChannelBankId, CounterId, Engine, Kernel, MemoryModel, Progress, SimContext, SliceSource,
+        StateId, StreamSource, WakeSet,
     };
     pub use sketches::{murmur3_32, murmur3_u64, CountMinSketch, Fixed, HyperLogLog};
 }

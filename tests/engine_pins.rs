@@ -13,11 +13,12 @@
 //! paper's serial requeue; the scenarios that reschedule pin
 //! `Requeue::Serial` so those literals still hold. Their `pre-armed` twins
 //! were computed on the change that introduced `Requeue::PreArmed` and
-//! re-pinned on the one that gave its monitor the probe. A
-//! change to how the engine steps, rather than to what it simulates, must
-//! leave every one unmodified; a mismatch names the scenario, the first
-//! differing hash and the line to paste if the change is a deliberate
-//! re-pin.
+//! re-pinned on the one that gave its monitor the probe. The N = 1
+//! scenarios, where every bank has one member, were computed on 6eb541c,
+//! before the one-member bank became the only point-to-point FIFO. A change to how the engine steps, rather than to what it
+//! simulates, must leave every one unmodified; a mismatch names the
+//! scenario, the first differing hash and the line to paste if the change
+//! is a deliberate re-pin.
 
 use ditto::core::apps::ModHistogram;
 use ditto::hls_sim::{MemoryModel, PacedSource, SliceSource, StreamSource};
@@ -133,6 +134,14 @@ fn scenarios() -> Vec<Scenario> {
     for (twin, name) in twins.into_iter().zip(PRE_ARMED) {
         out.push(Scenario { name, ..twin });
     }
+    // N = 1: every lane, pre, map, plan and feed bank has a single member.
+    out.push(base("1-2-1 uniform", (1, 2, 1), Source::Uniform, 11));
+    out.push(base("1-4-3 zipf1", (1, 4, 3), Source::Zipf(1.0), 12));
+    out.push(Scenario {
+        pe_queue_depth: 2,
+        ..base("1-4-3 zipf3 pe2", (1, 4, 3), Source::Zipf(3.0), 13)
+    });
+    out.push(base("1-4-3 evolving", (1, 4, 3), Source::Evolving, 14));
     out
 }
 
@@ -196,7 +205,9 @@ fn run(s: &Scenario) -> [u64; 4] {
                 .with_reschedule(0.5, 150)
                 .with_profile_cycles(32)
                 .with_monitor_window(128);
-            let rate = f64::from(n) / 2.0;
+            // At least one tuple per cycle, so that a one-lane pipeline
+            // still overloads a hot PE and reschedules.
+            let rate = (f64::from(n) / 2.0).max(1.0);
             let stream = EvolvingZipfStream::new(3.0, UNIVERSE, s.seed, 900, rate, None);
             (Box::new(stream), 1_000, true)
         }
@@ -513,6 +524,42 @@ const PINS: &[(&str, [u64; 4])] = &[
             0x446b7f59585ead15,
             0x7cd733981e23e94b,
             0xf848c0850dd3f030,
+        ],
+    ),
+    (
+        "1-2-1 uniform",
+        [
+            0xb66803764755ff21,
+            0x191cac2c2af9f49a,
+            0xf91f5a2a2219b1d2,
+            0xd86edcc9c79dd80d,
+        ],
+    ),
+    (
+        "1-4-3 zipf1",
+        [
+            0xa74ce14b6297f72f,
+            0x4e45986542ff7b2b,
+            0xed60e4b07230c0d,
+            0x280aec0de0abfc07,
+        ],
+    ),
+    (
+        "1-4-3 zipf3 pe2",
+        [
+            0x38499192c590ea8b,
+            0x3bf3eabeff4baeb6,
+            0x2f5acb26700f6bbd,
+            0xc07caaac44ac2729,
+        ],
+    ),
+    (
+        "1-4-3 evolving",
+        [
+            0x79dd41afaa908f2b,
+            0x46baa12ba90b4c5f,
+            0x48f425936007bd7b,
+            0xd06800f6eb9add8c,
         ],
     ),
 ];

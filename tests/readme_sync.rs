@@ -85,6 +85,12 @@ fn readme_names_nothing_that_was_retired() {
         "MergeableOutput", // one merge: `Cluster::finish` through `DittoApp::merge`
         "finish_per_shard",
         "SinglePeDesign", // Table II prices Tong et al. with `PriorDesign`
+        // One point-to-point FIFO, the one-member bank; backticked so that
+        // `BcastSenderId` does not match.
+        "`SenderId`",
+        "`ReceiverId`",
+        "`channel_with_latency`",
+        "`run_source`",
     ];
     for name in retired {
         assert!(!README.contains(name), "README still mentions `{name}`");
