@@ -89,12 +89,24 @@ pub struct PersistentPipeline<A: DittoApp> {
 /// fast-forward enabled without touching every construction site.
 fn fast_forward_enabled(config: &ArchConfig) -> bool {
     static OVERRIDE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    let forced = OVERRIDE.get_or_init(|| match std::env::var("DITTO_FAST_FORWARD") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Some(true),
-        Ok(v) if v == "0" => Some(false),
-        _ => None,
-    });
+    let forced = OVERRIDE
+        .get_or_init(|| parse_fast_forward(std::env::var("DITTO_FAST_FORWARD").ok().as_deref()));
     forced.unwrap_or(config.steady_state_fast_forward)
+}
+
+/// `DITTO_FAST_FORWARD`'s value as a forced setting: `None` when unset, a
+/// panic naming the variable, the value and the accepted forms when
+/// malformed.
+fn parse_fast_forward(raw: Option<&str>) -> Option<bool> {
+    let v = raw?;
+    match v {
+        "1" => Some(true),
+        "0" => Some(false),
+        _ if v.eq_ignore_ascii_case("true") => Some(true),
+        _ => {
+            panic!("DITTO_FAST_FORWARD={v:?} does not parse: expected `1`/`true` (on) or `0` (off)")
+        }
+    }
 }
 
 impl SkewObliviousPipeline {
@@ -522,6 +534,22 @@ mod tests {
     use super::*;
     use crate::apps::{CountPerKey, ModHistogram};
     use datagen::{UniformGenerator, ZipfGenerator};
+
+    #[test]
+    fn fast_forward_override_parses_its_accepted_forms() {
+        assert_eq!(parse_fast_forward(None), None);
+        assert_eq!(parse_fast_forward(Some("1")), Some(true));
+        assert_eq!(parse_fast_forward(Some("TRUE")), Some(true));
+        assert_eq!(parse_fast_forward(Some("0")), Some(false));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "DITTO_FAST_FORWARD=\"yes\" does not parse: expected `1`/`true` (on) or `0` (off)"
+    )]
+    fn malformed_fast_forward_override_panics() {
+        parse_fast_forward(Some("yes"));
+    }
 
     #[test]
     fn uniform_dataset_processes_everything() {

@@ -45,15 +45,6 @@ impl SliceOptions {
         self.chunk = chunk;
         self
     }
-
-    /// The slice length from `DITTO_PLAN_SLICE` (default 20 000 cycles).
-    pub fn from_env() -> Self {
-        let cycles = std::env::var("DITTO_PLAN_SLICE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000);
-        Self::new(cycles)
-    }
 }
 
 impl Default for SliceOptions {

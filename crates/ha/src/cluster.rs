@@ -205,11 +205,6 @@ where
         b
     }
 
-    /// Death notices of dead, unrecovered leader shards (non-blocking).
-    pub fn poll_failures(&mut self) -> Vec<ShardFailure> {
-        self.inner.failed_shards()
-    }
-
     /// Recovers every dead, unrecovered shard by promotion; returns the
     /// promotions performed (empty when the cluster is healthy). This is
     /// the supervisor the wire layer's pump calls between submissions, so

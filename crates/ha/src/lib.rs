@@ -69,10 +69,42 @@ pub use cluster::{HaCluster, Promotion, RecoverySource};
 pub use log::BatchLog;
 
 /// Reads the `DITTO_REPLICAS` environment knob: the number of follower
-/// replicas per shard. Returns `default` when unset or malformed.
+/// replicas per shard. Returns `default` when unset.
+///
+/// # Panics
+///
+/// Panics when the variable is set but is not a follower count.
 pub fn env_replicas(default: usize) -> usize {
-    std::env::var("DITTO_REPLICAS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+    parse_replicas(std::env::var("DITTO_REPLICAS").ok().as_deref(), default)
+}
+
+/// `DITTO_REPLICAS`'s value as a follower count: `default` when unset, a
+/// panic naming the variable, the value and the accepted form when
+/// malformed.
+fn parse_replicas(raw: Option<&str>, default: usize) -> usize {
+    raw.map_or(default, |v| {
+        v.trim().parse().unwrap_or_else(|_| {
+            panic!(
+                "DITTO_REPLICAS={v:?} does not parse: expected a follower count, e.g. `0` or `2`"
+            )
+        })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replicas_default_when_unset_and_parse_when_set() {
+        assert_eq!(parse_replicas(None, 1), 1);
+        assert_eq!(parse_replicas(Some("0"), 1), 0);
+        assert_eq!(parse_replicas(Some(" 3 "), 1), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "DITTO_REPLICAS=\"one\" does not parse: expected a follower count")]
+    fn malformed_replicas_panic() {
+        parse_replicas(Some("one"), 1);
+    }
 }

@@ -28,48 +28,30 @@ pub const KNOWN: &[EnvKnob] = &[
         consumer: "ditto-core (all simulations)",
         default: "per-config flag",
         effect: "force steady-state fast-forward on (`1`/`true`) or off (`0`) process-wide, \
-                 overriding `ArchConfig`; lets CI re-run goldens under fast-forward",
+                 overriding `ArchConfig`; lets CI re-run goldens under fast-forward; any other \
+                 value panics",
     },
     EnvKnob {
         name: "DITTO_REPLICAS",
         consumer: "ditto-ha (replicated serving)",
         default: "per-call argument (examples default to 1)",
         effect: "follower replicas per shard for `HaCluster`-hosted apps; `0` disables \
-                 replication and recovery falls back to batch-log replay",
+                 replication and recovery falls back to batch-log replay; a value that is not a \
+                 count panics",
     },
     EnvKnob {
         name: "DITTO_KILL_SHARD",
         consumer: "ditto-serve (fault injection)",
         default: "unset (no fault)",
         effect: "`<shard>:<batches>` kills the given shard thread after it serves that many \
-                 batches — deterministic failure injection for recovery drills and CI smoke",
+                 batches — deterministic failure injection for recovery drills and CI smoke; any \
+                 other value panics, so a drill cannot pass without its fault",
     },
     EnvKnob {
         name: "DITTO_TRACE_OUT",
         consumer: "wire loopback test",
         default: "unset (no export)",
         effect: "file path where the loopback telemetry test writes its Chrome trace-event JSON",
-    },
-    EnvKnob {
-        name: "DITTO_MAX_CONNS",
-        consumer: "ditto-wire (admission)",
-        default: "10240",
-        effect: "server-wide budget on concurrently open connections; accepts past it are \
-                 answered with one `TOO_MANY_CONNECTIONS` error frame and closed",
-    },
-    EnvKnob {
-        name: "DITTO_WIRE_IO_THREADS",
-        consumer: "ditto-wire (reactor)",
-        default: "cores, capped at 8",
-        effect: "reactor (I/O) thread count, independent of connection count; overrides both \
-                 the auto-size and `WireServerConfig`",
-    },
-    EnvKnob {
-        name: "DITTO_PLAN_SLICE",
-        consumer: "ditto-core `SliceOptions::from_env` (plan_deploy example)",
-        default: "20000",
-        effect: "cycles in the bounded counts-tracing profiling slice taken before the \
-                 planner searches configurations",
     },
     EnvKnob {
         name: "DITTO_PLAN_TRACE_OUT",

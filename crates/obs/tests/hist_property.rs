@@ -20,8 +20,7 @@ impl Rng {
     }
 }
 
-/// The exact-sample nearest-rank reference: the ⌈q·n⌉-th smallest value —
-/// the same rank rule `ditto_serve::LatencyRecorder` uses.
+/// The exact-sample nearest-rank reference: the ⌈q·n⌉-th smallest value.
 fn exact_nearest_rank(sorted: &[u64], q: f64) -> u64 {
     let n = sorted.len();
     sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]

@@ -32,17 +32,9 @@ const SHARD_REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 pub struct ServeConfig {
     /// Number of pipeline shards (simulated FPGAs).
     pub shards: usize,
-    /// Per-shard architecture (every shard runs the same implementation
-    /// unless [`ServeConfig::with_shard_archs`] installs per-shard
-    /// overrides).
+    /// The architecture every shard runs (and every `ditto-ha` follower
+    /// and log replay with it).
     pub arch: ArchConfig,
-    /// Optional per-shard architecture overrides, e.g. from a
-    /// `ditto-plan` deployment plan run per shard's workload. All entries
-    /// must agree with `arch` on `m_pri` and `pe_entries` (the cross-shard
-    /// merge and failover paths require identical state shapes); tuning
-    /// knobs — `n_pre`, `x_sec`, queue depths, reschedule policy — may
-    /// differ freely.
-    pub shard_archs: Option<Vec<ArchConfig>>,
     /// Routing slots (migration granularity).
     pub slots: usize,
     /// Cycles a shard simulates between command polls — the completion
@@ -77,15 +69,30 @@ pub struct ShardFault {
 impl ShardFault {
     /// Parses the `DITTO_KILL_SHARD` environment hook, format
     /// `<shard>:<batches>` (e.g. `0:3` kills shard 0 after its third
-    /// served batch). Returns `None` when unset or malformed.
+    /// served batch). Returns `None` when unset.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the variable is set but does not parse, so a fault
+    /// drill cannot pass without its fault.
     pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("DITTO_KILL_SHARD").ok()?;
-        let (shard, after) = raw.split_once(':')?;
+        parse_kill_shard(std::env::var("DITTO_KILL_SHARD").ok().as_deref())
+    }
+}
+
+/// `DITTO_KILL_SHARD`'s value as a fault: `None` when unset, a panic
+/// naming the variable, the value and the accepted form when malformed.
+fn parse_kill_shard(raw: Option<&str>) -> Option<ShardFault> {
+    let raw = raw?;
+    let fault = raw.split_once(':').and_then(|(shard, after)| {
         Some(ShardFault {
             shard: shard.trim().parse().ok()?,
             after_batches: after.trim().parse().ok()?,
         })
-    }
+    });
+    Some(fault.unwrap_or_else(|| {
+        panic!("DITTO_KILL_SHARD={raw:?} does not parse: expected `<shard>:<batches>`, e.g. `0:3`")
+    }))
 }
 
 impl ServeConfig {
@@ -100,7 +107,6 @@ impl ServeConfig {
         ServeConfig {
             shards,
             arch,
-            shard_archs: None,
             slots: DEFAULT_SLOTS.max(shards),
             cycles_per_poll: 256,
             ingress_rate: 8.0,
@@ -125,12 +131,6 @@ impl ServeConfig {
             .with_profile_cycles(256)
             .with_monitor_window(2_048);
         ServeConfig::new(shards, arch).with_balancer(BalancerConfig::default())
-    }
-
-    /// Sets the routing slot count.
-    pub fn with_slots(mut self, slots: usize) -> Self {
-        self.slots = slots;
-        self
     }
 
     /// Sets the per-poll cycle chunk.
@@ -158,50 +158,15 @@ impl ServeConfig {
         self
     }
 
-    /// Installs per-shard architecture overrides (e.g. the chosen
-    /// `ArchConfig` of a per-shard `ditto-plan` deployment plan). Shard
-    /// `i` runs `archs[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `archs.len() != self.shards`, or if any entry differs
-    /// from the base `arch` in `m_pri` or `pe_entries` — the cross-shard
-    /// merge folds PriPE `j`'s state across shards, so state shapes must
-    /// match even when throughput knobs differ.
-    pub fn with_shard_archs(mut self, archs: Vec<ArchConfig>) -> Self {
-        assert_eq!(archs.len(), self.shards, "need one ArchConfig per shard");
-        for (id, a) in archs.iter().enumerate() {
-            assert_eq!(
-                (a.m_pri, a.pe_entries),
-                (self.arch.m_pri, self.arch.pe_entries),
-                "shard {id}: per-shard archs must keep m_pri/pe_entries uniform"
-            );
-        }
-        self.shard_archs = Some(archs);
-        self
-    }
-
-    /// The architecture shard `shard` runs: its override when
-    /// [`ServeConfig::with_shard_archs`] installed one, the shared base
-    /// `arch` otherwise.
-    pub fn arch_for(&self, shard: usize) -> &ArchConfig {
-        self.shard_archs
-            .as_ref()
-            .map_or(&self.arch, |archs| &archs[shard])
+    /// The architecture shard `shard` runs: always [`ServeConfig::arch`],
+    /// kept only because `benchmark/src` imports it (ROADMAP 4(g)).
+    pub fn arch_for(&self, _shard: usize) -> &ArchConfig {
+        &self.arch
     }
 
     /// Installs a deterministic shard-kill fault.
     pub fn with_fault(mut self, fault: ShardFault) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Installs the shard-kill fault from `DITTO_KILL_SHARD` when set
-    /// (format `<shard>:<batches>`); a no-op otherwise. Opt-in per
-    /// construction site so test clusters in the same process cannot
-    /// inherit a kill hook by accident.
-    pub fn with_fault_from_env(mut self) -> Self {
-        self.fault = ShardFault::from_env().or(self.fault);
         self
     }
 }
@@ -343,7 +308,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                 spawn_shard(
                     id,
                     app.clone(),
-                    config.arch_for(id),
+                    &config.arch,
                     config.ingress_rate,
                     config.cycles_per_poll,
                     config.journal_capacity,
@@ -1332,18 +1297,11 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_archs_serve_and_export_plan_gauges() {
-        // Shard 1 provisions skew-handling capacity, shard 0 stays bare —
-        // e.g. a planner priced each shard's workload separately. State
-        // shapes (m_pri, pe_entries) stay uniform so the merge is exact.
-        let config = ServeConfig::new(2, ArchConfig::new(2, 4, 0))
-            .with_shard_archs(vec![ArchConfig::new(2, 4, 0), ArchConfig::new(2, 4, 2)]);
-        assert_eq!(config.arch_for(0).x_sec, 0);
-        assert_eq!(config.arch_for(1).x_sec, 2);
-
+    fn shard_metrics_export_plan_gauges() {
+        let config = ServeConfig::new(2, ArchConfig::new(2, 4, 2));
         let data: Vec<Tuple> = (0..2_000u64).map(|i| Tuple::from_key(i % 97)).collect();
         let mut cluster = Cluster::new(CountPerKey::new(4), &config);
-        cluster.submit(data.clone());
+        cluster.submit(data);
         cluster.drain();
         let metrics = cluster.metrics();
         assert!(
@@ -1353,15 +1311,7 @@ mod tests {
         assert!(metrics
             .get("ditto_plan_active_pes", &[("shard", "1")])
             .is_some());
-        let hetero = cluster.finish();
-
-        let mut uniform = Cluster::new(
-            CountPerKey::new(4),
-            &ServeConfig::new(2, ArchConfig::new(2, 4, 0)),
-        );
-        uniform.submit(data);
-        let base = uniform.finish();
-        assert_eq!(hetero.output, base.output);
+        cluster.finish();
     }
 
     #[test]
@@ -1403,13 +1353,6 @@ mod tests {
         .sum();
         assert_eq!(phases, value("ditto_engine_cycles"));
         cluster.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "m_pri/pe_entries uniform")]
-    fn per_shard_archs_reject_mismatched_state_shapes() {
-        let _ = ServeConfig::new(2, ArchConfig::new(2, 4, 0))
-            .with_shard_archs(vec![ArchConfig::new(2, 4, 0), ArchConfig::new(2, 8, 0)]);
     }
 
     /// An app that detonates inside the shard engine on a magic key.
@@ -1696,6 +1639,26 @@ mod tests {
         reference.submit(batch);
         reference.drain();
         assert_eq!(outcome.output, reference.finish().output);
+    }
+
+    #[test]
+    fn kill_shard_parses_shard_and_batches() {
+        assert_eq!(parse_kill_shard(None), None);
+        assert_eq!(
+            parse_kill_shard(Some(" 2 : 4 ")),
+            Some(ShardFault {
+                shard: 2,
+                after_batches: 4,
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "DITTO_KILL_SHARD=\"2-4\" does not parse: expected `<shard>:<batches>`"
+    )]
+    fn malformed_kill_shard_panics() {
+        parse_kill_shard(Some("2-4"));
     }
 
     #[test]

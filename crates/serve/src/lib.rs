@@ -99,9 +99,7 @@ pub use cluster::{
     Cluster, ClusterOutcome, HandoffReport, ServeConfig, ShardFailure, ShardFault, ShardStates,
 };
 pub use doorbell::Doorbell;
-pub use metrics::{
-    AdmissionSnapshot, ClusterSnapshot, LatencyRecorder, LatencyStats, ShardSnapshot,
-};
+pub use metrics::{AdmissionSnapshot, ClusterSnapshot, LatencyStats, ShardSnapshot};
 pub use predictor::StreamSkewPredictor;
 pub use queue::{QueueSource, SharedQueue};
 pub use router::{RoutingTable, SlotMove, DEFAULT_SLOTS};

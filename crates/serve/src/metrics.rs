@@ -4,77 +4,9 @@
 //! [`LatencyStats`] is the cross-layer type from `ditto-obs`; the
 //! cluster's live distributions are bounded-memory
 //! [`LogHistogram`](ditto_obs::LogHistogram)s (an unbounded exact-sample
-//! vector grows forever under sustained load), while the exact-sample
-//! [`LatencyRecorder`] remains for load generators and as the reference
-//! the histogram's property test pins nearest-rank semantics against.
+//! vector grows forever under sustained load).
 
 pub use ditto_obs::LatencyStats;
-
-/// Accumulates latency samples exactly and computes [`LatencyStats`] on
-/// demand.
-///
-/// Samples are kept exactly (sorted lazily per snapshot) — appropriate for
-/// bounded populations like one load-generation run, and the ground truth
-/// the `ditto-obs` bucketed histogram is property-tested against. Serving
-/// paths that run indefinitely use
-/// [`LogHistogram`](ditto_obs::LogHistogram) instead.
-///
-/// # Example
-///
-/// ```
-/// use ditto_serve::LatencyRecorder;
-///
-/// let mut r = LatencyRecorder::new();
-/// for v in [10, 20, 30, 40, 1000] {
-///     r.record(v);
-/// }
-/// let s = r.stats();
-/// assert_eq!(s.count, 5);
-/// assert_eq!(s.p50, 30);
-/// assert_eq!(s.max, 1000);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        LatencyRecorder::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Computes the population's order statistics (nearest-rank
-    /// percentiles).
-    pub fn stats(&self) -> LatencyStats {
-        if self.samples.is_empty() {
-            return LatencyStats::empty();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        // Nearest-rank: the ⌈q·n⌉-th smallest sample.
-        let rank = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-        LatencyStats {
-            count: n as u64,
-            mean: sorted.iter().sum::<u64>() as f64 / n as f64,
-            p50: rank(0.50),
-            p99: rank(0.99),
-            p999: rank(0.999),
-            max: sorted[n - 1],
-        }
-    }
-}
 
 /// One shard's live counters, as replied to a snapshot request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,25 +128,6 @@ impl ClusterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_recorder_yields_zero_stats() {
-        assert_eq!(LatencyRecorder::new().stats(), LatencyStats::empty());
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let mut r = LatencyRecorder::new();
-        for v in 1..=100u64 {
-            r.record(v);
-        }
-        let s = r.stats();
-        assert_eq!(s.p50, 50);
-        assert_eq!(s.p99, 99);
-        assert_eq!(s.p999, 100);
-        assert_eq!(s.max, 100);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-    }
 
     #[test]
     fn shard_imbalance_detects_hot_shard() {

@@ -71,11 +71,6 @@ impl SharedQueue {
         self.inner.closed.store(true, Ordering::Relaxed);
     }
 
-    /// `true` once [`close`](Self::close) was called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::Relaxed)
-    }
-
     /// Tuples admitted so far.
     pub fn pushed(&self) -> u64 {
         self.inner.pushed.load(Ordering::Relaxed)

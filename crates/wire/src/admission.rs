@@ -31,30 +31,22 @@ pub struct AdmissionConfig {
     /// [`TOO_MANY_CONNECTIONS`](crate::frame::error_code::TOO_MANY_CONNECTIONS)
     /// error frame and closed — admission control at the socket level, so
     /// a connect storm degrades into explicit refusals instead of fd
-    /// exhaustion. Default: `DITTO_MAX_CONNS`, else 10 240.
+    /// exhaustion. Default: 10 240, comfortably above a 1k-connection
+    /// fan-in while staying under common fd ulimits with room for the
+    /// client side.
     pub max_connections: usize,
-}
-
-/// `DITTO_MAX_CONNS`, else 10 240 — comfortably above the 1k+ bench sweep
-/// while staying under common fd ulimits with room for the client side.
-fn default_max_connections() -> usize {
-    std::env::var("DITTO_MAX_CONNS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10_240)
 }
 
 impl AdmissionConfig {
     /// A permissive default: a deep watermark (1 Mi tuples) with two brief
     /// defer rounds — overload protection without shedding under ordinary
-    /// bursts — and the environment-driven connection budget.
+    /// bursts — and a budget of 10 240 open connections.
     pub fn new() -> Self {
         AdmissionConfig {
             max_queue_tuples: 1 << 20,
             defer_retries: 2,
             defer_wait: Duration::from_millis(1),
-            max_connections: default_max_connections(),
+            max_connections: 10_240,
         }
     }
 
@@ -168,7 +160,6 @@ mod tests {
 
     #[test]
     fn connection_budget_defaults_and_overrides() {
-        // No DITTO_MAX_CONNS in the test environment: the baked default.
         assert_eq!(AdmissionConfig::new().max_connections, 10_240);
         assert_eq!(
             AdmissionConfig::new()

@@ -1,5 +1,4 @@
-//! The client side: a pipelining [`WireClient`] plus an open-loop
-//! load generator for qps × skew sweeps over real sockets.
+//! The client side: a pipelining [`WireClient`].
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -7,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use datagen::Tuple;
 use ditto_obs::{decode_snapshot, MetricsSnapshot};
-use ditto_serve::{LatencyRecorder, LatencyStats};
 
 use crate::frame::{metrics_format, Frame, FrameError, Request, Response, WireStats};
 
@@ -269,241 +267,4 @@ impl std::fmt::Debug for WireClient {
             .field("next_seq", &self.next_seq)
             .finish()
     }
-}
-
-/// Open-loop load-generator tuning.
-#[derive(Debug, Clone)]
-pub struct LoadGenConfig {
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Tuples per request batch.
-    pub batch_tuples: usize,
-    /// Offered load in tuples/second across all connections; `None` sends
-    /// as fast as the window allows.
-    pub qps: Option<f64>,
-    /// Per-connection cap on batches awaiting their response — bounds
-    /// client-side pipelining the way a real fleet's timeouts would.
-    pub max_outstanding: usize,
-    /// Delay between consecutive connection openings (connection `i`
-    /// connects at `i × stagger`). Zero opens all at once; high fan-in
-    /// runs stagger to keep a thundering connect herd from overflowing
-    /// even a deepened accept backlog.
-    pub connect_stagger: Duration,
-    /// Establish *every* connection before the pacing clock starts, so a
-    /// paced run measures steady-state latency over a settled connection
-    /// set rather than folding the connect storm into the tail. Mutually
-    /// sensible with `qps`; ignores `connect_stagger`.
-    pub connect_barrier: bool,
-}
-
-impl LoadGenConfig {
-    /// One connection, 1 000-tuple batches, unpaced, window of 8, no
-    /// connect stagger, no connect barrier.
-    pub fn new() -> Self {
-        LoadGenConfig {
-            connections: 1,
-            batch_tuples: 1_000,
-            qps: None,
-            max_outstanding: 8,
-            connect_stagger: Duration::ZERO,
-            connect_barrier: false,
-        }
-    }
-}
-
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig::new()
-    }
-}
-
-/// What one load-generation run observed — all latencies are
-/// frame-receipt-to-`Done` as reported by the server, i.e. they include
-/// wire time.
-#[derive(Debug)]
-pub struct LoadReport {
-    /// Batches sent.
-    pub submitted: u64,
-    /// Batches acknowledged `Done`.
-    pub completed: u64,
-    /// Batches refused with `Overloaded`.
-    pub shed: u64,
-    /// Tuples in completed batches.
-    pub tuples_completed: u64,
-    /// Wall time from first send to last response.
-    pub wall: Duration,
-    /// `Done` latency distribution in wall microseconds (wire-inclusive).
-    pub latency_wall_us: LatencyStats,
-    /// `Done` latency distribution in simulated cycles.
-    pub latency_cycles: LatencyStats,
-}
-
-impl LoadReport {
-    /// Completed-batch shed ratio in `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
-        if self.submitted == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / self.submitted as f64
-    }
-
-    /// Completed tuples per second of wall time.
-    pub fn tuples_per_sec(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        self.tuples_completed as f64 / self.wall.as_secs_f64()
-    }
-}
-
-/// Outcome of one connection's share of a load run.
-struct ConnReport {
-    submitted: u64,
-    completed: u64,
-    shed: u64,
-    tuples_completed: u64,
-    wall_us: Vec<u64>,
-    cycles: Vec<u64>,
-}
-
-/// Drives `data` through `app` on a wire server at `addr` as an open-loop
-/// load-generation run: batches are assigned round-robin to
-/// `config.connections` sockets, each pacing its own share against the
-/// global schedule and keeping at most `max_outstanding` batches in
-/// flight.
-///
-/// # Panics
-///
-/// Panics on connection failure or a server-side protocol violation —
-/// load generation is a harness, not a library path, and a broken run
-/// must be loud.
-pub fn run_load(addr: SocketAddr, app: u16, data: &[Tuple], config: &LoadGenConfig) -> LoadReport {
-    assert!(config.connections > 0, "need at least one connection");
-    assert!(config.batch_tuples > 0, "batch size must be nonzero");
-    assert!(config.max_outstanding > 0, "window must be nonzero");
-    let batches: Vec<&[Tuple]> = data.chunks(config.batch_tuples).collect();
-    // Behind the connect barrier, every worker thread spawns and connects
-    // *before* the leader stamps the schedule's start instant — the paced
-    // run then measures a settled connection set, with neither the
-    // thread-spawn storm nor the connect storm folded into the tail.
-    let barrier = std::sync::Barrier::new(config.connections);
-    let barrier_start: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    let start = Instant::now();
-    let reports: Vec<ConnReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.connections)
-            .map(|conn| {
-                let batches = &batches;
-                let sync = config.connect_barrier.then_some((&barrier, &barrier_start));
-                scope.spawn(move || connection_share(addr, app, batches, conn, config, start, sync))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load connection panicked"))
-            .collect()
-    });
-    let wall = start.elapsed();
-    let mut wall_rec = LatencyRecorder::new();
-    let mut cycle_rec = LatencyRecorder::new();
-    let (mut submitted, mut completed, mut shed, mut tuples_completed) = (0, 0, 0, 0);
-    for r in reports {
-        submitted += r.submitted;
-        completed += r.completed;
-        shed += r.shed;
-        tuples_completed += r.tuples_completed;
-        for v in r.wall_us {
-            wall_rec.record(v);
-        }
-        for v in r.cycles {
-            cycle_rec.record(v);
-        }
-    }
-    LoadReport {
-        submitted,
-        completed,
-        shed,
-        tuples_completed,
-        wall,
-        latency_wall_us: wall_rec.stats(),
-        latency_cycles: cycle_rec.stats(),
-    }
-}
-
-/// One connection's loop: batches `conn, conn + C, conn + 2C, …`, open-loop
-/// paced against the *global* schedule (batch `i` is due at
-/// `start + i · B / qps`), window-capped.
-fn connection_share(
-    addr: SocketAddr,
-    app: u16,
-    batches: &[&[Tuple]],
-    conn: usize,
-    config: &LoadGenConfig,
-    start: Instant,
-    sync: Option<(&std::sync::Barrier, &std::sync::OnceLock<Instant>)>,
-) -> ConnReport {
-    if sync.is_none() && !config.connect_stagger.is_zero() {
-        std::thread::sleep(config.connect_stagger * conn as u32);
-    }
-    let mut client = WireClient::connect(addr).expect("connect load connection");
-    // Connect barrier: everyone is connected before the leader stamps the
-    // start of the paced schedule (second wait publishes the stamp).
-    let start = match sync {
-        Some((barrier, cell)) => {
-            if barrier.wait().is_leader() {
-                cell.set(Instant::now()).expect("start stamped once");
-            }
-            barrier.wait();
-            *cell.get().expect("leader stamped start")
-        }
-        None => start,
-    };
-    let mut report = ConnReport {
-        submitted: 0,
-        completed: 0,
-        shed: 0,
-        tuples_completed: 0,
-        wall_us: Vec::new(),
-        cycles: Vec::new(),
-    };
-    let mut outstanding = 0usize;
-    let absorb = |resp: Response, report: &mut ConnReport| match resp {
-        Response::Done {
-            tuples,
-            latency_cycles,
-            wall_us,
-        } => {
-            report.completed += 1;
-            report.tuples_completed += tuples;
-            report.wall_us.push(wall_us);
-            report.cycles.push(latency_cycles);
-        }
-        Response::Overloaded { .. } => report.shed += 1,
-        other => panic!("unexpected response during load run: {other:?}"),
-    };
-    for (i, batch) in batches
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % config.connections == conn)
-    {
-        if let Some(rate) = config.qps {
-            let due = start + Duration::from_secs_f64(i as f64 * config.batch_tuples as f64 / rate);
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-        }
-        while outstanding >= config.max_outstanding {
-            let (_, _, resp) = client.recv().expect("load response");
-            absorb(resp, &mut report);
-            outstanding -= 1;
-        }
-        client.submit(app, batch).expect("submit load batch");
-        report.submitted += 1;
-        outstanding += 1;
-    }
-    while outstanding > 0 {
-        let (_, _, resp) = client.recv().expect("load response");
-        absorb(resp, &mut report);
-        outstanding -= 1;
-    }
-    report
 }

@@ -68,8 +68,9 @@ pub mod error_code {
     pub const BAD_REQUEST: u16 = 2;
     /// The server is shutting down and no longer admits work.
     pub const SHUTTING_DOWN: u16 = 3;
-    /// The server is at its connection budget (`DITTO_MAX_CONNS`) and
-    /// refused the connection.
+    /// The server is at its connection budget
+    /// ([`AdmissionConfig::max_connections`](crate::AdmissionConfig::max_connections))
+    /// and refused the connection.
     pub const TOO_MANY_CONNECTIONS: u16 = 4;
     /// The frame's auth token does not match the app's registered token.
     pub const BAD_TOKEN: u16 = 5;

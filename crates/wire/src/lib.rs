@@ -22,7 +22,8 @@
 //!   per-connection framed state machines, bounded write buffers
 //!   that backpressure (and eventually evict) slow readers, request
 //!   pipelining (responses matched by sequence number), a connection
-//!   budget (`DITTO_MAX_CONNS`), a completion pump, and graceful
+//!   budget ([`AdmissionConfig::max_connections`]), a completion pump,
+//!   and graceful
 //!   shutdown that drains in-flight batches and flushes their responses
 //!   before joining shard threads.
 //! * [`AdmissionController`] — reads the cluster's live aggregated
@@ -30,9 +31,8 @@
 //!   high-watermark it defers briefly, then sheds with an explicit
 //!   [`Overloaded`](frame::Response::Overloaded) response instead of
 //!   queueing unboundedly.
-//! * [`WireClient`] / [`run_load`] — the in-process client and the
-//!   open-loop qps × skew load generator driving real sockets (the
-//!   loopback tests build on them).
+//! * [`WireClient`] — the in-process pipelining client over a real
+//!   socket (the loopback tests build on it).
 //! * [`WireApp`] — lossless output codecs for all five paper apps, so a
 //!   `Finalize` round-trip proves wire-served results equal a
 //!   single-engine [`run_dataset`](ditto_core::SkewObliviousPipeline::run_dataset).
@@ -85,7 +85,7 @@ mod registry;
 mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
-pub use client::{run_load, LoadGenConfig, LoadReport, WireClient, WireError};
+pub use client::{WireClient, WireError};
 pub use frame::{metrics_format, Frame, FrameError, FrameKind, Request, Response, WireStats};
 pub use poller::Backend;
 pub use registry::{app_id, AppRegistry, WireApp};

@@ -55,6 +55,9 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Fairness bound: chunks read from one connection per readiness event
 /// (level-triggered polling re-delivers the event if more data waits).
 const MAX_READ_CHUNKS: usize = 16;
+/// How long shutdown keeps flushing outboxes toward clients that are
+/// still reading before force-closing the rest.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A reactor's doorbell: how other threads hand it work.
 #[derive(Debug)]
@@ -115,7 +118,6 @@ pub(crate) struct Reactor {
     waker_rx: UnixStream,
     listener: Option<TcpListener>,
     poller: EpollPoller,
-    drain_timeout: Duration,
     slots: Vec<Option<Conn>>,
     free: Vec<usize>,
     /// Round-robin cursor for handing accepted sockets to peers.
@@ -136,7 +138,6 @@ impl Reactor {
         peers: Vec<Arc<ReactorNotify>>,
         waker_rx: UnixStream,
         listener: Option<TcpListener>,
-        drain_timeout: Duration,
     ) -> std::io::Result<Reactor> {
         let mut poller = EpollPoller::new()?;
         waker_rx.set_nonblocking(true)?;
@@ -153,7 +154,6 @@ impl Reactor {
             waker_rx,
             listener,
             poller,
-            drain_timeout,
             slots: Vec::new(),
             free: Vec::new(),
             rr: 0,
@@ -464,7 +464,7 @@ impl Reactor {
             }
             let _ = conn.stream.shutdown(Shutdown::Read);
         }
-        let deadline = Instant::now() + self.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         let mut events: Vec<Event> = Vec::new();
         loop {
             let mut live = 0usize;

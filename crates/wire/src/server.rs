@@ -76,21 +76,18 @@ pub struct WireServerConfig {
     /// only because `benchmark/src` imports it (ROADMAP 4(g)).
     pub backend: Backend,
     /// Reactor (I/O) thread count; `0` (the default) auto-sizes to the
-    /// core count capped at 8. `DITTO_WIRE_IO_THREADS` overrides both.
+    /// core count capped at 8.
     pub io_threads: usize,
     /// Soft cap on a connection's queued response bytes: past it the
     /// server stops reading that connection; past 4× it the connection is
     /// disconnected as a slow reader.
     pub write_buf_bytes: usize,
-    /// How long shutdown keeps flushing outboxes toward clients that are
-    /// still reading before force-closing the rest.
-    pub drain_timeout: Duration,
 }
 
 impl WireServerConfig {
     /// Defaults: permissive admission, a 200 µs bound on the pump's park,
-    /// 4096-event journals, auto-sized reactor pool, 4 MiB outbox soft
-    /// cap, 10 s drain.
+    /// 4096-event journals, auto-sized reactor pool and a 4 MiB outbox
+    /// soft cap.
     pub fn new() -> Self {
         WireServerConfig {
             admission: AdmissionConfig::new(),
@@ -99,7 +96,6 @@ impl WireServerConfig {
             backend: Backend::Epoll,
             io_threads: 0,
             write_buf_bytes: 4 << 20,
-            drain_timeout: Duration::from_secs(10),
         }
     }
 
@@ -138,12 +134,6 @@ impl WireServerConfig {
         self.write_buf_bytes = bytes;
         self
     }
-
-    /// Sets the shutdown outbox-drain deadline.
-    pub fn with_drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
-        self
-    }
 }
 
 impl Default for WireServerConfig {
@@ -152,20 +142,15 @@ impl Default for WireServerConfig {
     }
 }
 
-/// `DITTO_WIRE_IO_THREADS`, else the configured count, else cores (≤ 8).
+/// The configured reactor count, else cores (≤ 8).
 fn resolve_io_threads(configured: usize) -> usize {
-    std::env::var("DITTO_WIRE_IO_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(if configured > 0 {
-            configured
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
+    if configured > 0 {
+        return configured;
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
 /// A connection waiting on a batch completion.
@@ -457,7 +442,6 @@ impl WireServer {
                     notifies.clone(),
                     rx,
                     listener.take(),
-                    config.drain_timeout,
                 )
             })
             .collect::<std::io::Result<Vec<Reactor>>>()?;

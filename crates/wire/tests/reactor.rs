@@ -4,7 +4,7 @@
 //! shutdown.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use datagen::{Tuple, UniformGenerator};
@@ -12,8 +12,8 @@ use ditto_apps::HistoApp;
 use ditto_core::ArchConfig;
 use ditto_serve::ServeConfig;
 use ditto_wire::{
-    frame::error_code, run_load, AdmissionConfig, AppRegistry, LoadGenConfig, Request, Response,
-    WireClient, WireError, WireServer, WireServerConfig,
+    frame::error_code, AdmissionConfig, AppRegistry, Request, Response, WireClient, WireError,
+    WireServer, WireServerConfig,
 };
 
 const APP: u16 = 7;
@@ -29,6 +29,49 @@ fn registry() -> AppRegistry {
 
 fn boot(config: WireServerConfig) -> WireServer {
     WireServer::bind("127.0.0.1:0", registry(), config).expect("bind loopback")
+}
+
+/// What one client saw of its own batches.
+#[derive(Debug, Default)]
+struct Tally {
+    submitted: u64,
+    completed: u64,
+    shed: u64,
+    tuples_completed: u64,
+}
+
+impl Tally {
+    fn absorb(&mut self, response: Response) {
+        match response {
+            Response::Done { tuples, .. } => {
+                self.completed += 1;
+                self.tuples_completed += tuples;
+            }
+            Response::Overloaded { .. } => self.shed += 1,
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+}
+
+/// One connection submitting `batches` with at most two awaiting their
+/// response, then reading every response still owed.
+fn pipelined_client<'a>(addr: SocketAddr, batches: impl Iterator<Item = &'a [Tuple]>) -> Tally {
+    let mut client = WireClient::connect(addr).expect("connect client");
+    let mut tally = Tally::default();
+    let mut outstanding = 0;
+    for batch in batches {
+        if outstanding == 2 {
+            tally.absorb(client.recv().expect("response").2);
+            outstanding -= 1;
+        }
+        client.submit(APP, batch).expect("submit");
+        tally.submitted += 1;
+        outstanding += 1;
+    }
+    for _ in 0..outstanding {
+        tally.absorb(client.recv().expect("response").2);
+    }
+    tally
 }
 
 /// ≥256 concurrent pipelined clients complete every batch while one
@@ -54,19 +97,24 @@ fn high_fan_in_is_not_blocked_by_a_slow_reader() {
 
     let data: Vec<Tuple> =
         UniformGenerator::new(1 << 12, 42).take_vec(CONNS * BATCHES_PER_CONN * BATCH);
-    let report = run_load(
-        addr,
-        APP,
-        &data,
-        &LoadGenConfig {
-            connections: CONNS,
-            batch_tuples: BATCH,
-            qps: None,
-            max_outstanding: 2,
-            connect_stagger: Duration::ZERO,
-            connect_barrier: false,
-        },
-    );
+    let batches: Vec<&[Tuple]> = data.chunks(BATCH).collect();
+    let report = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CONNS)
+            .map(|conn| {
+                let mine = batches.iter().skip(conn).step_by(CONNS).copied();
+                scope.spawn(move || pipelined_client(addr, mine))
+            })
+            .collect();
+        clients.into_iter().fold(Tally::default(), |sum, client| {
+            let t = client.join().expect("client thread panicked");
+            Tally {
+                submitted: sum.submitted + t.submitted,
+                completed: sum.completed + t.completed,
+                shed: sum.shed + t.shed,
+                tuples_completed: sum.tuples_completed + t.tuples_completed,
+            }
+        })
+    });
     assert_eq!(report.submitted, (CONNS * BATCHES_PER_CONN) as u64);
     assert_eq!(
         report.completed, report.submitted,

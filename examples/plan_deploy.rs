@@ -6,7 +6,7 @@
 //! cargo run --release --example plan_deploy
 //! ```
 //!
-//! 1. **Counts pass** — run a `DITTO_PLAN_SLICE`-cycle profiling slice of
+//! 1. **Counts pass** — run a 20 000-cycle profiling slice of
 //!    a HISTO-style pipeline at the 32-PriPE reference shape, once per
 //!    skew level. The slice reduces to a [`CountsTrace`]: kernel steps by
 //!    class, channel occupancy, per-PE workloads, per execution phase.
@@ -38,8 +38,7 @@ fn profile(label: &str, data: &[Tuple]) -> CountsTrace {
         source,
         &ArchConfig::new(8, REFERENCE_M, 0),
     );
-    let opts = SliceOptions::from_env();
-    let trace = pipeline.profile_counts(opts);
+    let trace = pipeline.profile_counts(SliceOptions::default());
     println!(
         "[counts] {label}: {} cycles traced, {} tuples, {:.2} t/c, {} phases, {} full stalls",
         trace.total_cycles(),

@@ -19,10 +19,28 @@
 //! simulates, must leave every one unmodified; a mismatch names the
 //! scenario, the first differing hash and the line to paste if the change
 //! is a deliberate re-pin.
+//!
+//! Every scenario above runs `ModHistogram`. The last five run one
+//! `ditto-apps` app each (HISTO, DP, PR, HLL, HHD) and hash the `Debug`
+//! bytes of its output; they were computed on 1d9b2cc.
+
+use std::fmt::Debug;
+use std::sync::Arc;
 
 use ditto::core::apps::ModHistogram;
 use ditto::hls_sim::{MemoryModel, PacedSource, SliceSource, StreamSource};
 use ditto::prelude::*;
+
+/// The application a scenario runs.
+#[derive(Debug, Clone, Copy)]
+enum App {
+    ModHistogram,
+    Histo,
+    Dp,
+    Pr,
+    Hll,
+    Hhd,
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Source {
@@ -32,11 +50,14 @@ enum Source {
     Evolving,
     /// Bursts of Zipf(1.5) tuples with idle gaps in between.
     Paced,
+    /// The `⟨dst, src⟩` edges of a 256-vertex RMAT graph.
+    Graph,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Scenario {
     name: &'static str,
+    app: App,
     shape: (u32, u32, u32),
     source: Source,
     seed: u64,
@@ -54,6 +75,7 @@ const SHAPES: [(u32, u32, u32); 5] = [(2, 4, 3), (4, 8, 3), (8, 16, 0), (8, 16, 
 fn scenarios() -> Vec<Scenario> {
     let base = |name, shape, source, seed| Scenario {
         name,
+        app: App::ModHistogram,
         shape,
         source,
         seed,
@@ -142,6 +164,40 @@ fn scenarios() -> Vec<Scenario> {
         ..base("1-4-3 zipf3 pe2", (1, 4, 3), Source::Zipf(3.0), 13)
     });
     out.push(base("1-4-3 evolving", (1, 4, 3), Source::Evolving, 14));
+    // One scenario per `ditto-apps` app.
+    out.push(Scenario {
+        app: App::Histo,
+        ..base("histo 4-8-3 zipf2", (4, 8, 3), Source::Zipf(2.0), 15)
+    });
+    out.push(Scenario {
+        app: App::Dp,
+        pe_queue_depth: 2,
+        ..base("dp 8-16-15 zipf1 pe2", (8, 16, 15), Source::Zipf(1.0), 16)
+    });
+    out.push(Scenario {
+        app: App::Pr,
+        ..base("pr 4-8-7 rmat", (4, 8, 7), Source::Graph, 17)
+    });
+    out.push(Scenario {
+        app: App::Hll,
+        requeue: Requeue::PreArmed,
+        ..base(
+            "hll 2-4-3 evolving pre-armed",
+            (2, 4, 3),
+            Source::Evolving,
+            18,
+        )
+    });
+    out.push(Scenario {
+        app: App::Hhd,
+        lane_queue_depth: 1,
+        ..base(
+            "hhd 8-16-15 zipf3 lane1",
+            (8, 16, 15),
+            Source::Zipf(3.0),
+            19,
+        )
+    });
     out
 }
 
@@ -180,10 +236,60 @@ fn mix_snapshot(acc: u64, s: &StatSnapshot) -> u64 {
 
 const FIELDS: [&str; 4] = ["channels", "slices", "report", "output"];
 
-fn run(s: &Scenario) -> [u64; 4] {
+/// Hashes an output by its `Debug` bytes.
+fn debug_hash<T: Debug>(output: &T) -> u64 {
+    mix_all(0, format!("{output:?}").bytes().map(u64::from))
+}
+
+/// The four hashes of scenario `s`, on the app it names.
+fn hashes(s: &Scenario) -> [u64; 4] {
+    let m = s.shape.1;
+    let m64 = u64::from(m);
+    match s.app {
+        App::ModHistogram => run(
+            s,
+            ModHistogram::new(4 * m64),
+            |_| 4,
+            |out| mix_all(out.len() as u64, out.iter().copied()),
+        ),
+        App::Histo => run(
+            s,
+            HistoApp::new(64 * m64, m),
+            HistoApp::pe_entries,
+            debug_hash,
+        ),
+        App::Dp => run(
+            s,
+            DataPartitionApp::new(4 * m64, m),
+            DataPartitionApp::pe_entries,
+            debug_hash,
+        ),
+        App::Pr => {
+            let graph = rmat_graph(s.seed);
+            let contribs = (0..graph.vertex_count())
+                .map(|v| Fixed::from_f64(1.0 / graph.out_degree(v).max(1) as f64))
+                .collect();
+            let app = PageRankApp::new(Arc::new(contribs), m);
+            run(s, app, PageRankApp::pe_entries, debug_hash)
+        }
+        App::Hll => run(s, HllApp::new(8, m), HllApp::pe_entries, debug_hash),
+        App::Hhd => run(s, HhdApp::new(4, 64, 40, m), HhdApp::pe_entries, debug_hash),
+    }
+}
+
+fn rmat_graph(seed: u64) -> Csr {
+    ditto::graph::generate::rmat(8, 8.0, 0.57, 0.19, 0.19, seed)
+}
+
+fn run<A: DittoApp + 'static>(
+    s: &Scenario,
+    app: A,
+    pe_entries: fn(&A) -> usize,
+    hash_output: fn(&A::Output) -> u64,
+) -> [u64; 4] {
     let (n, m, x) = s.shape;
     let mut cfg = ArchConfig::new(n, m, x)
-        .with_pe_entries(4)
+        .with_pe_entries(pe_entries(&app))
         .with_pe_queue_depth(s.pe_queue_depth)
         .with_steady_state_fast_forward(s.fast_forward)
         .with_requeue(s.requeue);
@@ -215,8 +321,12 @@ fn run(s: &Scenario) -> [u64; 4] {
             let data = ZipfGenerator::new(1.5, UNIVERSE, s.seed).take_vec(tuples);
             (Box::new(PacedSource::new(data, 24, 300, 16)), 211, false)
         }
+        Source::Graph => {
+            let edges = PageRankApp::edge_tuples(&rmat_graph(s.seed));
+            (Box::new(SliceSource::new(edges, 8, mem)), 89, false)
+        }
     };
-    let mut p = PersistentPipeline::new(ModHistogram::new(4 * u64::from(m)), source, &cfg);
+    let mut p = PersistentPipeline::new(app, source, &cfg);
     let mut slices = 0;
     for _ in 0..if online { 6 } else { 4 } {
         p.step_cycles(slice);
@@ -259,8 +369,7 @@ fn run(s: &Scenario) -> [u64; 4] {
         ],
     );
     let report = mix_all(report, r.per_pe_processed.iter().copied());
-    let output = mix_all(out.output.len() as u64, out.output.iter().copied());
-    [channels, slices, report, output]
+    [channels, slices, report, hash_output(&out.output)]
 }
 
 const PINS: &[(&str, [u64; 4])] = &[
@@ -562,6 +671,51 @@ const PINS: &[(&str, [u64; 4])] = &[
             0xd06800f6eb9add8c,
         ],
     ),
+    (
+        "histo 4-8-3 zipf2",
+        [
+            0x50bfd3961c93516a,
+            0xeba689a98291bdf8,
+            0x7029b447cccf1617,
+            0xbba19314d2433dc4,
+        ],
+    ),
+    (
+        "dp 8-16-15 zipf1 pe2",
+        [
+            0x8a4bd6c12e9c65c8,
+            0xa556922562a39307,
+            0x6d79435fe31ac07b,
+            0x3c1250c478aa89db,
+        ],
+    ),
+    (
+        "pr 4-8-7 rmat",
+        [
+            0x73d31a7a3ca6a955,
+            0xfc2da4fd8d6f7712,
+            0xbc2f9c6ee49883aa,
+            0x357a8c18ab096e0e,
+        ],
+    ),
+    (
+        "hll 2-4-3 evolving pre-armed",
+        [
+            0x60a455fc26594608,
+            0x26e4859028e84767,
+            0xc01b55fb96146dc0,
+            0xbf2d98b46f0f9c5c,
+        ],
+    ),
+    (
+        "hhd 8-16-15 zipf3 lane1",
+        [
+            0x6447dc5a936a3c54,
+            0xd89c25cd75f60f59,
+            0xe2858d58ae68c3e2,
+            0x321280b4d4b36ae2,
+        ],
+    ),
 ];
 
 #[test]
@@ -575,7 +729,7 @@ fn engine_is_pinned_by_value() {
             .get(k)
             .filter(|pin| pin.0 == s.name)
             .map_or([0; 4], |pin| pin.1);
-        let got = run(s);
+        let got = hashes(s);
         if let Some(i) = (0..4).find(|&i| got[i] != want[i]) {
             failures.push(format!(
                 "{s:?}\n  first differing field: {} ({:#x} != pinned {:#x})\n  re-pin line: (\"{}\", [{:#x}, {:#x}, {:#x}, {:#x}]),",

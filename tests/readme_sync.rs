@@ -91,6 +91,25 @@ fn readme_names_nothing_that_was_retired() {
         "`ReceiverId`",
         "`channel_with_latency`",
         "`run_source`",
+        // Serve and wire keep only what a caller sets: no in-library load
+        // generator, no env override that shadows a config field, no
+        // per-shard architectures and no caller-less option or helper.
+        "run_load",
+        "LoadGenConfig",
+        "LoadReport",
+        "ConnReport",
+        "connection_share",
+        "LatencyRecorder",
+        "DITTO_MAX_CONNS",
+        "DITTO_WIRE_IO_THREADS",
+        "DITTO_PLAN_SLICE",
+        "SliceOptions::from_env",
+        "shard_archs",   // also `with_shard_archs`
+        "drain_timeout", // also `with_drain_timeout`
+        "with_slots",
+        "with_fault_from_env",
+        "poll_failures",
+        "is_closed",
     ];
     for name in retired {
         assert!(!README.contains(name), "README still mentions `{name}`");
