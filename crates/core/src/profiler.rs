@@ -76,9 +76,11 @@ pub struct ProfilerParams {
 }
 
 /// After this many *consecutive* reschedules that re-trigger faster than
-/// twice the requeue overhead, the profiler stops rescheduling for good
-/// (the adaptive form of setting the threshold to zero that Fig. 9's right
-/// side exercises).
+/// twice the requeue overhead they expose, the profiler stops rescheduling
+/// for good (the adaptive form of setting the threshold to zero that Fig.
+/// 9's right side exercises). The serial protocol exposes the whole
+/// overhead; the pre-armed one only the part its running generation has
+/// not outlived.
 const FAST_RETRIGGERS_BEFORE_DISABLE: u32 = 3;
 
 /// Internal protocol state.
@@ -174,7 +176,7 @@ pub struct ProfilerKernel {
     probe: Option<Probe>,
     plans_generated: CounterId,
     /// Consecutive reschedules that re-triggered faster than the requeue
-    /// overhead can amortise.
+    /// overhead they expose can amortise.
     fast_retriggers: u32,
     /// Cycle the current generation's profiler and SecPEs started: pipeline
     /// construction, then every requeue. Under [`Requeue::PreArmed`] the
@@ -305,6 +307,18 @@ impl ProfilerKernel {
         global
     }
 
+    /// The requeue overhead a reschedule triggered at `cy` leaves exposed:
+    /// all of it under [`Requeue::Serial`], and under [`Requeue::PreArmed`]
+    /// only what the next generation, enqueued since `armed_at`, has not
+    /// yet hidden.
+    fn exposed_requeue(&self, cy: Cycle) -> u64 {
+        let overhead = self.params.requeue_overhead_cycles;
+        match self.params.requeue {
+            Requeue::Serial => overhead,
+            Requeue::PreArmed => (self.armed_at + overhead).saturating_sub(cy),
+        }
+    }
+
     fn reset_hists(&mut self) {
         for hist in &mut self.hists {
             hist.fill(0);
@@ -412,7 +426,7 @@ impl Kernel for ProfilerKernel {
                     let triggered = *peak > 0.0 && rate < self.params.reschedule_threshold * *peak;
                     if triggered {
                         let steady = cy - *since;
-                        if steady < 2 * self.params.requeue_overhead_cycles {
+                        if steady < 2 * self.exposed_requeue(cy) {
                             self.fast_retriggers += 1;
                             if self.fast_retriggers >= FAST_RETRIGGERS_BEFORE_DISABLE {
                                 // The workload distribution changes faster
