@@ -22,7 +22,9 @@
 //!
 //! Every scenario above runs `ModHistogram`. The last five run one
 //! `ditto-apps` app each (HISTO, DP, PR, HLL, HHD) and hash the `Debug`
-//! bytes of its output; they were computed on 1d9b2cc.
+//! bytes of its output; they were computed on 1d9b2cc. The last two run the
+//! same paced bursts with rescheduling on, under each protocol, and pin the
+//! pre-armed probe's starvation gate; they were computed on 831d61f.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -50,6 +52,10 @@ enum Source {
     Evolving,
     /// Bursts of Zipf(1.5) tuples with idle gaps in between.
     Paced,
+    /// The same bursts with online rescheduling on: the pipeline starves
+    /// between bursts, which only the pre-armed probe's lane-wait gate
+    /// tells apart from a skew change.
+    PacedRescheduling,
     /// The `⟨dst, src⟩` edges of a 256-vertex RMAT graph.
     Graph,
 }
@@ -65,7 +71,8 @@ struct Scenario {
     word_queue_depth: usize,
     lane_queue_depth: usize,
     fast_forward: bool,
-    /// Only the evolving source reschedules, so only there does it matter.
+    /// Only the evolving and paced-rescheduling sources reschedule, so only
+    /// there does it matter.
     requeue: Requeue,
 }
 
@@ -198,6 +205,19 @@ fn scenarios() -> Vec<Scenario> {
             19,
         )
     });
+    // The starvation gate: the same paced bursts under both protocols.
+    let paced = base(
+        "4-8-3 paced rescheduling",
+        (4, 8, 3),
+        Source::PacedRescheduling,
+        20,
+    );
+    out.push(paced);
+    out.push(Scenario {
+        name: "4-8-3 paced rescheduling pre-armed",
+        requeue: Requeue::PreArmed,
+        ..paced
+    });
     out
 }
 
@@ -318,6 +338,14 @@ fn run<A: DittoApp + 'static>(
             (Box::new(stream), 1_000, true)
         }
         Source::Paced => {
+            let data = ZipfGenerator::new(1.5, UNIVERSE, s.seed).take_vec(tuples);
+            (Box::new(PacedSource::new(data, 24, 300, 16)), 211, false)
+        }
+        Source::PacedRescheduling => {
+            cfg = cfg
+                .with_reschedule(0.5, 150)
+                .with_profile_cycles(32)
+                .with_monitor_window(128);
             let data = ZipfGenerator::new(1.5, UNIVERSE, s.seed).take_vec(tuples);
             (Box::new(PacedSource::new(data, 24, 300, 16)), 211, false)
         }
@@ -714,6 +742,26 @@ const PINS: &[(&str, [u64; 4])] = &[
             0xd89c25cd75f60f59,
             0xe2858d58ae68c3e2,
             0x321280b4d4b36ae2,
+        ],
+    ),
+    // Computed on 831d61f. Serial reschedules 50 times on starvation alone;
+    // the pre-armed probe's lane-wait gate never fires.
+    (
+        "4-8-3 paced rescheduling",
+        [
+            0x62e408bcab63ca9e,
+            0xa0f3d5de7735a41c,
+            0x6474c4c212f6c21a,
+            0x25ca6166b60dc059,
+        ],
+    ),
+    (
+        "4-8-3 paced rescheduling pre-armed",
+        [
+            0x4bdb1c718e9e2c37,
+            0xdb1aaad8c25123e7,
+            0x8fe77f9261c48cbc,
+            0x25ca6166b60dc059,
         ],
     ),
 ];
