@@ -218,11 +218,23 @@ impl<V: Clone + Default + Send + 'static> Kernel for CombinerKernel<V> {
     }
 }
 
-/// One datapath's decoded records, not yet forwarded to its PE. Reused
-/// across words — no per-word allocation.
+/// Decoded words each datapath holds: the one its filter is forwarding and
+/// one queued behind it. The decoder → filter stream of an HLS dataflow
+/// region is double-buffered, so the decoder takes the next word while the
+/// filter still forwards the last one.
+const FILTER_WORDS: usize = 2;
+
+/// One datapath's decoded words, not yet forwarded to its PE: a ring of
+/// [`FILTER_WORDS`] record buffers, reused across words — no per-word
+/// allocation.
 struct Datapath<V> {
-    records: [V; MAX_WORD_SLOTS],
-    len: u8,
+    records: [[V; MAX_WORD_SLOTS]; FILTER_WORDS],
+    lens: [u8; FILTER_WORDS],
+    /// The word being forwarded.
+    head: usize,
+    /// Words held, `0..=FILTER_WORDS`.
+    words: usize,
+    /// The head word's next record.
     next: u8,
 }
 
@@ -233,10 +245,13 @@ struct Datapath<V> {
 /// looks the resulting mask up in the preset [`MaskTable`]; its filter then
 /// forwards the selected records to the PE's input queue, one per cycle —
 /// this serialisation is why a PE that attracts many records per word
-/// becomes the bottleneck under skew.
+/// becomes the bottleneck under skew. Each datapath holds up to
+/// [`FILTER_WORDS`] decoded words, so a word with many of its records
+/// stalls its tap, and the shared word ring behind it, only once the next
+/// word is decoded as well.
 ///
-/// Per cycle, every datapath whose records are all forwarded takes the
-/// next visible word from its tap — all of them in one
+/// Per cycle, every datapath with room for a word takes the next visible
+/// word from its tap — all of them in one
 /// [`bcast_recv_taps`](SimContext::bcast_recv_taps) call — and then every
 /// datapath holding records forwards one, in PE order. Datapaths share only
 /// the broadcast word (see the [crate-level equivalence rules](crate)). A
@@ -257,6 +272,9 @@ pub struct FilterBank<V> {
     paths: Vec<Datapath<V>>,
     /// Bit `j` set ⇔ datapath `j` holds records not yet forwarded.
     pending: u64,
+    /// Bit `j` set ⇔ datapath `j` holds [`FILTER_WORDS`] words: no room for
+    /// the next.
+    full: u64,
 }
 
 impl<V: Default> FilterBank<V> {
@@ -299,8 +317,10 @@ impl<V: Default> FilterBank<V> {
             group: taps.first().expect("at least one datapath").group(),
             paths: (0..taps.len())
                 .map(|_| Datapath {
-                    records: std::array::from_fn(|_| V::default()),
-                    len: 0,
+                    records: std::array::from_fn(|_| std::array::from_fn(|_| V::default())),
+                    lens: [0; FILTER_WORDS],
+                    head: 0,
+                    words: 0,
                     next: 0,
                 })
                 .collect(),
@@ -308,33 +328,40 @@ impl<V: Default> FilterBank<V> {
             pri_out,
             sec_out,
             pending: 0,
+            full: 0,
         }
     }
 }
 
 impl<V: Default + Send + 'static> FilterBank<V> {
-    /// Forwards one record from every pending datapath feeding `out`
-    /// (datapaths `first..first + out.members()`). A failed send keeps the
-    /// record and counts a full stall, every cycle it is retried.
+    /// Forwards one record of its head word from every pending datapath
+    /// feeding `out` (datapaths `first..first + out.members()`). A failed
+    /// send keeps the record and counts a full stall, every cycle it is
+    /// retried.
     fn forward(&mut self, cy: Cycle, ctx: &mut SimContext, out: ChannelBankId<V>, first: usize) {
         let todo = self.pending & (mask_of(out.members()) << first);
         if todo == 0 {
             return;
         }
-        let (paths, pending) = (&mut self.paths, &mut self.pending);
+        let (paths, pending, full) = (&mut self.paths, &mut self.pending, &mut self.full);
         ctx.bank_with(out, |out| {
             for j in bits(todo) {
                 let path = &mut paths[j];
-                let slot = usize::from(path.next);
-                let record = std::mem::take(&mut path.records[slot]);
-                match out.try_send(cy, j - first, record) {
+                let slot = &mut path.records[path.head][usize::from(path.next)];
+                match out.try_send(cy, j - first, std::mem::take(slot)) {
                     Ok(()) => {
                         path.next += 1;
-                        if path.next == path.len {
-                            *pending &= !(1 << j);
+                        if path.next == path.lens[path.head] {
+                            path.next = 0;
+                            path.head = (path.head + 1) % FILTER_WORDS;
+                            path.words -= 1;
+                            *full &= !(1 << j);
+                            if path.words == 0 {
+                                *pending &= !(1 << j);
+                            }
                         }
                     }
-                    Err(SendError(record)) => path.records[slot] = record,
+                    Err(SendError(record)) => *slot = record,
                 }
             }
         });
@@ -348,14 +375,15 @@ impl<V: Clone + Default + Send + 'static> Kernel for FilterBank<V> {
 
     fn step(&mut self, cy: Cycle, ctx: &mut SimContext) -> Progress {
         // Decode overlaps with the first forward (the hardware
-        // decoder+filter is pipelined), so a word with k matches occupies
-        // its datapath for max(k, 1) cycles.
-        let want = mask_of(self.taps.len()) & !self.pending;
-        let (table, paths, pending) = (&self.table, &mut self.paths, &mut self.pending);
+        // decoder+filter is pipelined), so a word with k matches decoded
+        // into an empty datapath starts forwarding in the same cycle.
+        let want = mask_of(self.taps.len()) & !self.full;
+        let (table, paths) = (&self.table, &mut self.paths);
+        let (pending, full) = (&mut self.pending, &mut self.full);
         let (_, buffered) = ctx.bcast_recv_taps(cy, self.group, want, |j, word| {
             // Look the word's destination mask up in the preset table,
             // exactly like the hardware decoder (§IV-C1), and copy the
-            // matching values into the datapath's reusable buffer. A zero
+            // matching values into the datapath's free word buffer. A zero
             // mask comes only from a producer that tags every tap.
             debug_assert!(word.len() as u32 <= table.lanes());
             let mask = word.mask_for(j as PeId);
@@ -364,16 +392,19 @@ impl<V: Clone + Default + Send + 'static> Kernel for FilterBank<V> {
             }
             let (count, positions) = table.decode(u32::from(mask));
             let path = &mut paths[j];
-            for (record, &pos) in path
-                .records
+            let tail = (path.head + path.words) % FILTER_WORDS;
+            for (record, &pos) in path.records[tail]
                 .iter_mut()
                 .zip(&positions[..usize::from(count)])
             {
                 *record = word.value(usize::from(pos)).clone();
             }
-            path.len = count;
-            path.next = 0;
+            path.lens[tail] = count;
+            path.words += 1;
             *pending |= 1 << j;
+            if path.words == FILTER_WORDS {
+                *full |= 1 << j;
+            }
         });
         if self.pending == 0 {
             return Progress::busy_if(buffered != 0);

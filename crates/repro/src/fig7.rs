@@ -118,7 +118,7 @@ impl Target for Fig7 {
         c.at_least(text, "~16", collapse, 10.0);
         c.at_most("Zipf factors at which 32P beats 16P", "none", p32_wins, 0.0);
         let text = "skew-oblivious 16P+15S: min/max throughput over the sweep";
-        c.at_least(text, "flat", lo / hi, 0.8);
+        c.at_least(text, "flat", lo / hi, 0.95);
         let text = "Ditto's pick over 16P (x) at its worst α";
         c.at_least(text, "≥ 1", worst_pick, 1.0);
         let text = "Ditto picks more SecPEs as α grows";
@@ -129,7 +129,7 @@ impl Target for Fig7 {
             ours,
             picked_x.windows(2).all(|w| w[0] <= w[1]),
         );
-        c.at_least("Ditto's pick over 16P (x) at α = 3", "~12", speedup, 8.0);
+        c.at_least("Ditto's pick over 16P (x) at α = 3", "~12", speedup, 9.5);
         c.list
     }
 }
@@ -160,7 +160,7 @@ mod tests {
             rows: vec![
                 row(0.0, 1_800.0, P16),
                 row(1.5, 300.0, 4),
-                row(3.0, 150.0, P16_S15),
+                row(3.0, 140.0, P16_S15),
             ],
         }
     }
@@ -170,18 +170,21 @@ mod tests {
         crate::tests::assert_each_claim_can_fail(
             paper_like,
             &[
-                (|f| f.rows[0].mtps[P16] = 1_400.0, "16P throughput collapse"),
+                (|f| f.rows[0].mtps[P16] = 1_300.0, "16P throughput collapse"),
                 (|f| f.rows[2].mtps[P32] = 151.0, "32P beats 16P"),
                 (
-                    |f| f.rows[1].mtps[P16_S15] = 900.0,
+                    |f| f.rows[1].mtps[P16_S15] = 1_300.0,
                     "skew-oblivious 16P+15S",
                 ),
                 (|f| f.rows[1].mtps[4] = 290.0, "at its worst α"),
                 (
-                    |f| (f.rows[1].pick, f.rows[2].pick) = (P16_S15, 5),
+                    |f| {
+                        (f.rows[1].pick, f.rows[2].pick) = (P16_S15, 5);
+                        f.rows[2].mtps[5] = 1_400.0;
+                    },
                     "more SecPEs as α grows",
                 ),
-                (|f| f.rows[2].mtps[P16_S15] = 1_150.0, "at α = 3 ≥ 8"),
+                (|f| f.rows[2].mtps[P16] = 150.0, "at α = 3 ≥ 9.5"),
             ],
         );
     }
