@@ -28,7 +28,7 @@
 //! The output is a ready-to-deploy `ArchConfig` plus a machine-readable
 //! [`DeploymentPlan`] report; [`validate`] closes the loop by simulating
 //! the chosen point and checking the prediction (the planner goldens pin
-//! it within ±25 %).
+//! it within ±7.5 %).
 //!
 //! ```
 //! use ditto_obs::{CountsTrace, PhaseCounts};

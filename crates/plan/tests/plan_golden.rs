@@ -2,7 +2,7 @@
 //! applications × two skews.
 //!
 //! Pins the acceptance bar of the two-pass planner: the predicted
-//! throughput of the chosen configuration is within ±25 % of the
+//! throughput of the chosen configuration is within ±7.5 % of the
 //! cycle-level simulation, and on uniform data the choice beats the
 //! paper-default `16P+15S` deployment on throughput per ALM — predicted
 //! and simulated.
@@ -124,7 +124,10 @@ fn planner_golden_two_apps_two_skews() {
         "histo/zipf2.0",
     );
 
-    // ±25 % prediction tolerance on every point.
+    // ±7.5 % prediction tolerance on every point. The worst point is
+    // +7.2 %: the Zipf(2) runs' profiling window and drain tail, which the
+    // end-to-end simulated rate carries and the steady-state estimate does
+    // not.
     for (label, v) in [
         ("count/uniform", &cu_v),
         ("count/zipf2.0", &cz_v),
@@ -132,7 +135,7 @@ fn planner_golden_two_apps_two_skews() {
         ("histo/zipf2.0", &hz_v),
     ] {
         assert!(
-            v.within(0.25),
+            v.within(0.075),
             "{label}: prediction off by {:+.1}% (predicted {:.2}, simulated {:.2})",
             v.rel_error * 100.0,
             v.predicted_rate,

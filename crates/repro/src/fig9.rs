@@ -286,7 +286,10 @@ mod tests {
                 // too little where it should, or claims to hide its dip.
                 (|f| f.rows[0].pre_armed.gbps = 90.0, "worst interval above"),
                 (|f| f.rows[2].pre_armed.gbps = 80.0, "at interval = 4 ×"),
-                (|f| f.rows[3].pre_armed.gbps = 30.0, "at interval = overhead"),
+                (
+                    |f| f.rows[3].pre_armed.gbps = 30.0,
+                    "at interval = overhead",
+                ),
                 (|f| f.rows[4].pre_armed.gbps = 30.0, "pre-armed share"),
                 (
                     |f| f.rows[6].pre_armed.gbps = 50.0,
