@@ -106,11 +106,11 @@ where
     /// `DITTO_KILL_SHARD` hook kills leaders, never the replicas that
     /// recovery depends on.
     pub fn new(app: A, config: &ServeConfig, replicas: usize) -> Self {
-        let mut follower_config = ServeConfig::new(1, config.arch.clone())
-            .with_cycles_per_poll(config.cycles_per_poll)
-            .with_ingress_rate(config.ingress_rate)
-            .with_journal_capacity(0);
-        follower_config.fault = None;
+        let follower_config = ServeConfig {
+            cycles_per_poll: config.cycles_per_poll,
+            ingress_rate: config.ingress_rate,
+            ..ServeConfig::new(1, config.arch.clone()).with_journal_capacity(0)
+        };
         let inner = Cluster::new(app.clone(), config);
         let followers = (0..config.shards)
             .map(|_| {

@@ -133,18 +133,6 @@ impl ServeConfig {
         ServeConfig::new(shards, arch).with_balancer(BalancerConfig::default())
     }
 
-    /// Sets the per-poll cycle chunk.
-    pub fn with_cycles_per_poll(mut self, cycles: u64) -> Self {
-        self.cycles_per_poll = cycles;
-        self
-    }
-
-    /// Sets the per-shard ingress rate in tuples per cycle.
-    pub fn with_ingress_rate(mut self, rate: f64) -> Self {
-        self.ingress_rate = rate;
-        self
-    }
-
     /// Enables the skew-aware balancer.
     pub fn with_balancer(mut self, config: BalancerConfig) -> Self {
         self.balancer = Some(config);

@@ -460,7 +460,6 @@ where
 ///     CountPerKey::new(4),
 ///     ServeConfig::new(1, ArchConfig::new(2, 4, 1)),
 /// );
-/// assert_eq!(registry.app_ids(), vec![app_id::COUNT]);
 /// ```
 #[derive(Default)]
 pub struct AppRegistry {
@@ -571,13 +570,6 @@ impl AppRegistry {
         );
         self.tokens.insert(id, token);
         self
-    }
-
-    /// The registered ids, ascending.
-    pub fn app_ids(&self) -> Vec<u16> {
-        let mut ids: Vec<u16> = self.apps.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 }
 

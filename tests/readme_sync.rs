@@ -110,6 +110,12 @@ fn readme_names_nothing_that_was_retired() {
         "with_fault_from_env",
         "poll_failures",
         "is_closed",
+        // Caller-less: the HA follower config copies the leader's fields,
+        // and nothing read the registry's ids or the predictor's saving.
+        "with_cycles_per_poll",
+        "with_ingress_rate",
+        "app_ids",
+        "bram_saving_vs_max",
     ];
     for name in retired {
         assert!(!README.contains(name), "README still mentions `{name}`");
