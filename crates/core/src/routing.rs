@@ -245,10 +245,10 @@ struct Datapath<V> {
 /// looks the resulting mask up in the preset [`MaskTable`]; its filter then
 /// forwards the selected records to the PE's input queue, one per cycle —
 /// this serialisation is why a PE that attracts many records per word
-/// becomes the bottleneck under skew. Each datapath holds up to
-/// [`FILTER_WORDS`] decoded words, so a word with many of its records
-/// stalls its tap, and the shared word ring behind it, only once the next
-/// word is decoded as well.
+/// becomes the bottleneck under skew. Each datapath holds up to two
+/// decoded words (the double-buffered decoder → filter stream), so a word
+/// with many of its records stalls its tap, and the shared word ring
+/// behind it, only once the next word is decoded as well.
 ///
 /// Per cycle, every datapath with room for a word takes the next visible
 /// word from its tap — all of them in one
