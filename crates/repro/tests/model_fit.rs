@@ -46,11 +46,6 @@ const MISSES: [(&str, f64, f64); 5] = [
     ("32P", 2.0, -2.3),
 ];
 
-fn fig7_data(alpha: f64, tuples: usize) -> Vec<Tuple> {
-    let seed = 90 + (alpha * 4.0) as u64;
-    ZipfGenerator::new(alpha, UNIVERSE, seed).take_vec(tuples)
-}
-
 /// The data's per-PriPE tuple counts at `m` PriPEs.
 fn pri_counts(data: &[Tuple], m: u32) -> Vec<f64> {
     let app = HllApp::new(PRECISION, m);
@@ -81,7 +76,11 @@ fn steady_rate(data: &[Tuple], shape: PipelineShape) -> f64 {
 #[test]
 fn predict_rate_fits_fig7_grid_outside_the_named_misses() {
     let alphas: Vec<f64> = (0..=12).map(|i| f64::from(i) * 0.25).collect();
-    let data: Vec<Vec<Tuple>> = par_map(&alphas, |&a| fig7_data(a, FIT_TUPLES));
+    // Fig. 7's seed for each α.
+    let data: Vec<Vec<Tuple>> = par_map(&alphas, |&alpha| {
+        let seed = 90 + (alpha * 4.0) as u64;
+        ZipfGenerator::new(alpha, UNIVERSE, seed).take_vec(FIT_TUPLES)
+    });
     let cells: Vec<(usize, PipelineShape)> = (0..alphas.len())
         .flat_map(|a| TABLE3.iter().map(move |row| (a, row.shape)))
         .collect();

@@ -323,6 +323,12 @@ fn run<A: DittoApp + 'static>(
     cfg.lane_queue_depth = s.lane_queue_depth;
     let tuples = 600 * n as usize;
     let mem = MemoryModel::new(8 * n, 16);
+    if matches!(s.source, Source::Evolving | Source::PacedRescheduling) {
+        cfg = cfg
+            .with_reschedule(0.5, 150)
+            .with_profile_cycles(32)
+            .with_monitor_window(128);
+    }
     let (source, slice, online): (Box<dyn StreamSource<Tuple>>, u64, bool) = match s.source {
         Source::Uniform => {
             let data = UniformGenerator::new(UNIVERSE, s.seed).take_vec(tuples);
@@ -333,25 +339,13 @@ fn run<A: DittoApp + 'static>(
             (Box::new(SliceSource::new(data, 8, mem)), 97, false)
         }
         Source::Evolving => {
-            cfg = cfg
-                .with_reschedule(0.5, 150)
-                .with_profile_cycles(32)
-                .with_monitor_window(128);
             // At least one tuple per cycle, so that a one-lane pipeline
             // still overloads a hot PE and reschedules.
             let rate = (f64::from(n) / 2.0).max(1.0);
             let stream = EvolvingZipfStream::new(3.0, UNIVERSE, s.seed, 900, rate, None);
             (Box::new(stream), 1_000, true)
         }
-        Source::Paced => {
-            let data = ZipfGenerator::new(1.5, UNIVERSE, s.seed).take_vec(tuples);
-            (Box::new(PacedSource::new(data, 24, 300, 16)), 211, false)
-        }
-        Source::PacedRescheduling => {
-            cfg = cfg
-                .with_reschedule(0.5, 150)
-                .with_profile_cycles(32)
-                .with_monitor_window(128);
+        Source::Paced | Source::PacedRescheduling => {
             let data = ZipfGenerator::new(1.5, UNIVERSE, s.seed).take_vec(tuples);
             (Box::new(PacedSource::new(data, 24, 300, 16)), 211, false)
         }
