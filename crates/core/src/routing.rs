@@ -606,15 +606,21 @@ mod tests {
         assert!(engine.kernel_awake(bank), "a pending record keeps it hot");
     }
 
-    /// A two-datapath bank driven by hand, to read its per-step answers.
+    /// A two-datapath bank of 4-slot words driven by hand, to read its
+    /// per-step answers.
     fn hand_driven_bank() -> (Engine, FilterBank<u32>, BcastSenderId<WideWord<u32>>) {
         let mut engine = Engine::new();
         let (word_tx, taps) = engine.broadcast_channel::<WideWord<u32>>("w", 2, 8);
         let pri_out = engine.channel_bank("pein", 0, 2, 8);
         let sec_out = engine.channel_bank("pein", 2, 0, 8);
-        let table = Arc::new(MaskTable::new(2));
-        let bank = FilterBank::new(2, table, taps, pri_out, sec_out);
+        let table = Arc::new(MaskTable::new(4));
+        let bank = FilterBank::new(4, table, taps, pri_out, sec_out);
         (engine, bank, word_tx)
+    }
+
+    fn pops(engine: &Engine, name: &str) -> u64 {
+        let stats = engine.channel_stats();
+        stats.iter().find(|s| s.name == name).expect(name).pops
     }
 
     /// The trap the first banked prototype fell into: the bank may sleep
@@ -623,26 +629,63 @@ mod tests {
     /// next word while every other tap is empty — a per-datapath kernel
     /// returns `Busy` after any forward, so the bank must too, or the
     /// buffered word is never decoded (no further push will wake it).
+    ///
+    /// With two decoded words per datapath, that step needs datapath 1 to
+    /// fall a word behind datapath 0 (it holds two words and refuses a
+    /// third), and then to pop a zero-mask word in the step that forwards
+    /// its last record.
     #[test]
     fn filter_bank_stays_busy_after_a_last_forward_with_a_word_still_buffered() {
         let (mut engine, mut bank, word_tx) = hand_driven_bank();
         let ctx = engine.context_mut();
-        ctx.bcast_try_send(0, word_tx, word(&[1, 1])).unwrap();
-        ctx.bcast_try_send(0, word_tx, word(&[1])).unwrap();
-        // Cycle 1: both taps take word A; datapath 1 decodes two records
-        // and forwards the first. Datapath 0 is done with A.
+        for dsts in [&[1, 1, 1][..], &[1], &[0], &[1]] {
+            ctx.bcast_try_send(0, word_tx, word(dsts)).unwrap();
+        }
+        // Cycle 1: both taps take word A; datapath 1 decodes three records
+        // and forwards the first. Cycle 2: datapath 1 queues B behind A.
         assert_eq!(bank.step(1, ctx), Progress::Busy);
-        // Cycle 2: datapath 0 pops word B (nothing for it) and its tap is
-        // now empty; datapath 1 forwards its *last* record of A while its
-        // tap still buffers B. After the step no record is pending
-        // anywhere — only that tap says the bank is not done.
         assert_eq!(bank.step(2, ctx), Progress::Busy);
-        assert!(!bank.is_idle(ctx), "word B still buffered for datapath 1");
-        // Cycle 3: datapath 1 decodes B and forwards it; cycle 4: all done.
+        // Cycle 3: datapath 1 holds two words and refuses Z; datapath 0
+        // decodes Z and forwards its one record.
         assert_eq!(bank.step(3, ctx), Progress::Busy);
-        assert_eq!(bank.step(4, ctx), Progress::Sleep);
+        // Cycle 4: datapath 0 pops C (nothing for it) and its tap is now
+        // empty; datapath 1 pops Z (nothing for it) and forwards its *last*
+        // record, B's, while its tap still buffers C. After the step no
+        // record is pending anywhere — only that tap says the bank is not
+        // done.
+        assert_eq!(bank.step(4, ctx), Progress::Busy);
+        assert!(!bank.is_idle(ctx), "word C still buffered for datapath 1");
+        assert_eq!((pops(&engine, "w0"), pops(&engine, "w1")), (4, 3));
+        let ctx = engine.context_mut();
+        // Cycle 5: datapath 1 decodes C and forwards it; cycle 6: all done.
+        assert_eq!(bank.step(5, ctx), Progress::Busy);
+        assert_eq!(bank.step(6, ctx), Progress::Sleep);
         assert!(bank.is_idle(ctx));
-        assert_eq!(pushes(&engine, "pein1"), 3);
+        assert_eq!(pushes(&engine, "pein0"), 1);
+        assert_eq!(pushes(&engine, "pein1"), 5);
+    }
+
+    /// A datapath decodes the next word while its filter forwards the last
+    /// one, and refuses a third until the first is forwarded.
+    #[test]
+    fn filter_datapath_queues_one_word_behind_the_one_it_forwards() {
+        let (mut engine, mut bank, word_tx) = hand_driven_bank();
+        for dsts in [&[1, 1, 1][..], &[1], &[1]] {
+            engine
+                .context_mut()
+                .bcast_try_send(0, word_tx, word(dsts))
+                .unwrap();
+        }
+        // After each of cycles 1..=5: (words taken by tap 1, records
+        // forwarded to PE 1). A (3 records) is taken at 1, B while A still
+        // forwards at 2, C only at 4, once A is done at 3.
+        let expected = [(1, 1), (2, 2), (2, 3), (3, 4), (3, 5)];
+        for (cy, want) in (1..).zip(expected) {
+            assert_eq!(bank.step(cy, engine.context_mut()), Progress::Busy);
+            let got = (pops(&engine, "w1"), pushes(&engine, "pein1"));
+            assert_eq!(got, want, "after cycle {cy}");
+        }
+        assert_eq!(bank.step(6, engine.context_mut()), Progress::Sleep);
     }
 
     #[test]

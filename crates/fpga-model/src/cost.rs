@@ -99,14 +99,13 @@ mod coef {
     pub const PE_FIXED_LOGIC: u64 = 2_000;
     /// Per-PE logic proportional to the wide word width (N slots).
     pub const PE_WIRE_LOGIC_PER_LANE: u64 = 40;
-    /// Decoded words each decoder + filter datapath buffers: the one its
-    /// filter forwards and one queued behind it (`ditto-core`'s filter
-    /// bank). The calibrated per-PE terms hold the first; every further
-    /// word costs its `N × value_bits` bits of RAM, in whole M20K blocks
-    /// per datapath.
-    pub const FILTER_WORDS: u64 = 2;
-    /// Capacity of one M20K block, bits.
-    pub const M20K_BITS: u64 = 20 * 1024;
+    /// RAM per datapath for the decoded word queued behind the one its
+    /// filter forwards (`ditto-core`'s filter bank holds
+    /// `FILTER_WORDS = 2`; the calibrated per-PE terms hold the first).
+    /// A word is at most 16 slots, and the widest value (DP's 192 bits)
+    /// fills 3 Kbit of a 20 Kbit M20K block, so the queued word costs one
+    /// block whatever the app and N.
+    pub const QUEUED_WORD_RAM: u64 = 1;
 
     /// Extra RAM per SecPE (plan tables, drain/result staging).
     pub const SEC_EXTRA_RAM: u64 = 40;
@@ -230,11 +229,10 @@ impl ResourceModel {
             dsp += coef::PROFILER_DSP;
         }
 
-        let queued_word_ram = (n * profile.value_bits).div_ceil(coef::M20K_BITS);
         let mut ram_base = coef::SHELL_RAM
             + n * (coef::PRE_RAM + coef::MAPPER_RAM)
             + pes * (profile.buffer_m20k + n + coef::PE_FIXED_RAM)
-            + pes * (coef::FILTER_WORDS - 1) * queued_word_ram
+            + pes * coef::QUEUED_WORD_RAM
             + x * coef::SEC_EXTRA_RAM;
         if has_skew_handling {
             ram_base += coef::PROFILER_RAM + coef::MERGER_RAM + coef::RESCHED_RAM;

@@ -26,9 +26,6 @@ pub struct AppCostProfile {
     pub pre_logic: u64,
     /// PrePE DSP blocks.
     pub pre_dsp: u64,
-    /// Width of the value a PrePE routes to a destination PE, in bits: one
-    /// slot of the wide word a decoder + filter datapath buffers.
-    pub value_bits: u64,
 }
 
 impl AppCostProfile {
@@ -42,7 +39,6 @@ impl AppCostProfile {
             pe_dsp: 9,
             pre_logic: 3_000,
             pre_dsp: 20,
-            value_bits: 40,
         }
     }
 
@@ -55,7 +51,6 @@ impl AppCostProfile {
             pe_dsp: 4,
             pre_logic: 1_500,
             pre_dsp: 6,
-            value_bits: 64,
         }
     }
 
@@ -68,7 +63,6 @@ impl AppCostProfile {
             pe_dsp: 2,
             pre_logic: 1_200,
             pre_dsp: 4,
-            value_bits: 72,
         }
     }
 
@@ -81,7 +75,6 @@ impl AppCostProfile {
             pe_dsp: 12,
             pre_logic: 2_800,
             pre_dsp: 16,
-            value_bits: 64,
         }
     }
 
@@ -94,7 +87,6 @@ impl AppCostProfile {
             pe_dsp: 6,
             pre_logic: 2_000,
             pre_dsp: 10,
-            value_bits: 64,
         }
     }
 
@@ -127,7 +119,7 @@ mod tests {
     fn profiles_are_nonzero() {
         for p in AppCostProfile::all() {
             assert!(
-                p.buffer_m20k > 0 && p.pe_logic > 0 && p.pre_logic > 0 && p.value_bits > 0,
+                p.buffer_m20k > 0 && p.pe_logic > 0 && p.pre_logic > 0,
                 "{}",
                 p.name
             );
